@@ -7,10 +7,22 @@ Usage, from the root of a source checkout:
 The library is imported from ``src/`` of the same checkout and driven only
 through its public calls.  One *pass* runs a workload's preset runs once,
 set-up included; passes repeat until the next one would end after
-``--seconds``.  ``wall_s`` is the median pass, ``setup_s`` the median of at
-least five set-ups (everything before the first step), ``step_ms.p50`` the
-median over all steps and ``peak_rss_mb`` the peak after the first pass.
-``--trace 1``
+``--seconds``.
+
+The shared host's speed drifts by up to 1.7x, in spells of seconds to many
+minutes, and it slows the interpreter and sparse LU alike.  So a fixed
+kernel that uses no driftfv code (``HostSpeed``) is timed before and after
+every preset run, and each time measured in that run is scaled by
+``KERNEL_REF_S`` over the kernel's mean time around it: the gated timings
+read as seconds on the host in its fast state.  This takes the host's drift
+out of the figures and leaves the program's own speed in.  The unscaled
+figures (``raw.*``) and the kernel time are printed and kept in the result
+file.
+
+``wall_s`` is the median pass, ``setup_s`` the median of at least five
+set-ups (everything before the first step), ``step_ms.p50`` the median over
+all steps, ``steps_per_s`` the step count over the summed step times, and
+``peak_rss_mb`` the peak after the first pass.  ``--trace 1``
 alternates untraced and traced passes and reports per-layer figures from
 the traced ones instead (see ``tracing.py``).
 
@@ -35,6 +47,7 @@ for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import random  # noqa: E402
@@ -61,6 +74,9 @@ REF_FIELDS = ("entropy", "l2_n", "l2_p", "min_n", "min_p")
 MIN_SETUP_SAMPLES = 5
 TAIL_PERCENTILES = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
 UNACCOUNTED_LIMIT = 0.10
+# Time of the HostSpeed kernel on a 2-vCPU 2.1 GHz Xeon VM in its fast state;
+# gated timings are scaled to this host speed.
+KERNEL_REF_S = 5e-3
 
 PRESETS = tuple((case, doping)
                 for case in ("linear_r0", "linear_srh", "linear_auger",
@@ -80,7 +96,12 @@ WORKLOADS = {
     # to assembly, scipy call overhead, mesh builds and diagnostics.
     "reproduce32": Workload(PRESETS, nx=32, steps=10),
     # Large factors: LU fill and pure-Python mesh construction dominate.
+    # A pass takes 9-13 s, too long for the kernel timed around it to follow
+    # the host's speed, so BENCHMARK.json gates fine64 in its place.
     "fine128": Workload((("nonlinear_nondegenerate", "pn"),), nx=128, steps=5),
+    # The same at 64x64: LU still takes four fifths of the stepping and the
+    # mesh most of the set-up, and a pass takes under 2 s.
+    "fine64": Workload((("nonlinear_nondegenerate", "pn"),), nx=64, steps=5),
     # Picard iteration count dominates; step 40 alone takes 955 iterations.
     # One pass takes 20-30 s, so a run holds a single pass and its timings
     # are too unsteady to gate on; BENCHMARK.json leaves it out.
@@ -96,17 +117,31 @@ def ref_key(case, doping, nx, steps) -> str:
 
 
 @dataclass
+class RunTiming:
+    """Times of one preset run, and the host-speed kernel's time around it."""
+    wall: float
+    setup: float
+    steps: list
+    kernel: float = 0.0
+
+    def scaled(self, seconds: float) -> float:
+        """``seconds`` at the host speed where the kernel takes KERNEL_REF_S."""
+        return seconds * KERNEL_REF_S / self.kernel
+
+
+@dataclass
 class PassResult:
-    wall: float = 0.0
-    setup: float = 0.0
-    stepping: float = 0.0
-    step_times: list = field(default_factory=list)
+    runs: list = field(default_factory=list)
     attempted: int = 0
     failures: list = field(default_factory=list)
     cells: int = 0
     newton_iters: int = 0
     picard_iters: list = field(default_factory=list)
     csv_bytes: int = 0
+
+    @property
+    def wall(self) -> float:
+        return sum(r.wall for r in self.runs)
 
 
 class Bench:
@@ -118,6 +153,7 @@ class Bench:
         self.reference = reference
         self.csv_dir = csv_dir
         self.tracer = None
+        self.host = HostSpeed()
 
     def _call(self, name, fn, *args, **kwargs):
         if self.tracer is not None:
@@ -159,10 +195,8 @@ class Bench:
         except Exception as exc:  # a failed run is counted, never dropped
             out.failures.append(f"{case}_{doping}: {type(exc).__name__}: {exc}")
             return
-        out.wall += t_end - t0
-        out.setup += stamps[0] - t0
-        out.stepping += stamps[-1] - stamps[0]
-        out.step_times += [b - a for a, b in zip(stamps, stamps[1:])]
+        out.runs.append(RunTiming(t_end - t0, stamps[0] - t0,
+                                  [b - a for a, b in zip(stamps, stamps[1:])]))
         out.cells += mesh.n_cells
         out.newton_iters += eq.iterations
         out.picard_iters += [rec.fp_iters for rec in records[1:]]
@@ -199,19 +233,64 @@ class Bench:
 
     def run_pass(self, order, nx, steps) -> PassResult:
         out = PassResult()
-        t0 = time.perf_counter()
+        gc.collect()  # start every pass from the same heap, outside the timing
+        before = self.host.kernel_time()
         for case, doping in order:
+            done = len(out.runs)
             self._call("preset", self.preset_run, case, doping, nx, steps, out)
-        out.wall = time.perf_counter() - t0
+            after = self.host.kernel_time()
+            if len(out.runs) > done:
+                out.runs[-1].kernel = 0.5 * (before + after)
+            before = after
         return out
 
-    def setup_sample(self, order, nx) -> float:
+    def setup_sample(self, order, nx) -> list:
         """Set-up alone: the preset runs of a pass stopped before their first step."""
-        t0 = time.perf_counter()
+        gc.collect()
+        runs = []
+        before = self.host.kernel_time()
         for case, doping in order:
+            t0 = time.perf_counter()
             _, _, problem, eq, config = self.setup(case, doping, nx, 0)
             self.dv.run(problem, config, eq)
-        return time.perf_counter() - t0
+            seconds = time.perf_counter() - t0
+            after = self.host.kernel_time()
+            runs.append(RunTiming(seconds, seconds, [], 0.5 * (before + after)))
+            before = after
+        return runs
+
+
+class HostSpeed:
+    """Times a fixed kernel that uses no driftfv code.
+
+    The kernel mixes what the workloads spend their time on: interpreted
+    Python and a sparse LU factorization and solve (a 2-D Laplacian on a
+    40x40 grid).  Its time is the fastest of three repetitions, so a single
+    interruption does not count.  ``splu`` is bound here, before tracing
+    wraps the module attribute, so traced passes do not count the kernel.
+    """
+
+    def __init__(self):
+        import numpy as np
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        n = 40
+        line = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+        eye = sp.identity(n)
+        self.matrix = (sp.kron(eye, line) + sp.kron(line, eye)).tocsc()
+        self.rhs = np.ones(n * n)
+        self.splu = spla.splu
+
+    def kernel_time(self) -> float:
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            acc = 0
+            for i in range(30_000):
+                acc += i * i % 7
+            self.splu(self.matrix).solve(self.rhs)
+            best = min(best, time.perf_counter() - t0)
+        return best
 
 
 def environment(seed: int) -> dict:
@@ -260,15 +339,23 @@ def tail_percentile(samples):
 
 
 def end_to_end(passes, setups, peak_rss_kb) -> dict:
-    steps = [t for p in passes for t in p.step_times]
+    """The gated metrics, scaled to the reference host speed, and the raw ones."""
+    runs = [r for p in passes for r in p.runs]
+    steps = [r.scaled(t) for r in runs for t in r.steps]
+    raw_steps = [t for r in runs for t in r.steps]
     if not steps:
         raise RuntimeError("no step completed; nothing to measure")
     return {
-        "wall_s": statistics.median(p.wall for p in passes),
-        "setup_s": statistics.median(setups),
-        "steps_per_s": len(steps) / sum(p.stepping for p in passes),
+        "wall_s": statistics.median(sum(r.scaled(r.wall) for r in p.runs) for p in passes),
+        "setup_s": statistics.median(sum(r.scaled(r.setup) for r in s) for s in setups),
+        "steps_per_s": len(steps) / sum(steps),
         "step_ms.p50": 1e3 * statistics.median(steps),
         "peak_rss_mb": peak_rss_kb / 1024.0,
+        "raw.wall_s": statistics.median(p.wall for p in passes),
+        "raw.setup_s": statistics.median(sum(r.setup for r in s) for s in setups),
+        "raw.steps_per_s": len(raw_steps) / sum(raw_steps),
+        "raw.step_ms.p50": 1e3 * statistics.median(raw_steps),
+        "host.kernel_ms": 1e3 * statistics.median(r.kernel for r in runs),
     }
 
 
@@ -398,12 +485,12 @@ def main(argv=None) -> int:
             tracer = tracing.Tracer()
         t_start = time.perf_counter()
         while True:
+            t_pass = time.perf_counter()
             passes.append(bench.run_pass(order, nx, steps))
             if len(passes) == 1:
                 # Later passes only add heap fragmentation, and their number
                 # depends on speed; the first pass sets the workload's peak.
                 peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            planned = passes[-1].wall
             if tracer is not None:
                 bench.tracer = tracer
                 restore = tracing.instrument(tracer)
@@ -412,10 +499,10 @@ def main(argv=None) -> int:
                 finally:
                     restore()
                     bench.tracer = None
-                planned += traced[-1].wall
-            if time.perf_counter() - t_start + planned > args.seconds:
+            now = time.perf_counter()
+            if now - t_start + (now - t_pass) > args.seconds:
                 break
-        setups = [p.setup for p in passes]
+        setups = [p.runs for p in passes]
         if not args.trace:
             while len(setups) < MIN_SETUP_SAMPLES:
                 setups.append(bench.setup_sample(order, nx))
@@ -424,7 +511,7 @@ def main(argv=None) -> int:
     attempted = sum(p.attempted for p in everything)
     failures = [f for p in everything for f in p.failures]
     metrics = e2e = end_to_end(passes, setups, peak_rss_kb)
-    steps_all = [t for p in passes for t in p.step_times]
+    steps_all = [r.scaled(t) for p in passes for r in p.runs for t in r.steps]
     tail = tail_percentile(steps_all)
     report = {"failed_share": len(failures) / attempted}
     if tail is not None:
@@ -453,6 +540,9 @@ def main(argv=None) -> int:
     print(f"  {'failed_share':34s} {report['failed_share']:14.6g} share "
           f"({len(failures)}/{attempted} runs)")
     if not args.trace:
+        for name in ("raw.wall_s", "raw.setup_s", "raw.steps_per_s", "raw.step_ms.p50",
+                     "host.kernel_ms"):
+            print(f"  {name:34s} {e2e[name]:14.6g}")
         if tail is None:
             print(f"  step_ms.tail: omitted, {len(steps_all)} steps leave no "
                   "percentile with 10 beyond it")
@@ -468,9 +558,11 @@ def main(argv=None) -> int:
         {"environment": env, "workload": args.workload, "nx": nx, "steps": steps,
          "order": [f"{c}_{d}" for c, d in order], "passes": len(passes),
          "traced_passes": len(traced), "failures": problems,
-         "setup_samples_s": setups,
-         "pass_samples": [{"wall_s": p.wall, "setup_s": p.setup, "stepping_s": p.stepping,
-                           "step_ms": [1e3 * t for t in p.step_times]} for p in passes],
+         "setup_samples": [[{"setup_s": r.setup, "kernel_ms": 1e3 * r.kernel} for r in s]
+                           for s in setups],
+         "pass_samples": [[{"wall_s": r.wall, "setup_s": r.setup, "kernel_ms": 1e3 * r.kernel,
+                            "step_ms": [1e3 * t for t in r.steps]} for r in p.runs]
+                          for p in passes],
          "metrics": {**e2e, **metrics, **report}}, indent=1, sort_keys=True) + "\n")
     if tracer is not None:
         tracer.write(OUT_DIR / f"{stem}.spans.jsonl", {"environment": env})
