@@ -4,7 +4,7 @@ from .constitutive import PressureLaw, dr_mean, enthalpy, big_h, g_inverse
 from .diagnostics import (DiagnosticsRecord, check_entropy_chain, entropy,
                           f_functional, fit_decay_rate, production, write_csv)
 from .equilibrium import EquilibriumState, solve_equilibrium
-from .flux import bernoulli, gen_sg_flux_n, gen_sg_flux_p, sg_flux_n, sg_flux_p
+from .flux import bernoulli, sg_flux
 from .mesh import (DiscreteFunction, Mesh, MeshError, build_cartesian,
                    import_triangulation, norm_l2, read_mesh_file, seminorm_h1,
                    validate, write_mesh_file)
@@ -12,9 +12,8 @@ from .problem import (NO_RECOMBINATION, HypothesisError, Problem,
                       RecombinationModel, State, discretize_data,
                       pn_junction_preset)
 from .sparse import MMatrixReport, SolverError, check_m_matrix, solve
-from .transient import (BoundsTracker, InvariantError, Stepper, StepperConfig,
-                        advance_step, initial_state, run, solve_poisson)
+from .transient import BoundsTracker, InvariantError, Stepper, StepperConfig, run
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import constitutive as cst
 from . import diagnostics as diag
 from .constitutive import PressureLaw
 from .equilibrium import solve_equilibrium
 from .mesh import Mesh, MeshError, build_cartesian, read_mesh_file
 from .problem import (NO_RECOMBINATION, PRESET_CASES, PRESET_DOPINGS, Problem,
-                      HypothesisError, RecombinationModel, discretize_data,
-                      pn_junction_preset)
+                      HypothesisError, RecombinationModel, contact_predicate,
+                      diode_inputs, pn_junction_preset)
 from .sparse import SolverError
 from .transient import InvariantError, StepperConfig, run
 
@@ -56,8 +55,8 @@ _SECTIONS = {
     "doping": {"kind", "value"},
     "recombination": {"kind", "scale", "tau_n", "tau_p", "tau_c", "c_n", "c_p"},
     "time": {"dt", "t_end"},
-    "solver": {"fp_tol", "fp_max_iter", "damping", "method",
-               "check_m_matrices", "equilibrium_tol"},
+    "solver": {"fp_tol", "fp_max_iter", "damping", "check_m_matrices",
+               "equilibrium_tol"},
     "output": {"csv", "vtk", "vtk_every", "manifest"},
 }
 
@@ -102,11 +101,6 @@ def _get(cfg, section, key, default=None, cast=str):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
-def _contact_predicate(x, y):
-    eps = 1e-12
-    return (y < eps) or (y > 1.0 - eps and x <= 0.25 + eps)
-
-
 def build_mesh(cfg) -> Mesh:
     kind = _get(cfg, "mesh", "type", "cartesian")
     if kind == "cartesian":
@@ -116,7 +110,7 @@ def build_mesh(cfg) -> Mesh:
         if which == "all":
             pred = None
         elif which == "contacts":
-            pred = _contact_predicate
+            pred = contact_predicate
         else:
             raise ConfigError(f"unknown dirichlet selector {which!r}")
         return build_cartesian(nx, ny, dirichlet_predicate=pred)
@@ -137,43 +131,8 @@ def build_problem(cfg, mesh: Mesh) -> Problem:
     else:
         raise ConfigError(f"unknown pressure law {law_name!r}")
     lambda2 = _get(cfg, "physics", "lambda2", 1.0, float)
-
-    n0 = _get(cfg, "boundary", "n_bottom", cast=float)
-    n1 = _get(cfg, "boundary", "n_top", cast=float)
-    p0 = _get(cfg, "boundary", "p_bottom", cast=float)
-    p1 = _get(cfg, "boundary", "p_top", cast=float)
-
-    def contact(bottom, top):
-        return lambda x, y: bottom if y < 0.5 else top
-
-    n_d, p_d = contact(n0, n1), contact(p0, p1)
-
-    def psi_d(x, y):
-        return 0.5 * (float(cst.enthalpy(law, n_d(x, y)))
-                      - float(cst.enthalpy(law, p_d(x, y))))
-
-    profile = _get(cfg, "initial", "profile", "interpolate")
-    if profile == "interpolate":
-        n_init = lambda x, y: n1 + (n0 - n1) * (1.0 - np.sqrt(y))
-        p_init = lambda x, y: p1 + (p0 - p1) * (1.0 - np.sqrt(y))
-    elif profile == "constant":
-        nc = _get(cfg, "initial", "n", cast=float)
-        pc = _get(cfg, "initial", "p", cast=float)
-        n_init = lambda x, y: nc
-        p_init = lambda x, y: pc
-    else:
-        raise ConfigError(f"unknown initial profile {profile!r}")
-
-    dop_kind = _get(cfg, "doping", "kind", "zero")
-    if dop_kind == "zero":
-        dop = lambda x, y: 0.0
-    elif dop_kind == "pn":
-        dop = lambda x, y: -1.0 if (x < 0.5 and y > 0.5) else 1.0
-    elif dop_kind == "constant":
-        c = _get(cfg, "doping", "value", cast=float)
-        dop = lambda x, y: c
-    else:
-        raise ConfigError(f"unknown doping kind {dop_kind!r}")
+    n0, n1, p0, p1 = (_get(cfg, "boundary", key, cast=float)
+                      for key in ("n_bottom", "n_top", "p_bottom", "p_top"))
 
     rec_kind = _get(cfg, "recombination", "kind", "none")
     if rec_kind == "none":
@@ -191,8 +150,26 @@ def build_problem(cfg, mesh: Mesh) -> Problem:
     else:
         raise ConfigError(f"unknown recombination kind {rec_kind!r}")
 
-    return discretize_data(mesh, law, lambda2, dop, n_init, p_init,
-                           n_d, p_d, psi_d, recomb)
+    # The diode's own data, then the config-only variants on top of it.
+    dop_kind = _get(cfg, "doping", "kind", "zero")
+    if dop_kind not in ("zero", "pn", "constant"):
+        raise ConfigError(f"unknown doping kind {dop_kind!r}")
+    inputs = diode_inputs(law, recomb, (n0, n1), (p0, p1),
+                          doping="pn" if dop_kind == "pn" else "zero",
+                          lambda2=lambda2)
+    if dop_kind == "constant":
+        c = _get(cfg, "doping", "value", cast=float)
+        inputs.doping = lambda x, y: c
+
+    profile = _get(cfg, "initial", "profile", "interpolate")
+    if profile == "constant":
+        nc = _get(cfg, "initial", "n", cast=float)
+        pc = _get(cfg, "initial", "p", cast=float)
+        inputs.n_initial = lambda x, y: nc
+        inputs.p_initial = lambda x, y: pc
+    elif profile != "interpolate":
+        raise ConfigError(f"unknown initial profile {profile!r}")
+    return inputs.build(mesh)
 
 
 def build_stepper_config(cfg) -> StepperConfig:
@@ -202,8 +179,7 @@ def build_stepper_config(cfg) -> StepperConfig:
         fp_tol=_get(cfg, "solver", "fp_tol", 1e-10, float),
         fp_max_iter=_get(cfg, "solver", "fp_max_iter", 200, int),
         damping=_get(cfg, "solver", "damping", 1.0, float),
-        check_m_matrices=_get(cfg, "solver", "check_m_matrices", False, bool),
-        solver_method=_get(cfg, "solver", "method", "direct"))
+        check_m_matrices=_get(cfg, "solver", "check_m_matrices", False, bool))
 
 
 # -- outputs ---------------------------------------------------------------

@@ -74,7 +74,7 @@ def _edge_dissipation(problem: Problem, dens: DiscreteFunction,
                       psi: DiscreteFunction, sign: float) -> float:
     mesh = problem.mesh
     u_k = dens.cell_values[mesh.edge_cells[:, 0]]
-    u_s = mesh.edge_other_values(dens)
+    u_s = mesh.edge_other_values(dens.cell_values, dens.dirichlet_values)
     h_k = cst.enthalpy(problem.law, np.maximum(u_k, _LOG_CLAMP))
     h_s = cst.enthalpy(problem.law, np.maximum(u_s, _LOG_CLAMP))
     dpsi = mesh.edge_differences(psi)

@@ -40,39 +40,6 @@ def bernoulli(x):
     return float(out[0]) if scalar else out
 
 
-def _flux(tau, n_k, n_ksigma, dpsi, dr):
-    tau = np.asarray(tau, dtype=float)
-    n_k = np.asarray(n_k, dtype=float)
-    n_ksigma = np.asarray(n_ksigma, dtype=float)
-    dpsi = np.asarray(dpsi, dtype=float)
-    dr = np.asarray(dr, dtype=float)
-    deg = dr <= DR_DEGENERATE
-    drs = np.where(deg, 1.0, dr)
-    a_fwd = np.where(deg, np.maximum(dpsi, 0.0), drs * bernoulli(-dpsi / drs))
-    a_bwd = np.where(deg, np.maximum(-dpsi, 0.0), drs * bernoulli(dpsi / drs))
-    return tau * (a_fwd * n_k - a_bwd * n_ksigma)
-
-
-def sg_flux_n(tau, n_k, n_ksigma, dpsi):
-    """Classical electron flux (isothermal, dr = 1)."""
-    return _flux(tau, n_k, n_ksigma, dpsi, np.ones_like(np.asarray(dpsi, dtype=float)))
-
-
-def sg_flux_p(tau, p_k, p_ksigma, dpsi):
-    """Classical hole flux: electron flux with the potential sign flipped."""
-    return sg_flux_n(tau, p_k, p_ksigma, -np.asarray(dpsi, dtype=float))
-
-
-def gen_sg_flux_n(tau, n_k, n_ksigma, dpsi, dr):
-    """Generalized electron flux with edge diffusion mean dr."""
-    return _flux(tau, n_k, n_ksigma, dpsi, dr)
-
-
-def gen_sg_flux_p(tau, p_k, p_ksigma, dpsi, dr):
-    """Generalized hole flux: potential sign flipped."""
-    return _flux(tau, p_k, p_ksigma, -np.asarray(dpsi, dtype=float), dr)
-
-
 def flux_coefficients(dpsi, dr):
     """(a_fwd, a_bwd) so that F = tau*(a_fwd*n_K - a_bwd*n_Ksigma).
 
@@ -88,6 +55,15 @@ def flux_coefficients(dpsi, dr):
     return a_fwd, a_bwd
 
 
+def sg_flux(tau, n_k, n_ksigma, dpsi, dr=1.0):
+    """Generalized electron flux; dr = 1 gives the classical flux.
+
+    The hole flux is the same function called with -dpsi.
+    """
+    a_fwd, a_bwd = flux_coefficients(dpsi, dr)
+    return tau * (a_fwd * n_k - a_bwd * n_ksigma)
+
+
 def lemma1_residual(tau, n_k, n_ksigma, dpsi, dr, h_k, h_ksigma):
     """Edge dissipation residual; nonpositive for every admissible input.
 
@@ -97,6 +73,6 @@ def lemma1_residual(tau, n_k, n_ksigma, dpsi, dr, h_k, h_ksigma):
     is the form the per-step entropy inequality consumes.  R vanishes for
     equal densities and at discrete equilibrium.
     """
-    f = _flux(tau, n_k, n_ksigma, dpsi, dr)
+    f = sg_flux(tau, n_k, n_ksigma, dpsi, dr)
     w = (np.asarray(h_ksigma, dtype=float) - np.asarray(h_k, dtype=float)) - np.asarray(dpsi, dtype=float)
     return f * w + np.asarray(tau, dtype=float) * np.minimum(n_k, n_ksigma) * w ** 2

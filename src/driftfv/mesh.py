@@ -25,30 +25,6 @@ class MeshError(ValueError):
     """Raised when a mesh is structurally invalid or not admissible."""
 
 
-@dataclass(frozen=True)
-class Cell:
-    id: int
-    center: np.ndarray
-    measure: float
-    edge_ids: tuple
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    kind: int
-    cells: tuple          # (K,) for boundary edges, (K, L) for interior
-    measure: float
-    d: float
-    tau: float
-    p1: np.ndarray
-    p2: np.ndarray
-
-    @property
-    def kind_name(self) -> str:
-        return _KIND_NAMES[self.kind]
-
-
 def _point_line_distance(x, p1, p2):
     """Perpendicular distance from point(s) x to the line through p1, p2."""
     t = p2 - p1
@@ -58,11 +34,7 @@ def _point_line_distance(x, p1, p2):
 
 
 class Mesh:
-    """Two-point-flux finite-volume mesh (2D).
-
-    Geometry is stored in flat numpy arrays; ``cells`` / ``edges`` build
-    object views on demand for inspection and reports.
-    """
+    """Two-point-flux finite-volume mesh (2D); geometry in flat numpy arrays."""
 
     def __init__(self, points, cell_nodes, cell_centers, cell_measures,
                  edge_kind, edge_cells, edge_p1, edge_p2):
@@ -108,72 +80,31 @@ class Mesh:
         self.dirichlet_index[self.dirichlet_edges] = np.arange(len(self.dirichlet_edges))
         self.n_dirichlet = len(self.dirichlet_edges)
 
-        # Cell -> edge incidence.
-        cell_edges = [[] for _ in range(self.n_cells)]
-        for e in range(self.n_edges):
-            cell_edges[self.edge_cells[e, 0]].append(e)
-            if self.edge_cells[e, 1] >= 0:
-                cell_edges[self.edge_cells[e, 1]].append(e)
-        self.cell_edges = [tuple(es) for es in cell_edges]
-
-        self.size = max(
-            max(np.hypot(*(self.points[a] - self.points[b]))
-                for a in nodes for b in nodes)
-            for nodes in self.cell_nodes
-        )
-        self.xi = self._compute_xi()
-
-    # -- derived geometry -------------------------------------------------
-
-    def _incidence_ratios(self):
-        """d(x_K, sigma)/d_sigma for every cell-edge incidence."""
-        ratios = []
-        for e in range(self.n_edges):
-            for c in self.edge_cells[e]:
-                if c < 0:
-                    continue
-                dist = _point_line_distance(self.cell_centers[c],
-                                            self.edge_p1[e], self.edge_p2[e])
-                ratios.append((e, int(c), dist / self.edge_d[e]))
-        return ratios
-
-    def _compute_xi(self) -> float:
-        return min(r for _, _, r in self._incidence_ratios())
-
-    @property
-    def cells(self):
-        return [Cell(i, self.cell_centers[i], float(self.cell_measures[i]),
-                     self.cell_edges[i]) for i in range(self.n_cells)]
-
-    @property
-    def edges(self):
-        out = []
-        for e in range(self.n_edges):
-            k, ell = self.edge_cells[e]
-            cells = (int(k),) if ell < 0 else (int(k), int(ell))
-            out.append(Edge(e, int(self.edge_kind[e]), cells,
-                            float(self.edge_measures[e]), float(self.edge_d[e]),
-                            float(self.edge_tau[e]), self.edge_p1[e], self.edge_p2[e]))
-        return out
+        # xi = min d(x_K, sigma)/d_sigma over every cell-edge incidence.
+        cells = np.concatenate([k, ell[self.interior_edges]])
+        edges = np.concatenate([np.arange(self.n_edges), self.interior_edges])
+        self.xi = float(np.min(
+            _point_line_distance(self.cell_centers[cells], self.edge_p1[edges],
+                                 self.edge_p2[edges]) / d[edges]))
 
     # -- discrete-function plumbing ---------------------------------------
 
-    def edge_other_values(self, u: "DiscreteFunction") -> np.ndarray:
+    def edge_other_values(self, cell_values, dirichlet_values) -> np.ndarray:
         """u_{K,sigma} per edge with K the first incident cell.
 
         Interior: opposite cell value; Dirichlet: edge value; Neumann: own
         cell value (zero-flux mirror).
         """
-        vals = u.cell_values[self.edge_cells[:, 0]].copy()
+        vals = cell_values[self.edge_cells[:, 0]].copy()
         it = self.interior_edges
-        vals[it] = u.cell_values[self.edge_cells[it, 1]]
-        de = self.dirichlet_edges
-        vals[de] = u.dirichlet_values
+        vals[it] = cell_values[self.edge_cells[it, 1]]
+        vals[self.dirichlet_edges] = dirichlet_values
         return vals
 
     def edge_differences(self, u: "DiscreteFunction") -> np.ndarray:
         """Du_{K,sigma} = u_{K,sigma} - u_K per edge (K = first cell)."""
-        return self.edge_other_values(u) - u.cell_values[self.edge_cells[:, 0]]
+        return (self.edge_other_values(u.cell_values, u.dirichlet_values)
+                - u.cell_values[self.edge_cells[:, 0]])
 
 
 @dataclass
@@ -388,7 +319,7 @@ def validate(mesh: Mesh, angle_tol: float = 1e-8) -> ValidationReport:
             bad.append((int(e), "nonpositive transmissibility or distance"))
     if mesh.n_dirichlet == 0:
         bad.append((-1, "no Dirichlet boundary edges"))
-    xi = mesh._compute_xi()
+    xi = mesh.xi
     if xi <= 0.0:
         bad.append((-1, f"nonpositive regularity parameter xi={xi:g}"))
     return ValidationReport(ok=not bad, worst_orthogonality_defect=float(worst),

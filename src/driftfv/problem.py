@@ -10,8 +10,9 @@ recombination together with a nonlinear pressure law.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -115,6 +116,9 @@ def make_state(problem: Problem, n_cells, p_cells, psi_cells,
 
 
 def _validate(problem: Problem) -> Problem:
+    if not (math.isfinite(problem.lambda2) and problem.lambda2 > 0.0):
+        raise HypothesisError(
+            f"lambda^2 must be finite and positive, got {problem.lambda2!r}")
     law = problem.law
     data = np.concatenate([problem.n_initial, problem.p_initial,
                            problem.n_dirichlet, problem.p_dirichlet])
@@ -193,7 +197,7 @@ PRESET_DOPINGS = ("zero", "pn")
 
 @dataclass
 class PresetInputs:
-    """Function-valued data for one PN-junction test case on (0,1)^2."""
+    """Function-valued data for one diode test case on (0,1)^2."""
     case: str
     doping_kind: str
     law: PressureLaw
@@ -206,54 +210,48 @@ class PresetInputs:
     p_dirichlet: Callable
     psi_dirichlet: Callable
     dirichlet_predicate: Callable
-    experimental: bool = False
 
     @property
     def name(self) -> str:
         return f"{self.case}_{self.doping_kind}"
 
     def build(self, mesh: Mesh) -> Problem:
-        problem = discretize_data(
+        return discretize_data(
             mesh, self.law, self.lambda2, self.doping,
             self.n_initial, self.p_initial,
             self.n_dirichlet, self.p_dirichlet, self.psi_dirichlet,
             self.recombination)
-        problem.experimental = problem.experimental or self.experimental
-        return problem
 
 
-def pn_junction_preset(case: str, doping: str = "zero") -> PresetInputs:
-    """PN-junction diode test case on the unit square.
+def contact_predicate(x, y) -> bool:
+    """Dirichlet contacts of the diode: {y=0} and {y=1, x<=0.25}."""
+    eps = 1e-12
+    return (y < eps) or (y > 1.0 - eps and x <= 0.25 + eps)
 
-    Dirichlet contacts on {y=0} and {y=1, x<=0.25}, Neumann elsewhere;
-    lambda^2 = 1; Psi^D = (h(N^D)-h(P^D))/2 so the boundary is in thermal
-    equilibrium; initial profiles interpolate the contact values along
-    1 - sqrt(y); doping is zero or +-1 (N-region +1, P-region -1 in
-    [0,0.5]x[0.5,1]).
+
+def _pn_doping(x, y) -> float:
+    """N-region +1, P-region -1 in [0,0.5]x[0.5,1]."""
+    return -1.0 if (x < 0.5 and y > 0.5) else 1.0
+
+
+def _no_doping(x, y) -> float:
+    return 0.0
+
+
+def diode_inputs(law: PressureLaw, recombination: RecombinationModel,
+                 n_contacts, p_contacts, doping: str = "zero",
+                 lambda2: float = 1.0, case: str = "diode") -> PresetInputs:
+    """Diode on the unit square with contact values (bottom, top) per species.
+
+    Dirichlet contacts as in :func:`contact_predicate`, Neumann elsewhere;
+    Psi^D = (h(N^D)-h(P^D))/2 so the boundary is in thermal equilibrium;
+    initial profiles interpolate the contact values along 1 - sqrt(y);
+    doping is "zero" or "pn" (:func:`_pn_doping`).
     """
-    if case not in PRESET_CASES:
-        raise ValueError(f"unknown preset case {case!r} (choose from {PRESET_CASES})")
     if doping not in PRESET_DOPINGS:
         raise ValueError(f"unknown doping {doping!r} (choose from {PRESET_DOPINGS})")
-
-    e = float(np.e)
-    if case == "linear_r0":
-        law, recomb = PressureLaw.isothermal(), NO_RECOMBINATION
-        n0, n1, p0, p1 = e, 1.0, 1.0 / e, 1.0
-    elif case == "linear_srh":
-        law = PressureLaw.isothermal()
-        recomb = RecombinationModel("srh", scale=10.0, tau_n=1.0, tau_p=1.0, tau_c=1.0)
-        n0, n1, p0, p1 = e, 1.0, 1.0 / e, 1.0
-    elif case == "linear_auger":
-        law = PressureLaw.isothermal()
-        recomb = RecombinationModel("auger", c_n=0.1, c_p=0.1)
-        n0, n1, p0, p1 = e, 1.0, 1.0 / e, 1.0
-    elif case == "nonlinear_nondegenerate":
-        law, recomb = PressureLaw.power(5.0 / 3.0), NO_RECOMBINATION
-        n0, n1, p0, p1 = 0.9, 0.1, 0.1, 0.9
-    else:  # nonlinear_degenerate
-        law, recomb = PressureLaw.power(5.0 / 3.0), NO_RECOMBINATION
-        n0, n1, p0, p1 = 1.0, 0.0, 0.0, 1.0
+    n0, n1 = n_contacts
+    p0, p1 = p_contacts
 
     def contact(bottom, top):
         return lambda x, y: bottom if y < 0.5 else top
@@ -271,18 +269,40 @@ def pn_junction_preset(case: str, doping: str = "zero") -> PresetInputs:
     def p_init(x, y):
         return p1 + (p0 - p1) * (1.0 - np.sqrt(y))
 
-    if doping == "zero":
-        dop = lambda x, y: 0.0
-    else:
-        dop = lambda x, y: -1.0 if (x < 0.5 and y > 0.5) else 1.0
-
-    eps = 1e-12
-    predicate = lambda x, y: (y < eps) or (y > 1.0 - eps and x <= 0.25 + eps)
-
     return PresetInputs(
-        case=case, doping_kind=doping, law=law, lambda2=1.0,
-        recombination=recomb, doping=dop,
+        case=case, doping_kind=doping, law=law, lambda2=lambda2,
+        recombination=recombination,
+        doping=_pn_doping if doping == "pn" else _no_doping,
         n_initial=n_init, p_initial=p_init,
         n_dirichlet=n_d, p_dirichlet=p_d, psi_dirichlet=psi_d,
-        dirichlet_predicate=predicate,
-        experimental=(case == "nonlinear_degenerate"))
+        dirichlet_predicate=contact_predicate)
+
+
+_E = float(np.e)
+# Pressure law, recombination, (n_bottom, n_top), (p_bottom, p_top) per case.
+_PRESETS = {
+    "linear_r0": (PressureLaw.isothermal(), NO_RECOMBINATION,
+                  (_E, 1.0), (1.0 / _E, 1.0)),
+    "linear_srh": (PressureLaw.isothermal(),
+                   RecombinationModel("srh", scale=10.0, tau_n=1.0, tau_p=1.0, tau_c=1.0),
+                   (_E, 1.0), (1.0 / _E, 1.0)),
+    "linear_auger": (PressureLaw.isothermal(),
+                     RecombinationModel("auger", c_n=0.1, c_p=0.1),
+                     (_E, 1.0), (1.0 / _E, 1.0)),
+    "nonlinear_nondegenerate": (PressureLaw.power(5.0 / 3.0), NO_RECOMBINATION,
+                                (0.9, 0.1), (0.1, 0.9)),
+    "nonlinear_degenerate": (PressureLaw.power(5.0 / 3.0), NO_RECOMBINATION,
+                             (1.0, 0.0), (0.0, 1.0)),
+}
+
+
+def pn_junction_preset(case: str, doping: str = "zero") -> PresetInputs:
+    """PN-junction diode test case on the unit square (:func:`diode_inputs`).
+
+    lambda^2 = 1; the degenerate case has zero contact densities, so m = 0
+    and it runs as an experimental case.
+    """
+    if case not in PRESET_CASES:
+        raise ValueError(f"unknown preset case {case!r} (choose from {PRESET_CASES})")
+    law, recomb, n_contacts, p_contacts = _PRESETS[case]
+    return diode_inputs(law, recomb, n_contacts, p_contacts, doping, case=case)

@@ -1,7 +1,7 @@
 """Sparse assembly, linear solves, and M-matrix verification.
 
-Thin layer over scipy.sparse: systems are CSR matrices, the default solver is
-a direct LU factorization, and ``check_m_matrix`` verifies the structural
+Thin layer over scipy.sparse: systems are CSR matrices, solved by a direct
+LU factorization, and ``check_m_matrix`` verifies the structural
 properties (positive diagonal, nonpositive off-diagonal, strict column
 diagonal dominance) that give entrywise-nonnegative inverses.
 """
@@ -23,30 +23,21 @@ class SolverError(RuntimeError):
     """Linear solve failed or did not reach the required residual."""
 
 
-def solve(A, b, method: str = "direct") -> np.ndarray:
+def solve(A, b) -> np.ndarray:
     """Solve A x = b to residual ||Ax-b||_inf <= max(1e-12, 1e-12 ||b||_inf)."""
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
     tol = max(1e-12, 1e-12 * np.max(np.abs(b), initial=0.0))
-    if method == "direct":
-        try:
-            lu = spla.splu(sp.csc_matrix(A))
-            x = lu.solve(b)
-        except RuntimeError as exc:
-            raise SolverError(f"direct solve failed: {exc}") from exc
-    elif method == "iterative":
-        precond = spla.LinearOperator(A.shape, lambda v: v / A.diagonal())
-        x, info = spla.bicgstab(A, b, rtol=1e-14, atol=tol * 0.1, M=precond, maxiter=5000)
-        if info != 0:
-            raise SolverError(f"bicgstab did not converge (info={info})")
-    else:
-        raise ValueError(f"unknown solver method {method!r}")
+    try:
+        lu = spla.splu(sp.csc_matrix(A))
+        x = lu.solve(b)
+    except RuntimeError as exc:
+        raise SolverError(f"direct solve failed: {exc}") from exc
     res = np.max(np.abs(A @ x - b), initial=0.0)
     if res > tol:
         # One step of iterative refinement before giving up.
-        if method == "direct":
-            x = x + lu.solve(b - A @ x)
-            res = np.max(np.abs(A @ x - b), initial=0.0)
+        x = x + lu.solve(b - A @ x)
+        res = np.max(np.abs(A @ x - b), initial=0.0)
         if res > tol:
             raise SolverError(f"solve residual {res:.3e} exceeds tolerance {tol:.3e}")
     return x

@@ -11,9 +11,9 @@ zero doping, inside the data bounds [m, M].
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,9 +22,7 @@ import scipy.sparse.linalg as spla
 from . import constitutive as cst
 from . import sparse as la
 from .flux import flux_coefficients
-from .mesh import DiscreteFunction, Mesh
-from .problem import (HypothesisError, Problem, State, evaluate_recombination,
-                      make_state)
+from .problem import HypothesisError, Problem, State, make_state
 
 
 class InvariantError(RuntimeError):
@@ -38,15 +36,15 @@ class StepperConfig:
     fp_tol: float = 1e-10
     fp_max_iter: int = 200
     damping: float = 1.0          # Picard damping, auto-halved down to 0.125
-    mu: Optional[float] = None    # penalty override; default dt*max(M^{n+1}, max density)
-    dt_max: float = 1e-2          # bookkeeping bound for the decay constant
     check_m_matrices: bool = False
     entropy_floor: float = 0.0    # early stop threshold on E^n (0 = never)
-    solver_method: str = "direct"
 
     def validate(self, problem: Problem) -> None:
-        if self.dt <= 0.0:
-            raise HypothesisError("time step must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise HypothesisError(f"time step must be finite and positive, got {self.dt!r}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise HypothesisError(
+                f"end time must be finite and nonnegative, got {self.t_end!r}")
         cinf = problem.doping_inf_norm
         if cinf > 0.0 and self.dt > problem.lambda2 / cinf:
             raise HypothesisError(
@@ -109,7 +107,6 @@ class Stepper:
         self.tau = mesh.edge_tau
         self.int_e = mesh.interior_edges
         self.dir_e = mesh.dirichlet_edges
-        self.dir_idx = mesh.dirichlet_index[self.dir_e]
 
     # -- linear building blocks -------------------------------------------
 
@@ -122,11 +119,10 @@ class Stepper:
             raise la.SolverError(f"Poisson residual {res:.3e} too large")
         return psi
 
-    def _edge_other(self, cell_vals, dirichlet_vals):
-        out = cell_vals[self.e_k].copy()
-        out[self.int_e] = cell_vals[self.e_l[self.int_e]]
-        out[self.dir_e] = dirichlet_vals[self.dir_idx]
-        return out
+    def initial_state(self) -> State:
+        """State at time zero: initial densities and the matching potential."""
+        n0, p0 = self.problem.initial_state()
+        return make_state(self.problem, n0, p0, self.solve_poisson(n0, p0))
 
     def _density_system(self, dens, dens_dir, dpsi, prev, mu, r0_diag, r0_rhs):
         """Assemble A, b for one linearized density system.
@@ -134,7 +130,7 @@ class Stepper:
         ``dpsi`` must already carry the species sign (potential flipped for
         holes).  ``r0_diag``/``r0_rhs`` add the frozen recombination coupling.
         """
-        other = self._edge_other(dens, dens_dir)
+        other = self.mesh.edge_other_values(dens, dens_dir)
         dr = cst.dr_mean(self.law, dens[self.e_k], other)
         a_fwd, a_bwd = flux_coefficients(dpsi, dr)
 
@@ -154,22 +150,27 @@ class Stepper:
         A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
         b = self.mk / self.config.dt * (mu / self.lam2 * dens + prev) + r0_rhs
-        np.add.at(b, self.e_k[de], self.tau[de] * a_bwd[de] * dens_dir[self.dir_idx])
+        np.add.at(b, self.e_k[de], self.tau[de] * a_bwd[de] * dens_dir)
         return A, b
 
-    def linearized_density_step(self, n_it, p_it, psi_cells, n_prev, p_prev, mu,
-                                collect_reports=None):
-        """One application of the decoupled linear density solves."""
+    def _density_systems(self, n_it, p_it, psi_cells, n_prev, p_prev, mu):
+        """(A_N, b_N), (A_P, b_P) with every coefficient frozen at the iterate."""
         pr = self.problem
-        dpsi = self._edge_other(psi_cells, pr.psi_dirichlet) - psi_cells[self.e_k]
+        dpsi = self.mesh.edge_other_values(psi_cells, pr.psi_dirichlet) - psi_cells[self.e_k]
         if pr.recombination.is_none:
             r0 = np.zeros(self.mesh.n_cells)
         else:
             r0 = pr.recombination.r0(n_it, p_it)
-        A_n, b_n = self._density_system(n_it, pr.n_dirichlet, dpsi, n_prev, mu,
-                                        self.mk * r0 * p_it, self.mk * r0)
-        A_p, b_p = self._density_system(p_it, pr.p_dirichlet, -dpsi, p_prev, mu,
-                                        self.mk * r0 * n_it, self.mk * r0)
+        return (self._density_system(n_it, pr.n_dirichlet, dpsi, n_prev, mu,
+                                     self.mk * r0 * p_it, self.mk * r0),
+                self._density_system(p_it, pr.p_dirichlet, -dpsi, p_prev, mu,
+                                     self.mk * r0 * n_it, self.mk * r0))
+
+    def linearized_density_step(self, n_it, p_it, psi_cells, n_prev, p_prev, mu,
+                                collect_reports=None):
+        """One application of the decoupled linear density solves."""
+        (A_n, b_n), (A_p, b_p) = self._density_systems(
+            n_it, p_it, psi_cells, n_prev, p_prev, mu)
         if self.config.check_m_matrices or collect_reports is not None:
             for name, A in (("A_N", A_n), ("A_P", A_p)):
                 rep = la.check_m_matrix(A)
@@ -178,29 +179,20 @@ class Stepper:
                 if not rep.is_m_matrix:
                     raise InvariantError(
                         f"{name} is not an M-matrix: {rep.violations[:3]}")
-        n_hat = la.solve(A_n, b_n, self.config.solver_method)
-        p_hat = la.solve(A_p, b_p, self.config.solver_method)
-        return n_hat, p_hat
+        return la.solve(A_n, b_n), la.solve(A_p, b_p)
 
     # -- nonlinear step ----------------------------------------------------
 
     def scheme_residuals(self, n_new, p_new, psi_cells, n_prev, p_prev):
-        """Residuals of the implicit balance equations at given values."""
-        pr = self.problem
-        dpsi = self._edge_other(psi_cells, pr.psi_dirichlet) - psi_cells[self.e_k]
-        r_term, _ = evaluate_recombination(pr.recombination, n_new, p_new)
-        res = []
-        for dens, dens_dir, prev, sgn in ((n_new, pr.n_dirichlet, n_prev, 1.0),
-                                          (p_new, pr.p_dirichlet, p_prev, -1.0)):
-            other = self._edge_other(dens, dens_dir)
-            dr = cst.dr_mean(self.law, dens[self.e_k], other)
-            a_fwd, a_bwd = flux_coefficients(sgn * dpsi, dr)
-            f_edge = self.tau * (a_fwd * dens[self.e_k] - a_bwd * other)
-            div = np.zeros(self.mesh.n_cells)
-            np.add.at(div, self.e_k, f_edge)
-            np.add.at(div, self.e_l[self.int_e], -f_edge[self.int_e])
-            res.append(self.mk * (dens - prev) / self.config.dt + div + self.mk * r_term)
-        return res[0], res[1]
+        """Residuals of the implicit balance equations at given values.
+
+        The density systems assembled at x = (n_new, p_new) and applied to
+        the same x are the implicit balance, so the residual is A x - b; the
+        penalty terms cancel there, and mu = 0 leaves them out altogether.
+        """
+        (A_n, b_n), (A_p, b_p) = self._density_systems(
+            n_new, p_new, psi_cells, n_prev, p_prev, 0.0)
+        return A_n @ n_new - b_n, A_p @ p_new - b_p
 
     def advance(self, state: State, tracker: BoundsTracker) -> "tuple[State, StepReport]":
         cfg = self.config
@@ -212,8 +204,8 @@ class Stepper:
         step_index = state.step + 1
 
         upper_next = tracker.upper(step_index)
-        mu = cfg.mu if cfg.mu is not None else cfg.dt * max(
-            upper_next, float(np.max(n_it, initial=0.0)), float(np.max(p_it, initial=0.0)))
+        mu = cfg.dt * max(upper_next, float(np.max(n_it, initial=0.0)),
+                          float(np.max(p_it, initial=0.0)))
 
         omega = cfg.damping
         best_inc = np.inf
@@ -279,37 +271,6 @@ class Stepper:
         return new_state, report
 
 
-# -- spec-level convenience wrappers --------------------------------------
-
-def solve_poisson(problem: Problem, n_cells, p_cells) -> DiscreteFunction:
-    stepper = Stepper(problem, StepperConfig())
-    psi = stepper.solve_poisson(np.asarray(n_cells, float), np.asarray(p_cells, float))
-    return DiscreteFunction(psi, problem.psi_dirichlet.copy())
-
-
-def linearized_density_step(problem: Problem, n_it, p_it, psi_cells,
-                            n_prev, p_prev, mu, config: StepperConfig = None):
-    stepper = Stepper(problem, config or StepperConfig())
-    return stepper.linearized_density_step(
-        np.asarray(n_it, float), np.asarray(p_it, float),
-        np.asarray(psi_cells, float), np.asarray(n_prev, float),
-        np.asarray(p_prev, float), mu)
-
-
-def advance_step(problem: Problem, state: State, config: StepperConfig,
-                 tracker: BoundsTracker = None):
-    stepper = Stepper(problem, config)
-    return stepper.advance(state, tracker or BoundsTracker(problem, config.dt))
-
-
-def initial_state(problem: Problem, config: StepperConfig = None) -> State:
-    """State at time zero: initial densities and the matching potential."""
-    stepper = Stepper(problem, config or StepperConfig())
-    n0, p0 = problem.initial_state()
-    psi0 = stepper.solve_poisson(n0, p0)
-    return make_state(problem, n0, p0, psi0, step=0, time=0.0)
-
-
 def run(problem: Problem, config: StepperConfig, equilibrium_state,
         sink=None, state_sink=None):
     """Execute floor(t_end/dt) steps, emitting one diagnostics record per level.
@@ -325,8 +286,7 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state,
           if hasattr(equilibrium_state, "as_state") else equilibrium_state)
     stepper = Stepper(problem, config)
     tracker = BoundsTracker(problem, config.dt)
-    n0, p0 = problem.initial_state()
-    state = make_state(problem, n0, p0, stepper.solve_poisson(n0, p0))
+    state = stepper.initial_state()
 
     records = []
 

@@ -284,15 +284,17 @@ def _tiny_problem(nx, ny, law, recomb_kind):
         lambda x, y: n_d, lambda x, y: p_d, lambda x, y: psi_d, recomb)
 
 
+TINY_CASES = [(PressureLaw.isothermal(), "none"),
+              (PressureLaw.isothermal(), "srh"),
+              (PressureLaw.isothermal(), "auger"),
+              (PressureLaw.power(5.0 / 3.0), "none")]
+
+
 def test_criterion_09_tiny_instance_oracle():
-    cases = [(PressureLaw.isothermal(), "none"),
-             (PressureLaw.isothermal(), "srh"),
-             (PressureLaw.isothermal(), "auger"),
-             (PressureLaw.power(5.0 / 3.0), "none")]
     dt = 0.05
     ok = True
     for nx, ny in ((2, 1), (2, 2)):
-        for law, recomb in cases:
+        for law, recomb in TINY_CASES:
             problem = _tiny_problem(nx, ny, law, recomb)
             config = StepperConfig(dt=dt, fp_tol=1e-13)
             stepper = Stepper(problem, config)
@@ -314,6 +316,28 @@ def test_criterion_09_tiny_instance_oracle():
                 np.max(np.abs(state.psi.cell_values - sol.x[2 * theta:])))
             ok = ok and sol.success and diff <= 1e-8
     assert _verdict(9, "tiny-instance dense oracle agreement (1e-8)", ok)
+
+
+def test_scheme_residuals_match_oracle_away_from_convergence():
+    # Stepper.scheme_residuals comes from the assembled density systems; the
+    # oracle sums the fluxes edge by edge.  Random inputs are far from any
+    # solution of the step, so the residuals are checked where they are large.
+    rng = np.random.default_rng(31)
+    dt = 0.05
+    for law, recomb in TINY_CASES:
+        problem = _tiny_problem(2, 2, law, recomb)
+        stepper = Stepper(problem, StepperConfig(dt=dt))
+        theta = problem.mesh.n_cells
+        for _ in range(5):
+            n, p, n_prev, p_prev = rng.uniform(0.2, 3.0, (4, theta))
+            psi = rng.uniform(-2.0, 2.0, theta)
+            rn, rp = stepper.scheme_residuals(n, p, psi, n_prev, p_prev)
+            oracle = _oracle_residual(np.concatenate([n, p, psi]), problem,
+                                      n_prev, p_prev, dt)
+            got = np.concatenate([rn, rp])
+            want = oracle[:2 * theta]
+            assert np.max(np.abs(want)) > 1e-2
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_criterion_10_equilibrium_solver():

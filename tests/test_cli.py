@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from driftfv.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, ConfigError,
-                         RunManifest, load_config, main, reproduce_paper,
-                         write_vtk)
+                         RunManifest, build_mesh, build_problem, load_config,
+                         main, reproduce_paper, write_vtk)
 from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
-from driftfv.problem import make_state, pn_junction_preset
+from driftfv.problem import (PRESET_CASES, PRESET_DOPINGS, make_state,
+                             pn_junction_preset)
 
 GOOD_CONFIG = """
 [mesh]
@@ -72,6 +73,58 @@ def test_nonlinear_with_recombination_exits_3(tmp_path, capsys):
     cfg += "\n[recombination]\nkind = srh\n"
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_HYPOTHESIS
     assert "isothermal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("good, bad, message", [
+    ("dt = 1e-2", "dt = nan", "time step"),
+    ("dt = 1e-2", "dt = inf", "time step"),
+    ("lambda2 = 1.0", "lambda2 = 0", "lambda^2"),
+    ("lambda2 = 1.0", "lambda2 = nan", "lambda^2"),
+    ("lambda2 = 1.0", "lambda2 = -1", "lambda^2")])
+def test_nonfinite_or_nonpositive_input_exits_3(tmp_path, capsys, good, bad, message):
+    cfg = GOOD_CONFIG.replace(good, bad)
+    assert bad in cfg
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_HYPOTHESIS
+    err = capsys.readouterr().err
+    assert f"hypothesis violation: {message}" in err
+    assert "Traceback" not in err
+
+
+def _preset_config(preset):
+    """INI text carrying the data of one preset."""
+    law = preset.law
+    rec = preset.recombination
+    n_bottom, n_top = preset.n_dirichlet(0.5, 0.0), preset.n_dirichlet(0.1, 1.0)
+    p_bottom, p_top = preset.p_dirichlet(0.5, 0.0), preset.p_dirichlet(0.1, 1.0)
+    return "\n".join([
+        "[mesh]", "nx = 6", "dirichlet = contacts",
+        "[physics]",
+        "law = isothermal" if law.is_isothermal else f"law = power\nalpha = {law.alpha!r}",
+        f"lambda2 = {preset.lambda2!r}",
+        "[boundary]", f"n_bottom = {n_bottom!r}", f"n_top = {n_top!r}",
+        f"p_bottom = {p_bottom!r}", f"p_top = {p_top!r}",
+        "[doping]", f"kind = {preset.doping_kind}",
+        "[recombination]", f"kind = {rec.kind}", f"scale = {rec.scale!r}",
+        f"tau_n = {rec.tau_n!r}", f"tau_p = {rec.tau_p!r}",
+        f"tau_c = {rec.tau_c!r}", f"c_n = {rec.c_n!r}", f"c_p = {rec.c_p!r}", ""])
+
+
+@pytest.mark.parametrize("doping", PRESET_DOPINGS)
+@pytest.mark.parametrize("case", PRESET_CASES)
+def test_config_builds_the_preset_problem(tmp_path, case, doping):
+    preset = pn_junction_preset(case, doping)
+    cfg = load_config(_write(tmp_path, _preset_config(preset)))
+    mesh = build_mesh(cfg)
+    assert np.array_equal(mesh.edge_kind, build_cartesian(
+        6, 6, dirichlet_predicate=preset.dirichlet_predicate).edge_kind)
+    from_cli = build_problem(cfg, mesh)
+    from_preset = preset.build(mesh)
+    for name in ("doping", "n_dirichlet", "p_dirichlet", "psi_dirichlet",
+                 "n_initial", "p_initial"):
+        assert np.array_equal(getattr(from_cli, name), getattr(from_preset, name)), name
+    for name in ("law", "lambda2", "recombination", "m", "M", "alpha_n",
+                 "alpha_p", "experimental"):
+        assert getattr(from_cli, name) == getattr(from_preset, name), name
 
 
 def test_run_scenario_writes_csv(tmp_path):

@@ -4,7 +4,7 @@ from scipy.optimize import brentq
 
 from driftfv.constitutive import PressureLaw, dr_mean, enthalpy
 from driftfv.equilibrium import solve_equilibrium
-from driftfv.flux import gen_sg_flux_n, gen_sg_flux_p
+from driftfv.flux import sg_flux
 from driftfv.mesh import build_cartesian
 from driftfv.problem import discretize_data, pn_junction_preset
 from driftfv.sparse import check_m_matrix
@@ -59,14 +59,14 @@ def test_equilibrium_fluxes_vanish(case):
     n = eq.n
     p = eq.p
     n_k = n.cell_values[mesh.edge_cells[:, 0]]
-    n_s = mesh.edge_other_values(n)
+    n_s = mesh.edge_other_values(n.cell_values, n.dirichlet_values)
     p_k = p.cell_values[mesh.edge_cells[:, 0]]
-    p_s = mesh.edge_other_values(p)
+    p_s = mesh.edge_other_values(p.cell_values, p.dirichlet_values)
     dpsi = mesh.edge_differences(eq.psi)
     drn = dr_mean(prob.law, n_k, n_s)
     drp = dr_mean(prob.law, p_k, p_s)
-    f = gen_sg_flux_n(mesh.edge_tau, n_k, n_s, dpsi, drn)
-    g = gen_sg_flux_p(mesh.edge_tau, p_k, p_s, dpsi, drp)
+    f = sg_flux(mesh.edge_tau, n_k, n_s, dpsi, drn)
+    g = sg_flux(mesh.edge_tau, p_k, p_s, -dpsi, drp)
     scale = mesh.edge_tau * max(prob.M, 1.0)
     if case == "nonlinear_degenerate":
         # Zero boundary densities clip g, so the enthalpy identity (and with

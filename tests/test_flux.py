@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from driftfv.constitutive import PressureLaw, dr_mean, enthalpy, g_inverse
-from driftfv.flux import (bernoulli, flux_coefficients, gen_sg_flux_n,
-                          gen_sg_flux_p, lemma1_residual, sg_flux_n, sg_flux_p)
+from driftfv.flux import bernoulli, flux_coefficients, lemma1_residual, sg_flux
 
 ISO = PressureLaw.isothermal()
 POW2 = PressureLaw.power(2.0)
@@ -35,24 +34,25 @@ def test_bernoulli_monotone():
 
 
 def test_sg_flux_pure_diffusion():
-    assert sg_flux_n(3.0, 2.0, 1.0, 0.0) == pytest.approx(3.0)
+    assert sg_flux(3.0, 2.0, 1.0, 0.0) == pytest.approx(3.0)
 
 
 def test_sg_flux_equal_densities_drift():
     # With n_k = n_ksigma = n the flux reduces to tau * n * dpsi.
     for dpsi in (-3.0, -0.1, 0.4, 7.0):
-        assert sg_flux_n(2.0, 1.5, 1.5, dpsi) == pytest.approx(2.0 * 1.5 * dpsi)
+        assert sg_flux(2.0, 1.5, 1.5, dpsi) == pytest.approx(2.0 * 1.5 * dpsi)
 
 
 def test_sg_flux_equilibrium_vanishes():
     psi_k, psi_s = 0.3, -1.2
-    f = sg_flux_n(5.0, np.exp(psi_k), np.exp(psi_s), psi_s - psi_k)
+    f = sg_flux(5.0, np.exp(psi_k), np.exp(psi_s), psi_s - psi_k)
     assert f == pytest.approx(0.0, abs=1e-13)
 
 
 def test_sg_flux_p_mirrors_n():
-    assert sg_flux_p(2.0, 1.0, 3.0, 0.7) == pytest.approx(
-        sg_flux_n(2.0, 1.0, 3.0, -0.7))
+    # Hole flux (potential sign flipped): tau * (B(dpsi) p_K - B(-dpsi) p_Ks).
+    assert sg_flux(2.0, 1.0, 3.0, -0.7) == pytest.approx(
+        2.0 * (bernoulli(0.7) * 1.0 - bernoulli(-0.7) * 3.0))
 
 
 def test_gen_flux_reduces_to_classical():
@@ -60,14 +60,14 @@ def test_gen_flux_reduces_to_classical():
     n_k = rng.uniform(0.1, 10.0, 100)
     n_s = rng.uniform(0.1, 10.0, 100)
     dpsi = rng.uniform(-5.0, 5.0, 100)
-    classical = sg_flux_n(1.0, n_k, n_s, dpsi)
-    general = gen_sg_flux_n(1.0, n_k, n_s, dpsi, np.ones(100))
+    classical = sg_flux(1.0, n_k, n_s, dpsi)
+    general = sg_flux(1.0, n_k, n_s, dpsi, np.ones(100))
     assert np.array_equal(classical, general)
 
 
 def test_gen_flux_zero_dpsi():
     dr = dr_mean(POW2, 1.0, np.e)
-    f = gen_sg_flux_n(1.0, 1.0, np.e, 0.0, dr)
+    f = sg_flux(1.0, 1.0, np.e, 0.0, dr)
     assert f == pytest.approx(2.0 * (np.e - 1.0) * (1.0 - np.e))
 
 
@@ -78,7 +78,7 @@ def test_gen_flux_equilibrium_vanishes():
     n_k = g_inverse(POW2, alpha + psi_k)
     n_s = g_inverse(POW2, alpha + psi_s)
     dr = dr_mean(POW2, n_k, n_s)
-    f = gen_sg_flux_n(3.0, n_k, n_s, psi_s - psi_k, dr)
+    f = sg_flux(3.0, n_k, n_s, psi_s - psi_k, dr)
     assert f == pytest.approx(0.0, abs=1e-12)
 
 
@@ -88,8 +88,8 @@ def test_gen_flux_antisymmetry():
         n_k, n_s = rng.uniform(0.01, 5.0, 2)
         dpsi = rng.uniform(-10.0, 10.0)
         dr = float(dr_mean(POW2, n_k, n_s))
-        fwd = gen_sg_flux_n(2.0, n_k, n_s, dpsi, dr)
-        bwd = gen_sg_flux_n(2.0, n_s, n_k, -dpsi, dr)
+        fwd = sg_flux(2.0, n_k, n_s, dpsi, dr)
+        bwd = sg_flux(2.0, n_s, n_k, -dpsi, dr)
         assert fwd == pytest.approx(-bwd, rel=1e-12, abs=1e-12)
 
 
@@ -104,14 +104,14 @@ def test_degenerate_upwind_limit():
     tau, n_k, n_s = 2.0, 3.0, 5.0
     for dpsi in (-1.5, 1.5):
         limit = tau * (max(dpsi, 0.0) * n_k - max(-dpsi, 0.0) * n_s)
-        assert gen_sg_flux_n(tau, n_k, n_s, dpsi, 0.0) == pytest.approx(limit)
-        nearly = gen_sg_flux_n(tau, n_k, n_s, dpsi, 1e-10)
+        assert sg_flux(tau, n_k, n_s, dpsi, 0.0) == pytest.approx(limit)
+        nearly = sg_flux(tau, n_k, n_s, dpsi, 1e-10)
         assert nearly == pytest.approx(limit, rel=1e-6)
 
 
 def test_hole_flux_signs():
-    f_n = gen_sg_flux_n(1.0, 2.0, 2.0, 1.0, 1.0)
-    f_p = gen_sg_flux_p(1.0, 2.0, 2.0, 1.0, 1.0)
+    f_n = sg_flux(1.0, 2.0, 2.0, 1.0, 1.0)
+    f_p = sg_flux(1.0, 2.0, 2.0, -1.0, 1.0)
     assert f_n == pytest.approx(2.0)
     assert f_p == pytest.approx(-2.0)
 

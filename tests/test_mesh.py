@@ -43,6 +43,37 @@ def test_cartesian_xi_2x2():
     assert mesh.xi == pytest.approx(0.5)
 
 
+def _xi_per_incidence(mesh):
+    """Reference xi: one cell-edge incidence at a time."""
+    ratios = []
+    for e in range(mesh.n_edges):
+        for c in mesh.edge_cells[e]:
+            if c < 0:
+                continue
+            p1, p2 = mesh.edge_p1[e], mesh.edge_p2[e]
+            t = p2 - p1
+            x = mesh.cell_centers[c]
+            cross = t[0] * (x[1] - p1[1]) - t[1] * (x[0] - p1[0])
+            ratios.append(abs(cross) / np.hypot(t[0], t[1]) / mesh.edge_d[e])
+    return min(ratios)
+
+
+def test_xi_matches_per_incidence_reference():
+    cartesian = build_cartesian(5, 3, domain=(0.0, 2.0, 0.0, 0.7),
+                                dirichlet_predicate=lambda x, y: y < 1e-12)
+    assert cartesian.xi == _xi_per_incidence(cartesian)
+    # Perturbed hexagon fan of acute triangles: incidences differ in xi.
+    angles = np.arange(6) * np.pi / 3.0 + 0.07
+    radii = np.array([1.0, 0.93, 1.05, 0.97, 1.02, 0.95])
+    nodes = [(0.04, -0.03)] + list(zip(radii * np.cos(angles), radii * np.sin(angles)))
+    triangles = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
+    labels = {(1 + i, 1 + (i + 1) % 6): "dirichlet" if i < 2 else "neumann"
+              for i in range(6)}
+    triangulation = import_triangulation(nodes, triangles, labels)
+    assert triangulation.xi == _xi_per_incidence(triangulation)
+    assert 0.0 < triangulation.xi < 0.5
+
+
 def test_cell_measures_sum_to_domain():
     mesh = build_cartesian(7, 5, domain=(0.0, 2.0, -1.0, 1.0))
     assert np.sum(mesh.cell_measures) == pytest.approx(4.0, rel=1e-12)
@@ -69,7 +100,7 @@ def test_validate_flags_perturbed_center():
 def test_discrete_function_edge_values():
     mesh = build_cartesian(2, 1)
     u = DiscreteFunction(np.array([1.0, 3.0]), np.full(mesh.n_dirichlet, 5.0))
-    other = mesh.edge_other_values(u)
+    other = mesh.edge_other_values(u.cell_values, u.dirichlet_values)
     du = mesh.edge_differences(u)
     e = mesh.interior_edges[0]
     k, ell = mesh.edge_cells[e]

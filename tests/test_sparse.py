@@ -17,25 +17,10 @@ def test_solve_2x2():
     assert np.allclose(solve(A, np.array([1.0, 1.0])), [1.0, 1.0])
 
 
-def test_solve_iterative_matches_direct():
-    rng = np.random.default_rng(2)
-    n = 50
-    A = sp.random(n, n, density=0.1, random_state=rng, format="csr")
-    A = A + A.T + 20.0 * sp.identity(n)
-    b = rng.standard_normal(n)
-    assert np.allclose(solve(A, b, "iterative"), solve(A, b, "direct"),
-                       atol=1e-9)
-
-
 def test_solve_singular_raises():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
         solve(A, np.array([1.0, 0.0]))
-
-
-def test_solve_unknown_method():
-    with pytest.raises(ValueError):
-        solve(sp.identity(2, format="csr"), np.zeros(2), "magic")
 
 
 def test_check_m_matrix_examples():

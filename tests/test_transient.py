@@ -6,8 +6,7 @@ from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
 from driftfv.problem import (HypothesisError, discretize_data,
                              pn_junction_preset)
-from driftfv.transient import (BoundsTracker, Stepper, StepperConfig,
-                               initial_state, run, solve_poisson)
+from driftfv.transient import BoundsTracker, Stepper, StepperConfig, run
 
 
 def _preset_problem(case="linear_r0", doping="zero", nx=8):
@@ -24,6 +23,11 @@ def test_config_validation():
         StepperConfig(dt=2.0).validate(prob)  # dt > lambda^2/||C||
     with pytest.raises(HypothesisError):
         StepperConfig(damping=0.0).validate(prob)
+    for bad in (dict(dt=float("nan")), dict(dt=float("inf")),
+                dict(t_end=float("nan")), dict(t_end=float("inf")),
+                dict(t_end=-1.0)):
+        with pytest.raises(HypothesisError):
+            StepperConfig(**bad).validate(prob)
     StepperConfig(dt=0.5).validate(prob)
 
 
@@ -47,8 +51,8 @@ def test_poisson_constant_data():
         build_cartesian(6, 6), PressureLaw.isothermal(), 1.0,
         lambda x, y: 0.0, lambda x, y: 1.0, lambda x, y: 1.0,
         lambda x, y: 1.0, lambda x, y: 1.0, lambda x, y: 0.7)
-    psi = solve_poisson(prob, prob.n_initial, prob.p_initial)
-    assert np.allclose(psi.cell_values, 0.7, atol=1e-12)
+    psi = Stepper(prob, StepperConfig()).solve_poisson(prob.n_initial, prob.p_initial)
+    assert np.allclose(psi, 0.7, atol=1e-12)
 
 
 def test_poisson_single_cell():
@@ -58,8 +62,8 @@ def test_poisson_single_cell():
         build_cartesian(1, 1), PressureLaw.isothermal(), 1.0,
         lambda x, y: 4.0, lambda x, y: 1.0, lambda x, y: 1.0,
         lambda x, y: 1.0, lambda x, y: 1.0, lambda x, y: 0.0)
-    psi = solve_poisson(prob, np.array([1.0]), np.array([1.0]))
-    assert psi.cell_values[0] == pytest.approx(0.5)
+    psi = Stepper(prob, StepperConfig()).solve_poisson(np.array([1.0]), np.array([1.0]))
+    assert psi[0] == pytest.approx(0.5)
 
 
 def test_poisson_linear_profile():
@@ -69,9 +73,9 @@ def test_poisson_linear_profile():
         PressureLaw.isothermal(), 1.0,
         lambda x, y: 0.0, lambda x, y: 1.0, lambda x, y: 1.0,
         lambda x, y: np.exp(x), lambda x, y: np.exp(-x), lambda x, y: x)
-    psi = solve_poisson(prob, prob.n_initial, prob.p_initial)
+    psi = Stepper(prob, StepperConfig()).solve_poisson(prob.n_initial, prob.p_initial)
     order = np.argsort(prob.mesh.cell_centers[:, 0])
-    assert np.allclose(psi.cell_values[order], [1.0 / 6.0, 0.5, 5.0 / 6.0])
+    assert np.allclose(psi[order], [1.0 / 6.0, 0.5, 5.0 / 6.0])
 
 
 def test_advance_preserves_equilibrium():
@@ -91,7 +95,7 @@ def test_advance_reports_m_matrices():
     config = StepperConfig(dt=1e-2, check_m_matrices=True)
     stepper = Stepper(prob, config)
     tracker = BoundsTracker(prob, config.dt)
-    state, report = stepper.advance(initial_state(prob, config), tracker)
+    state, report = stepper.advance(stepper.initial_state(), tracker)
     assert report.m_matrix_ok
     assert not report.m_matrix_violations
     assert state.step == 1
@@ -119,7 +123,7 @@ def test_scheme_residual_small_after_step():
     config = StepperConfig(dt=1e-2)
     stepper = Stepper(prob, config)
     tracker = BoundsTracker(prob, config.dt)
-    state0 = initial_state(prob, config)
+    state0 = stepper.initial_state()
     state, report = stepper.advance(state0, tracker)
     assert report.residual <= 10.0 * config.fp_tol
     rn, rp = stepper.scheme_residuals(
