@@ -311,16 +311,15 @@ def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=1e-2,
                     t_end=10.0, fp_tol=1e-10) -> list:
     """Run all ten PN-junction preset cases and write CSVs plus a summary."""
     os.makedirs(outdir, exist_ok=True)
-    ny = ny or nx
+    # Every preset has the diode's contacts, so they all share one mesh.
+    if mesh_file is not None:
+        mesh = read_mesh_file(mesh_file)
+    else:
+        mesh = build_cartesian(nx, ny or nx, dirichlet_predicate=contact_predicate)
     rows = []
     for case in PRESET_CASES:
         for doping in PRESET_DOPINGS:
             preset = pn_junction_preset(case, doping)
-            if mesh_file is not None:
-                mesh = read_mesh_file(mesh_file)
-            else:
-                mesh = build_cartesian(nx, ny,
-                                       dirichlet_predicate=preset.dirichlet_predicate)
             problem = preset.build(mesh)
             eq = solve_equilibrium(problem)
             # Degenerate (experimental) cases push densities to machine zero

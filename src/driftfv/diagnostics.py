@@ -109,8 +109,8 @@ def f_functional(problem: Problem, state: State, eq: State) -> float:
 
 
 def make_record(state: State, eq: State, problem: Problem, fp_iters: int,
-                prev_record: Optional[DiagnosticsRecord], dt: float = 0.0,
-                step_report=None) -> DiagnosticsRecord:
+                prev_record: Optional[DiagnosticsRecord],
+                dt: float = 0.0) -> DiagnosticsRecord:
     e = entropy(problem, state, eq)
     i = production(problem, state, eq) if state.step > 0 else 0.0
     mesh = problem.mesh

@@ -46,8 +46,8 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
     a_n, a_p = problem.alpha_n, problem.alpha_p
     mk = mesh.cell_measures
 
-    L, D = la.tpfa_laplacian(mesh)
-    b_dir = lam2 * (D @ problem.psi_dirichlet)
+    L, g = la.tpfa_system(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
+    b_dir = lam2 * g
 
     def residual(psi):
         gn = cst.g_inverse(law, a_n + psi)
@@ -58,8 +58,7 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
     # boundary-data averages.
     n_bar = float(np.mean(problem.n_dirichlet))
     p_bar = float(np.mean(problem.p_dirichlet))
-    psi = la.solve(sp.csr_matrix(lam2 * L),
-                   b_dir + mk * (p_bar - n_bar + problem.doping))
+    psi = la.solve(lam2 * L, b_dir + mk * (p_bar - n_bar + problem.doping))
 
     res = residual(psi)
     history = [float(np.max(np.abs(res)))]
@@ -72,7 +71,7 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
         gpn = cst.g_prime(law, a_n + psi)
         gpp = cst.g_prime(law, a_p - psi)
         J = lam2 * L + sp.diags(mk * (gpn + gpp))
-        delta = la.solve(J.tocsr(), -res)
+        delta = la.solve(J, -res)
         # Halving line search on the residual inf-norm; g's kink makes
         # undamped steps overshoot occasionally.
         step = 1.0

@@ -10,6 +10,7 @@ cell-edge incidences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,27 @@ class Mesh:
         self.xi = float(np.min(
             _point_line_distance(self.cell_centers[cells], self.edge_p1[edges],
                                  self.edge_p2[edges]) / d[edges]))
+
+    @cached_property
+    def stencil_csc(self):
+        """CSC layout of the two-point stencil: (order, indices, indptr).
+
+        The stencil's entries are listed as the diagonal, then (K, L) and
+        then (L, K) for each interior edge; ``values[order]`` is that list
+        in CSC order (by column, rows sorted within a column).
+        """
+        it = self.interior_edges
+        cells = np.arange(self.n_cells)
+        rows = np.concatenate([cells, self.edge_cells[it, 0], self.edge_cells[it, 1]])
+        cols = np.concatenate([cells, self.edge_cells[it, 1], self.edge_cells[it, 0]])
+        order = np.lexsort((rows, cols))
+        indptr = np.zeros(self.n_cells + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=self.n_cells), out=indptr[1:])
+        layout = (order, rows[order].astype(np.int32), indptr)
+        # Every assembled matrix shares these arrays; none may edit them.
+        for arr in layout:
+            arr.flags.writeable = False
+        return layout
 
     # -- discrete-function plumbing ---------------------------------------
 

@@ -122,6 +122,10 @@ def _validate(problem: Problem) -> Problem:
     law = problem.law
     data = np.concatenate([problem.n_initial, problem.p_initial,
                            problem.n_dirichlet, problem.p_dirichlet])
+    for name, values in (("density data", data), ("doping", problem.doping),
+                         ("Dirichlet potential", problem.psi_dirichlet)):
+        if not np.all(np.isfinite(values)):
+            raise HypothesisError(f"{name} must be finite")
     if np.any(data < 0.0):
         raise HypothesisError("density data must be nonnegative (m >= 0)")
     problem.m = float(np.min(data))

@@ -1,6 +1,7 @@
 """Sparse assembly, linear solves, and M-matrix verification.
 
-Thin layer over scipy.sparse: systems are CSR matrices, solved by a direct
+Thin layer over scipy.sparse: every system is the two-point operator of
+``tpfa_system``, assembled straight into CSC form and solved by a direct
 LU factorization, and ``check_m_matrix`` verifies the structural
 properties (positive diagonal, nonpositive off-diagonal, strict column
 diagonal dominance) that give entrywise-nonnegative inverses.
@@ -25,11 +26,11 @@ class SolverError(RuntimeError):
 
 def solve(A, b) -> np.ndarray:
     """Solve A x = b to residual ||Ax-b||_inf <= max(1e-12, 1e-12 ||b||_inf)."""
-    A = sp.csr_matrix(A)
+    A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
     tol = max(1e-12, 1e-12 * np.max(np.abs(b), initial=0.0))
     try:
-        lu = spla.splu(sp.csc_matrix(A))
+        lu = spla.splu(A)
         x = lu.solve(b)
     except RuntimeError as exc:
         raise SolverError(f"direct solve failed: {exc}") from exc
@@ -74,26 +75,31 @@ def check_m_matrix(A) -> MMatrixReport:
     return MMatrixReport(is_m_matrix=not violations, violations=violations)
 
 
-def tpfa_laplacian(mesh: Mesh):
-    """Two-point-flux stiffness matrix and Dirichlet coupling.
+def tpfa_system(mesh: Mesh, a_fwd, a_bwd, diag, u_dirichlet):
+    """Two-point operator in CSC form and its Dirichlet right-hand side.
 
-    Returns (L, D) with L the theta x theta matrix of -sum tau Du and D the
-    theta x theta^D matrix such that the discrete Laplace operator applied to
-    u is L @ u_cells - D @ u_dirichlet.
+    Returns (A, g) such that, with u_{K,sigma} the neighbor or Dirichlet
+    value across sigma,
+        sum_sigma tau (a_fwd u_K - a_bwd u_{K,sigma}) + diag_K u_K
+    is (A @ u_cells - g)_K; Neumann edges carry no flux.  ``a_fwd`` and
+    ``a_bwd`` are per-edge weights seen from the first incident cell K (the
+    second cell L sees them swapped), ``diag`` is per cell; scalars
+    broadcast, so unit weights and zero ``diag`` give the Laplacian.
     """
-    rows, cols, vals = [], [], []
-    drows, dcols, dvals = [], [], []
+    n = mesh.n_cells
     k = mesh.edge_cells[:, 0]
     ell = mesh.edge_cells[:, 1]
-    tau = mesh.edge_tau
-    for e in mesh.interior_edges:
-        rows += [k[e], k[e], ell[e], ell[e]]
-        cols += [k[e], ell[e], ell[e], k[e]]
-        vals += [tau[e], -tau[e], tau[e], -tau[e]]
-    for e in mesh.dirichlet_edges:
-        rows.append(k[e]); cols.append(k[e]); vals.append(tau[e])
-        drows.append(k[e]); dcols.append(mesh.dirichlet_index[e]); dvals.append(tau[e])
-    n = mesh.n_cells
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    D = sp.csr_matrix((dvals, (drows, dcols)), shape=(n, max(mesh.n_dirichlet, 1)))
-    return L, D
+    it, de = mesh.interior_edges, mesh.dirichlet_edges
+    t_fwd = mesh.edge_tau * a_fwd
+    t_bwd = mesh.edge_tau * a_bwd
+    # bincount adds in input order: diag_K first, then K's edge terms.
+    diagonal = np.bincount(
+        np.concatenate([np.arange(n), k[it], ell[it], k[de]]),
+        weights=np.concatenate([np.broadcast_to(diag, (n,)), t_fwd[it],
+                                t_bwd[it], t_fwd[de]]),
+        minlength=n)
+    order, indices, indptr = mesh.stencil_csc
+    data = np.concatenate([diagonal, -t_bwd[it], -t_fwd[it]])[order]
+    A = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    g = np.bincount(k[de], weights=t_bwd[de] * u_dirichlet, minlength=n)
+    return A, g

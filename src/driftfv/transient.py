@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import constitutive as cst
@@ -37,7 +36,6 @@ class StepperConfig:
     fp_max_iter: int = 200
     damping: float = 1.0          # Picard damping, auto-halved down to 0.125
     check_m_matrices: bool = False
-    entropy_floor: float = 0.0    # early stop threshold on E^n (0 = never)
 
     def validate(self, problem: Problem) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -79,8 +77,6 @@ class StepReport:
     increment: float
     residual: float
     damping: float
-    m_matrix_ok: bool = True
-    m_matrix_violations: list = field(default_factory=list)
     bound_excess: float = 0.0
 
 
@@ -97,16 +93,9 @@ class Stepper:
         self.lam2 = problem.lambda2
         self.mk = mesh.cell_measures
 
-        self.L, self.D = la.tpfa_laplacian(mesh)
-        self._poisson_lu = spla.splu(sp.csc_matrix(self.lam2 * self.L))
-        self._poisson_b_dir = self.lam2 * (self.D @ problem.psi_dirichlet)
-
-        # Per-edge index plumbing shared by every assembly.
-        self.e_k = mesh.edge_cells[:, 0]
-        self.e_l = mesh.edge_cells[:, 1]
-        self.tau = mesh.edge_tau
-        self.int_e = mesh.interior_edges
-        self.dir_e = mesh.dirichlet_edges
+        self.L, g = la.tpfa_system(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
+        self._poisson_lu = spla.splu(self.lam2 * self.L)
+        self._poisson_b_dir = self.lam2 * g
 
     # -- linear building blocks -------------------------------------------
 
@@ -130,33 +119,20 @@ class Stepper:
         ``dpsi`` must already carry the species sign (potential flipped for
         holes).  ``r0_diag``/``r0_rhs`` add the frozen recombination coupling.
         """
-        other = self.mesh.edge_other_values(dens, dens_dir)
-        dr = cst.dr_mean(self.law, dens[self.e_k], other)
+        mesh = self.mesh
+        other = mesh.edge_other_values(dens, dens_dir)
+        dr = cst.dr_mean(self.law, dens[mesh.edge_cells[:, 0]], other)
         a_fwd, a_bwd = flux_coefficients(dpsi, dr)
-
-        n = self.mesh.n_cells
         pen = self.mk / self.config.dt * (1.0 + mu / self.lam2)
-        diag = pen + r0_diag
-        it = self.int_e
-        np.add.at(diag, self.e_k[it], self.tau[it] * a_fwd[it])
-        np.add.at(diag, self.e_l[it], self.tau[it] * a_bwd[it])
-        de = self.dir_e
-        np.add.at(diag, self.e_k[de], self.tau[de] * a_fwd[de])
-
-        rows = np.concatenate([np.arange(n), self.e_k[it], self.e_l[it]])
-        cols = np.concatenate([np.arange(n), self.e_l[it], self.e_k[it]])
-        vals = np.concatenate([diag, -self.tau[it] * a_bwd[it],
-                               -self.tau[it] * a_fwd[it]])
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
+        A, g = la.tpfa_system(mesh, a_fwd, a_bwd, pen + r0_diag, dens_dir)
         b = self.mk / self.config.dt * (mu / self.lam2 * dens + prev) + r0_rhs
-        np.add.at(b, self.e_k[de], self.tau[de] * a_bwd[de] * dens_dir)
-        return A, b
+        return A, b + g
 
     def _density_systems(self, n_it, p_it, psi_cells, n_prev, p_prev, mu):
         """(A_N, b_N), (A_P, b_P) with every coefficient frozen at the iterate."""
         pr = self.problem
-        dpsi = self.mesh.edge_other_values(psi_cells, pr.psi_dirichlet) - psi_cells[self.e_k]
+        dpsi = (self.mesh.edge_other_values(psi_cells, pr.psi_dirichlet)
+                - psi_cells[self.mesh.edge_cells[:, 0]])
         if pr.recombination.is_none:
             r0 = np.zeros(self.mesh.n_cells)
         else:
@@ -166,16 +142,13 @@ class Stepper:
                 self._density_system(p_it, pr.p_dirichlet, -dpsi, p_prev, mu,
                                      self.mk * r0 * n_it, self.mk * r0))
 
-    def linearized_density_step(self, n_it, p_it, psi_cells, n_prev, p_prev, mu,
-                                collect_reports=None):
+    def linearized_density_step(self, n_it, p_it, psi_cells, n_prev, p_prev, mu):
         """One application of the decoupled linear density solves."""
         (A_n, b_n), (A_p, b_p) = self._density_systems(
             n_it, p_it, psi_cells, n_prev, p_prev, mu)
-        if self.config.check_m_matrices or collect_reports is not None:
+        if self.config.check_m_matrices:
             for name, A in (("A_N", A_n), ("A_P", A_p)):
                 rep = la.check_m_matrix(A)
-                if collect_reports is not None:
-                    collect_reports.append((name, rep))
                 if not rep.is_m_matrix:
                     raise InvariantError(
                         f"{name} is not an M-matrix: {rep.violations[:3]}")
@@ -211,13 +184,12 @@ class Stepper:
         best_inc = np.inf
         inc = np.inf
         calm_streak = 0
-        mm_reports = [] if cfg.check_m_matrices else None
         psi = self.solve_poisson(n_it, p_it)
         iterations = 0
         residual = np.inf
         for iterations in range(1, cfg.fp_max_iter + 1):
             n_hat, p_hat = self.linearized_density_step(
-                n_it, p_it, psi, n_prev, p_prev, mu, mm_reports)
+                n_it, p_it, psi, n_prev, p_prev, mu)
             n_new = omega * n_hat + (1.0 - omega) * n_it
             p_new = omega * p_hat + (1.0 - omega) * p_it
             inc = max(np.max(np.abs(n_new - n_it), initial=0.0),
@@ -261,11 +233,7 @@ class Stepper:
 
         report = StepReport(
             iterations=iterations, increment=float(inc),
-            residual=float(residual), damping=omega,
-            m_matrix_ok=mm_reports is None or all(r.is_m_matrix for _, r in mm_reports),
-            m_matrix_violations=[] if mm_reports is None else
-            [v for _, r in mm_reports for v in r.violations],
-            bound_excess=excess)
+            residual=float(residual), damping=omega, bound_excess=excess)
         new_state = make_state(pr, n_it, p_it, psi,
                                step=step_index, time=state.time + cfg.dt)
         return new_state, report
@@ -306,9 +274,7 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state,
             raise type(exc)(f"step {state.step + 1}: {exc}") from exc
         emit(diag.make_record(state, eq, problem,
                               fp_iters=report.iterations, prev_record=records[-1],
-                              dt=config.dt, step_report=report))
+                              dt=config.dt))
         if state_sink is not None:
             state_sink(state)
-        if config.entropy_floor > 0.0 and records[-1].entropy < config.entropy_floor:
-            break
     return state, records

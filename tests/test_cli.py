@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftfv import cli
 from driftfv.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, ConfigError,
                          RunManifest, build_mesh, build_problem, load_config,
                          main, reproduce_paper, write_vtk)
@@ -80,7 +81,12 @@ def test_nonlinear_with_recombination_exits_3(tmp_path, capsys):
     ("dt = 1e-2", "dt = inf", "time step"),
     ("lambda2 = 1.0", "lambda2 = 0", "lambda^2"),
     ("lambda2 = 1.0", "lambda2 = nan", "lambda^2"),
-    ("lambda2 = 1.0", "lambda2 = -1", "lambda^2")])
+    ("lambda2 = 1.0", "lambda2 = -1", "lambda^2"),
+    ("[solver]", "[initial]\nprofile = constant\nn = nan\np = 1.0\n\n[solver]",
+     "density data"),
+    ("[solver]", "[doping]\nkind = constant\nvalue = nan\n\n[solver]", "doping"),
+    # h(0) = log 0 makes the isothermal contact potential infinite.
+    ("n_top = 1.0", "n_top = 0.0", "Dirichlet potential")])
 def test_nonfinite_or_nonpositive_input_exits_3(tmp_path, capsys, good, bad, message):
     cfg = GOOD_CONFIG.replace(good, bad)
     assert bad in cfg
@@ -205,6 +211,19 @@ def test_reproduce_tiny(tmp_path, capsys):
         "nonlinear_degenerate_zero", "nonlinear_degenerate_pn"}
     summary = (tmp_path / "summary.csv").read_text()
     assert summary.startswith("case,decay_rate,")
+
+
+def test_reproduce_builds_the_mesh_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build_cartesian(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_cartesian", counting_build)
+    rows = reproduce_paper(str(tmp_path), nx=4, t_end=0.02)
+    assert len(rows) == 10
+    assert calls == [(4, 4)]
 
 
 def test_vtk_every_snapshots(tmp_path):

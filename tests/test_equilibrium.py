@@ -82,17 +82,16 @@ def test_equilibrium_fluxes_vanish(case):
 def test_newton_jacobian_is_m_matrix():
     import scipy.sparse as sp
     from driftfv import constitutive as cst
-    from driftfv.sparse import tpfa_laplacian
+    from driftfv.sparse import tpfa_system
 
     preset = pn_junction_preset("nonlinear_nondegenerate", "pn")
     mesh = build_cartesian(8, 8, dirichlet_predicate=preset.dirichlet_predicate)
     prob = preset.build(mesh)
     eq = solve_equilibrium(prob)
-    L, _ = tpfa_laplacian(mesh)
+    L, _ = tpfa_system(mesh, 1.0, 1.0, 0.0, prob.psi_dirichlet)
     gpn = cst.g_prime(prob.law, prob.alpha_n + eq.psi.cell_values)
     gpp = cst.g_prime(prob.law, prob.alpha_p - eq.psi.cell_values)
-    J = sp.csr_matrix(prob.lambda2 * L
-                      + sp.diags(mesh.cell_measures * (gpn + gpp)))
+    J = prob.lambda2 * L + sp.diags(mesh.cell_measures * (gpn + gpp))
     assert check_m_matrix(J)
 
 

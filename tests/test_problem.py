@@ -93,6 +93,20 @@ def test_negative_density_rejected():
                         lambda x, y: 1.0, lambda x, y: 1.0, lambda x, y: 0.0)
 
 
+@pytest.mark.parametrize("field, data, message", [
+    ("n_initial", lambda x, y: np.nan, "density data"),
+    ("p_dirichlet", lambda x, y: np.inf, "density data"),
+    ("doping", lambda x, y: np.nan, "doping"),
+    ("psi_dirichlet", lambda x, y: -np.inf, "Dirichlet potential")])
+def test_nonfinite_data_rejected(field, data, message):
+    args = dict(doping=lambda x, y: 0.0, n_initial=lambda x, y: 1.0,
+                p_initial=lambda x, y: 1.0, n_dirichlet=lambda x, y: 1.0,
+                p_dirichlet=lambda x, y: 1.0, psi_dirichlet=lambda x, y: 0.0)
+    args[field] = data
+    with pytest.raises(HypothesisError, match=f"{message} must be finite"):
+        discretize_data(build_cartesian(2, 2), PressureLaw.isothermal(), 1.0, **args)
+
+
 def test_incompatible_boundary_rejected():
     mesh = build_cartesian(2, 2)
     # Psi^D varies while h(N^D) is constant: alpha_N is not constant.

@@ -6,7 +6,9 @@ from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
 from driftfv.problem import (HypothesisError, discretize_data,
                              pn_junction_preset)
-from driftfv.transient import BoundsTracker, Stepper, StepperConfig, run
+from driftfv import transient
+from driftfv.transient import (BoundsTracker, InvariantError, Stepper,
+                               StepperConfig, run)
 
 
 def _preset_problem(case="linear_r0", doping="zero", nx=8):
@@ -96,10 +98,23 @@ def test_advance_reports_m_matrices():
     stepper = Stepper(prob, config)
     tracker = BoundsTracker(prob, config.dt)
     state, report = stepper.advance(stepper.initial_state(), tracker)
-    assert report.m_matrix_ok
-    assert not report.m_matrix_violations
     assert state.step == 1
     assert state.time == pytest.approx(config.dt)
+
+
+def test_m_matrix_check_rejects_positive_offdiagonal(monkeypatch):
+    real = transient.flux_coefficients
+
+    def negative_backward(dpsi, dr):
+        a_fwd, a_bwd = real(dpsi, dr)
+        return a_fwd, -a_bwd
+
+    monkeypatch.setattr(transient, "flux_coefficients", negative_backward)
+    prob = _preset_problem("linear_r0", "zero", nx=4)
+    config = StepperConfig(dt=1e-2, check_m_matrices=True)
+    stepper = Stepper(prob, config)
+    with pytest.raises(InvariantError, match="A_N is not an M-matrix"):
+        stepper.advance(stepper.initial_state(), BoundsTracker(prob, config.dt))
 
 
 def test_linearized_step_nonnegative_outputs():
@@ -174,12 +189,3 @@ def test_maximum_principle_c_zero():
         assert r.max_n <= 0.9 + 1e-9
         assert r.min_p >= 0.1 - 1e-9
         assert r.max_p <= 0.9 + 1e-9
-
-
-def test_entropy_floor_early_stop():
-    prob = _preset_problem()
-    eq = solve_equilibrium(prob)
-    cfg = StepperConfig(dt=1e-2, t_end=5.0, entropy_floor=1e-3)
-    state, records = run(prob, cfg, eq)
-    assert records[-1].entropy < 1e-3
-    assert len(records) < 501
