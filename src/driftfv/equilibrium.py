@@ -58,7 +58,8 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
     # boundary-data averages.
     n_bar = float(np.mean(problem.n_dirichlet))
     p_bar = float(np.mean(problem.p_dirichlet))
-    psi = la.solve(lam2 * L, b_dir + mk * (p_bar - n_bar + problem.doping))
+    psi = mesh.laplacian_lu.solve(
+        (b_dir + mk * (p_bar - n_bar + problem.doping)) / lam2)
 
     res = residual(psi)
     history = [float(np.max(np.abs(res)))]

@@ -109,6 +109,18 @@ class Mesh:
             arr.flags.writeable = False
         return layout
 
+    @cached_property
+    def laplacian_lu(self):
+        """LU factor of the unit-weight two-point Laplacian on this mesh.
+
+        Every Poisson system on the mesh is lambda^2 times this matrix, with
+        Dirichlet data only in the right-hand side, so they all share it.
+        """
+        # Imported here because sparse imports this module.
+        from .sparse import factor, tpfa_system
+        L, _ = tpfa_system(self, 1.0, 1.0, 0.0, np.zeros(self.n_dirichlet))
+        return factor(L)
+
     # -- discrete-function plumbing ---------------------------------------
 
     def edge_other_values(self, cell_values, dirichlet_values) -> np.ndarray:

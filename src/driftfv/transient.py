@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import constitutive as cst
 from . import sparse as la
@@ -94,15 +93,18 @@ class Stepper:
         self.mk = mesh.cell_measures
 
         self.L, g = la.tpfa_system(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
-        self._poisson_lu = spla.splu(self.lam2 * self.L)
+        self._poisson_lu = mesh.laplacian_lu
         self._poisson_b_dir = self.lam2 * g
+        # Density factors kept across Picard iterations and steps.
+        self._held_n = la.HeldFactor()
+        self._held_p = la.HeldFactor()
 
     # -- linear building blocks -------------------------------------------
 
     def solve_poisson(self, n_cells, p_cells) -> np.ndarray:
         """Potential from the linear Poisson system with given densities."""
         b = self._poisson_b_dir + self.mk * (p_cells - n_cells + self.problem.doping)
-        psi = self._poisson_lu.solve(b)
+        psi = self._poisson_lu.solve(b / self.lam2)
         res = np.max(np.abs(self.lam2 * (self.L @ psi) - b), initial=0.0)
         if res > 1e-12 * max(1.0, np.max(np.abs(b), initial=0.0)):
             raise la.SolverError(f"Poisson residual {res:.3e} too large")
@@ -152,7 +154,7 @@ class Stepper:
                 if not rep.is_m_matrix:
                     raise InvariantError(
                         f"{name} is not an M-matrix: {rep.violations[:3]}")
-        return la.solve(A_n, b_n), la.solve(A_p, b_p)
+        return la.solve(A_n, b_n, self._held_n), la.solve(A_p, b_p, self._held_p)
 
     # -- nonlinear step ----------------------------------------------------
 
@@ -187,6 +189,7 @@ class Stepper:
         psi = self.solve_poisson(n_it, p_it)
         iterations = 0
         residual = np.inf
+        increments = []
         for iterations in range(1, cfg.fp_max_iter + 1):
             n_hat, p_hat = self.linearized_density_step(
                 n_it, p_it, psi, n_prev, p_prev, mu)
@@ -194,6 +197,7 @@ class Stepper:
             p_new = omega * p_hat + (1.0 - omega) * p_it
             inc = max(np.max(np.abs(n_new - n_it), initial=0.0),
                       np.max(np.abs(p_new - p_it), initial=0.0))
+            increments.append(inc)
             # Damp only on significant growth (10x over the best increment so
             # far): the increment of a convergent iteration need not be
             # monotone, e.g. when the largest component moves between cells,
@@ -218,7 +222,8 @@ class Stepper:
         else:
             raise la.SolverError(
                 f"fixed point did not converge in {cfg.fp_max_iter} iterations "
-                f"(last increment {inc:.3e}, residual {residual:.3e})")
+                f"(last increment {inc:.3e}, residual {residual:.3e}); "
+                f"increment history: {['%.3e' % d for d in increments[-8:]]}")
 
         lo = tracker.lower(step_index) - cfg.fp_tol
         hi = tracker.upper(step_index) + cfg.fp_tol

@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from driftfv.mesh import build_cartesian, import_triangulation
 from driftfv.problem import contact_predicate
-from driftfv.sparse import (MMatrixReport, SolverError, check_m_matrix, solve,
-                            tpfa_system)
+from driftfv.sparse import (HeldFactor, MMatrixReport, SolverError,
+                            check_m_matrix, solve, tpfa_system)
 
 
 def test_solve_identity():
@@ -22,6 +22,59 @@ def test_solve_singular_raises():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
         solve(A, np.array([1.0, 0.0]))
+
+
+def _random_m_matrix(rng, n=40):
+    off = -rng.random((n, n)) * 0.05
+    np.fill_diagonal(off, 0.0)
+    diag = np.abs(off).sum(axis=0) + rng.random(n) + 0.1
+    return sp.csc_matrix(off + np.diag(diag))
+
+
+def _backward_error_bound(A, x, b):
+    eps = np.finfo(float).eps
+    a_norm = np.max(np.abs(A.toarray()).sum(axis=1))
+    tol = max(1e-12, 1e-12 * np.max(np.abs(b)))
+    return min(tol, 16.0 * eps * (a_norm * np.max(np.abs(x)) + np.max(np.abs(b))))
+
+
+def test_held_factor_reused_for_nearby_matrix(splu_calls):
+    rng = np.random.default_rng(11)
+    A1 = _random_m_matrix(rng)
+    A2 = A1.copy()
+    A2.data *= 1.0 + 1e-6 * rng.uniform(-1.0, 1.0, A2.nnz)
+    b1, b2 = rng.random(A1.shape[0]), rng.random(A1.shape[0])
+    held = HeldFactor()
+    solve(A1, b1, held)
+    first = held.lu
+    x = solve(A2, b2, held)
+    assert [spec for _, spec in splu_calls] == ["MMD_AT_PLUS_A"]
+    assert held.lu is first
+    assert np.max(np.abs(b2 - A2 @ x)) <= _backward_error_bound(A2, x, b2)
+    assert np.max(np.abs(x - solve(A2, b2))) <= 1e-12
+
+
+def test_held_factor_of_unrelated_matrix_is_replaced(splu_calls):
+    rng = np.random.default_rng(12)
+    A1, A2 = _random_m_matrix(rng), _random_m_matrix(rng)
+    b = rng.random(A1.shape[0])
+    held = HeldFactor()
+    solve(A1, b, held)
+    first = held.lu
+    x = solve(A2, b, held)
+    assert len(splu_calls) == 2
+    assert held.lu is not None and held.lu is not first
+    assert np.allclose(x, np.linalg.solve(A2.toarray(), b), rtol=0.0, atol=1e-12)
+
+
+def test_singular_matrix_with_held_factor_raises_and_drops_it():
+    held = HeldFactor()
+    solve(sp.identity(2, format="csc"), np.array([1.0, 2.0]), held)
+    assert held.lu is not None
+    A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SolverError):
+        solve(A, np.array([1.0, 0.0]), held)
+    assert held.lu is None
 
 
 def test_check_m_matrix_examples():

@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
+from driftfv import sparse as la
 from driftfv.constitutive import PressureLaw
 from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
 from driftfv.problem import (HypothesisError, discretize_data,
                              pn_junction_preset)
+from driftfv.sparse import tpfa_system
 from driftfv import transient
 from driftfv.transient import (BoundsTracker, InvariantError, Stepper,
                                StepperConfig, run)
@@ -189,3 +193,53 @@ def test_maximum_principle_c_zero():
         assert r.max_n <= 0.9 + 1e-9
         assert r.min_p >= 0.1 - 1e-9
         assert r.max_p <= 0.9 + 1e-9
+
+
+def test_laplacian_factored_once_per_mesh(splu_calls):
+    prob = _preset_problem("linear_r0", "zero", nx=8)
+    L, _ = tpfa_system(prob.mesh, 1.0, 1.0, 0.0, prob.psi_dirichlet)
+    eq = solve_equilibrium(prob)
+    run(prob, StepperConfig(dt=1e-2, t_end=0.0), eq)
+
+    def is_laplacian(A):
+        scaled = L * (A[0, 0] / L[0, 0])
+        return abs(A - scaled).max() <= 1e-15 * abs(scaled).max()
+
+    assert sum(is_laplacian(A) for A, _ in splu_calls) == 1
+
+
+@pytest.mark.parametrize("max_iter, listed", [(2, 2), (12, 8)])
+def test_picard_failure_reports_increment_history(max_iter, listed):
+    prob = _preset_problem("nonlinear_degenerate", "zero", nx=4)
+    config = StepperConfig(dt=1e-2, fp_tol=0.0, fp_max_iter=max_iter)
+    stepper = Stepper(prob, config)
+    with pytest.raises(la.SolverError) as info:
+        stepper.advance(stepper.initial_state(), BoundsTracker(prob, config.dt))
+    message = str(info.value)
+    assert f"did not converge in {max_iter} iterations" in message
+    found = re.search(r"last increment (\S+),.*increment history: \[(.*)\]", message)
+    history = re.findall(r"'([^']+)'", found.group(2))
+    assert len(history) == listed
+    assert all(float(inc) > 0.0 for inc in history)
+    assert history[-1] == found.group(1)
+
+
+def test_density_factors_reused_across_iterations_and_steps(monkeypatch, splu_calls):
+    prob = _preset_problem("nonlinear_nondegenerate", "pn", nx=16)
+    eq = solve_equilibrium(prob)
+    config = StepperConfig(dt=1e-2, t_end=0.05)
+
+    factored_before = len(splu_calls)
+    _, reused = run(prob, config, eq)
+    density_solves = 2 * sum(r.fp_iters for r in reused[1:])
+    assert len(splu_calls) - factored_before < density_solves / 4
+
+    # With no refinement step allowed, every density solve factors afresh.
+    monkeypatch.setattr(la, "_REFINE_MAX", 0)
+    factored_before = len(splu_calls)
+    _, fresh = run(prob, config, eq)
+    assert len(splu_calls) - factored_before == density_solves
+    assert [r.fp_iters for r in reused] == [r.fp_iters for r in fresh]
+    for name in ("entropy", "l2_n", "l2_p", "l2_psi", "min_n", "min_p", "max_n", "max_p"):
+        got, want = getattr(reused[-1], name), getattr(fresh[-1], name)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-14), name
