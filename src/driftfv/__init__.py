@@ -5,9 +5,9 @@ from .diagnostics import (DiagnosticsRecord, check_entropy_chain, entropy,
                           f_functional, fit_decay_rate, production, write_csv)
 from .equilibrium import EquilibriumState, solve_equilibrium
 from .flux import bernoulli, sg_flux
-from .mesh import (DiscreteFunction, Mesh, MeshError, build_cartesian,
-                   import_triangulation, norm_l2, read_mesh_file, seminorm_h1,
-                   validate, write_mesh_file)
+from .mesh import (Mesh, MeshError, build_cartesian, import_triangulation,
+                   norm_l2, read_mesh_file, seminorm_h1, validate,
+                   write_mesh_file)
 from .problem import (NO_RECOMBINATION, HypothesisError, Problem,
                       RecombinationModel, State, discretize_data,
                       pn_junction_preset)

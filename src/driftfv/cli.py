@@ -10,6 +10,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -37,14 +38,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration file."""
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("DRIFTFV_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 # -- configuration ---------------------------------------------------------
 
 _SECTIONS = {
@@ -55,8 +48,7 @@ _SECTIONS = {
     "doping": {"kind", "value"},
     "recombination": {"kind", "scale", "tau_n", "tau_p", "tau_c", "c_n", "c_p"},
     "time": {"dt", "t_end"},
-    "solver": {"fp_tol", "fp_max_iter", "damping", "check_m_matrices",
-               "equilibrium_tol"},
+    "solver": {"fp_tol", "fp_max_iter", "check_m_matrices", "equilibrium_tol"},
     "output": {"csv", "vtk", "vtk_every", "manifest"},
 }
 
@@ -127,7 +119,10 @@ def build_problem(cfg, mesh: Mesh) -> Problem:
     if law_name == "isothermal":
         law = PressureLaw.isothermal()
     elif law_name == "power":
-        law = PressureLaw.power(_get(cfg, "physics", "alpha", cast=float))
+        alpha = _get(cfg, "physics", "alpha", cast=float)
+        if not 1.0 < alpha < math.inf:
+            raise ConfigError(f"power law requires a finite alpha > 1, got {alpha!r}")
+        law = PressureLaw.power(alpha)
     else:
         raise ConfigError(f"unknown pressure law {law_name!r}")
     lambda2 = _get(cfg, "physics", "lambda2", 1.0, float)
@@ -178,7 +173,6 @@ def build_stepper_config(cfg) -> StepperConfig:
         t_end=_get(cfg, "time", "t_end", 10.0, float),
         fp_tol=_get(cfg, "solver", "fp_tol", 1e-10, float),
         fp_max_iter=_get(cfg, "solver", "fp_max_iter", 200, int),
-        damping=_get(cfg, "solver", "damping", 1.0, float),
         check_m_matrices=_get(cfg, "solver", "check_m_matrices", False, bool))
 
 
@@ -205,9 +199,8 @@ def write_vtk(state, eq, mesh: Mesh, path) -> None:
                 raise MeshError(f"cannot export {s}-node cell to VTK")
             f.write(f"{_VTK_CELL_TYPES[s]}\n")
         f.write(f"CELL_DATA {mesh.n_cells}\n")
-        arrays = (("N", state.n.cell_values), ("P", state.p.cell_values),
-                  ("Psi", state.psi.cell_values), ("N_eq", eq.n.cell_values),
-                  ("P_eq", eq.p.cell_values), ("Psi_eq", eq.psi.cell_values))
+        arrays = (("N", state.n), ("P", state.p), ("Psi", state.psi),
+                  ("N_eq", eq.n), ("P_eq", eq.p), ("Psi_eq", eq.psi))
         for name, values in arrays:
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             for v in values:
@@ -261,14 +254,13 @@ def run_scenario(config_path, csv_override=None, vtk_every=0) -> RunManifest:
             problem, tol=_get(cfg, "solver", "equilibrium_tol", 1e-10, float))
 
     vtk_base = cfg.get("output", {}).get("vtk")
-    eq_state = eq.as_state()
 
     def snapshot(state):
         if not vtk_base or vtk_every <= 0 or state.step % vtk_every != 0:
             return
         root, ext = os.path.splitext(vtk_base)
         path = f"{root}_{state.step:06d}{ext or '.vtk'}"
-        write_vtk(state, eq_state, mesh, path)
+        write_vtk(state, eq, mesh, path)
         manifest.outputs.append(path)
 
     with _timed(manifest, "transient"):
@@ -278,7 +270,7 @@ def run_scenario(config_path, csv_override=None, vtk_every=0) -> RunManifest:
         diag.write_csv(records, csv_path)
         manifest.outputs.append(str(csv_path))
     if vtk_base and vtk_every <= 0:
-        write_vtk(final, eq_state, mesh, vtk_base)
+        write_vtk(final, eq, mesh, vtk_base)
         manifest.outputs.append(str(vtk_base))
     manifest_path = cfg.get("output", {}).get("manifest")
     if manifest_path:
@@ -299,7 +291,7 @@ def run_equilibrium(config_path, vtk_path=None) -> RunManifest:
           f"residual {eq.residual:.3e}")
     vtk_path = vtk_path or cfg.get("output", {}).get("vtk")
     if vtk_path:
-        write_vtk(eq.as_state(), eq.as_state(), mesh, vtk_path)
+        write_vtk(eq, eq, mesh, vtk_path)
         manifest.outputs.append(str(vtk_path))
     manifest_path = cfg.get("output", {}).get("manifest")
     if manifest_path:
@@ -393,7 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":

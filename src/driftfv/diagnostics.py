@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import constitutive as cst
-from .mesh import DiscreteFunction, norm_l2, seminorm_h1
+from .mesh import norm_l2, seminorm_h1
 from .problem import Problem, State, evaluate_recombination
 
 # Densities are clamped to this value before taking logarithms; edge terms
@@ -50,11 +50,6 @@ class DiagnosticsRecord:
     slack: float          # E^{n-1} - E^n - dt I^n (0 at n = 0)
 
 
-def _diff_function(a: DiscreteFunction, b: DiscreteFunction) -> DiscreteFunction:
-    return DiscreteFunction(a.cell_values - b.cell_values,
-                            a.dirichlet_values - b.dirichlet_values)
-
-
 def _entropy_density(law, s, s_eq):
     return (cst.big_h(law, s) - cst.big_h(law, s_eq)
             - cst.enthalpy(law, np.maximum(s_eq, _LOG_CLAMP)) * (s - s_eq))
@@ -64,20 +59,21 @@ def entropy(problem: Problem, state: State, eq: State) -> float:
     """Relative entropy E of the state with respect to the equilibrium."""
     law = problem.law
     mk = problem.mesh.cell_measures
-    cells = (np.sum(mk * _entropy_density(law, state.n.cell_values, eq.n.cell_values))
-             + np.sum(mk * _entropy_density(law, state.p.cell_values, eq.p.cell_values)))
-    dpsi = seminorm_h1(problem.mesh, _diff_function(state.psi, eq.psi))
+    cells = (np.sum(mk * _entropy_density(law, state.n, eq.n))
+             + np.sum(mk * _entropy_density(law, state.p, eq.p)))
+    # Both states carry the problem's Dirichlet data, so Psi - Psi^eq is 0 there.
+    dpsi = seminorm_h1(problem.mesh, state.psi - eq.psi, 0.0)
     return float(cells + 0.5 * problem.lambda2 * dpsi ** 2)
 
 
-def _edge_dissipation(problem: Problem, dens: DiscreteFunction,
-                      psi: DiscreteFunction, sign: float) -> float:
+def _edge_dissipation(problem: Problem, dens, dens_dirichlet, psi,
+                      sign: float) -> float:
     mesh = problem.mesh
-    u_k = dens.cell_values[mesh.edge_cells[:, 0]]
-    u_s = mesh.edge_other_values(dens.cell_values, dens.dirichlet_values)
+    u_k = dens[mesh.edge_cells[:, 0]]
+    u_s = mesh.edge_other_values(dens, dens_dirichlet)
     h_k = cst.enthalpy(problem.law, np.maximum(u_k, _LOG_CLAMP))
     h_s = cst.enthalpy(problem.law, np.maximum(u_s, _LOG_CLAMP))
-    dpsi = mesh.edge_differences(psi)
+    dpsi = mesh.edge_differences(psi, problem.psi_dirichlet)
     w = (h_s - h_k) - sign * dpsi
     mins = np.minimum(u_k, u_s)
     return float(np.sum(mesh.edge_tau * np.where(mins > 0.0, mins * w ** 2, 0.0)))
@@ -85,16 +81,17 @@ def _edge_dissipation(problem: Problem, dens: DiscreteFunction,
 
 def production(problem: Problem, state: State, eq: State) -> float:
     """Entropy dissipation I of the state."""
-    total = (_edge_dissipation(problem, state.n, state.psi, 1.0)
-             + _edge_dissipation(problem, state.p, state.psi, -1.0))
+    total = (_edge_dissipation(problem, state.n, problem.n_dirichlet,
+                               state.psi, 1.0)
+             + _edge_dissipation(problem, state.p, problem.p_dirichlet,
+                                 state.psi, -1.0))
     if not problem.recombination.is_none:
         law = problem.law
-        r, _ = evaluate_recombination(problem.recombination,
-                                      state.n.cell_values, state.p.cell_values)
-        dh = (cst.enthalpy(law, np.maximum(state.n.cell_values, _LOG_CLAMP))
-              + cst.enthalpy(law, np.maximum(state.p.cell_values, _LOG_CLAMP))
-              - cst.enthalpy(law, np.maximum(eq.n.cell_values, _LOG_CLAMP))
-              - cst.enthalpy(law, np.maximum(eq.p.cell_values, _LOG_CLAMP)))
+        r, _ = evaluate_recombination(problem.recombination, state.n, state.p)
+        dh = (cst.enthalpy(law, np.maximum(state.n, _LOG_CLAMP))
+              + cst.enthalpy(law, np.maximum(state.p, _LOG_CLAMP))
+              - cst.enthalpy(law, np.maximum(eq.n, _LOG_CLAMP))
+              - cst.enthalpy(law, np.maximum(eq.p, _LOG_CLAMP)))
         total += float(np.sum(problem.mesh.cell_measures * r * dh))
     return total
 
@@ -102,9 +99,9 @@ def production(problem: Problem, state: State, eq: State) -> float:
 def f_functional(problem: Problem, state: State, eq: State) -> float:
     """Quadratic distance F = ||N-N^eq||^2 + ||P-P^eq||^2 + lambda^2/2 |DPsi|^2."""
     mesh = problem.mesh
-    dn = norm_l2(mesh, state.n.cell_values - eq.n.cell_values)
-    dp = norm_l2(mesh, state.p.cell_values - eq.p.cell_values)
-    dpsi = seminorm_h1(mesh, _diff_function(state.psi, eq.psi))
+    dn = norm_l2(mesh, state.n - eq.n)
+    dp = norm_l2(mesh, state.p - eq.p)
+    dpsi = seminorm_h1(mesh, state.psi - eq.psi, 0.0)
     return dn ** 2 + dp ** 2 + 0.5 * problem.lambda2 * dpsi ** 2
 
 
@@ -120,13 +117,11 @@ def make_record(state: State, eq: State, problem: Problem, fp_iters: int,
     return DiagnosticsRecord(
         step=state.step, t=state.time, entropy=e, production=i,
         f_functional=f_functional(problem, state, eq),
-        l2_n=norm_l2(mesh, state.n.cell_values - eq.n.cell_values),
-        l2_p=norm_l2(mesh, state.p.cell_values - eq.p.cell_values),
-        l2_psi=norm_l2(mesh, state.psi.cell_values - eq.psi.cell_values),
-        min_n=float(np.min(state.n.cell_values)),
-        max_n=float(np.max(state.n.cell_values)),
-        min_p=float(np.min(state.p.cell_values)),
-        max_p=float(np.max(state.p.cell_values)),
+        l2_n=norm_l2(mesh, state.n - eq.n),
+        l2_p=norm_l2(mesh, state.p - eq.p),
+        l2_psi=norm_l2(mesh, state.psi - eq.psi),
+        min_n=float(np.min(state.n)), max_n=float(np.max(state.n)),
+        min_p=float(np.min(state.p)), max_p=float(np.max(state.p)),
         fp_iters=fp_iters, slack=slack)
 
 

@@ -10,6 +10,7 @@ diagonal).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,29 +18,28 @@ import scipy.sparse as sp
 
 from . import constitutive as cst
 from . import sparse as la
-from .mesh import DiscreteFunction
-from .problem import Problem, State
+from .problem import HypothesisError, Problem, State
 
 _MAX_HALVINGS = 30
 
 
-@dataclass
-class EquilibriumState:
-    psi: DiscreteFunction
-    n: DiscreteFunction
-    p: DiscreteFunction
+@dataclass(kw_only=True)
+class EquilibriumState(State):
+    """The equilibrium as a time-zero state, with the Newton solve's record."""
     iterations: int
     residual: float
     residual_history: list = field(default_factory=list)
-
-    def as_state(self) -> State:
-        return State(n=self.n.copy(), p=self.p.copy(), psi=self.psi.copy(),
-                     step=0, time=0.0)
 
 
 def solve_equilibrium(problem: Problem, tol: float = 1e-10,
                       max_iter: int = 100) -> EquilibriumState:
     """Solve the equilibrium system to residual inf-norm <= tol."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise HypothesisError(
+            f"equilibrium tolerance must be finite and nonnegative, got {tol!r}")
+    if max_iter < 1:
+        raise HypothesisError(
+            f"equilibrium iteration limit must be >= 1, got {max_iter!r}")
     mesh = problem.mesh
     law = problem.law
     lam2 = problem.lambda2
@@ -87,11 +87,7 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
         history.append(float(np.max(np.abs(res))))
         iterations += 1
 
-    n_eq = cst.g_inverse(law, a_n + psi)
-    p_eq = cst.g_inverse(law, a_p - psi)
     return EquilibriumState(
-        psi=DiscreteFunction(psi, problem.psi_dirichlet.copy()),
-        n=DiscreteFunction(n_eq, problem.n_dirichlet.copy()),
-        p=DiscreteFunction(p_eq, problem.p_dirichlet.copy()),
-        iterations=iterations, residual=history[-1],
+        n=cst.g_inverse(law, a_n + psi), p=cst.g_inverse(law, a_p - psi),
+        psi=psi, iterations=iterations, residual=history[-1],
         residual_history=history)

@@ -1,4 +1,4 @@
-"""Admissible two-point-flux meshes and discrete functions.
+"""Admissible two-point-flux meshes and discrete norms.
 
 A mesh is admissible when, for every interior edge, the segment joining the
 two neighboring cell centers is orthogonal to the edge.  Cartesian grids with
@@ -121,7 +121,7 @@ class Mesh:
         L, _ = tpfa_system(self, 1.0, 1.0, 0.0, np.zeros(self.n_dirichlet))
         return factor(L)
 
-    # -- discrete-function plumbing ---------------------------------------
+    # -- edge values of cell functions ------------------------------------
 
     def edge_other_values(self, cell_values, dirichlet_values) -> np.ndarray:
         """u_{K,sigma} per edge with K the first incident cell.
@@ -135,28 +135,10 @@ class Mesh:
         vals[self.dirichlet_edges] = dirichlet_values
         return vals
 
-    def edge_differences(self, u: "DiscreteFunction") -> np.ndarray:
+    def edge_differences(self, cell_values, dirichlet_values) -> np.ndarray:
         """Du_{K,sigma} = u_{K,sigma} - u_K per edge (K = first cell)."""
-        return (self.edge_other_values(u.cell_values, u.dirichlet_values)
-                - u.cell_values[self.edge_cells[:, 0]])
-
-
-@dataclass
-class DiscreteFunction:
-    """Cell values plus Dirichlet edge values of one discrete unknown."""
-    cell_values: np.ndarray
-    dirichlet_values: np.ndarray
-
-    def __post_init__(self):
-        self.cell_values = np.asarray(self.cell_values, dtype=float)
-        self.dirichlet_values = np.asarray(self.dirichlet_values, dtype=float)
-
-    def copy(self) -> "DiscreteFunction":
-        return DiscreteFunction(self.cell_values.copy(), self.dirichlet_values.copy())
-
-    @classmethod
-    def constant(cls, mesh: Mesh, value: float) -> "DiscreteFunction":
-        return cls(np.full(mesh.n_cells, value), np.full(mesh.n_dirichlet, value))
+        return (self.edge_other_values(cell_values, dirichlet_values)
+                - cell_values[self.edge_cells[:, 0]])
 
 
 def norm_l2(mesh: Mesh, cell_values: np.ndarray) -> float:
@@ -164,9 +146,9 @@ def norm_l2(mesh: Mesh, cell_values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(mesh.cell_measures * np.asarray(cell_values) ** 2)))
 
 
-def seminorm_h1(mesh: Mesh, u: DiscreteFunction) -> float:
+def seminorm_h1(mesh: Mesh, cell_values, dirichlet_values) -> float:
     """Discrete H1 seminorm: sqrt(sum_sigma tau_sigma (D_sigma u)^2)."""
-    du = mesh.edge_differences(u)
+    du = mesh.edge_differences(cell_values, dirichlet_values)
     return float(np.sqrt(np.sum(mesh.edge_tau * du ** 2)))
 
 
@@ -373,25 +355,36 @@ def read_mesh_file(path) -> Mesh:
         tokens = f.read().split()
     pos = 0
 
-    def expect(word):
+    def take(count, cast, what):
         nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != word:
-            raise MeshError(f"mesh file: expected '{word}' header")
-        pos += 1
-        n = int(tokens[pos]); pos += 1
-        return n
+        chunk = tokens[pos:pos + count]
+        pos += count
+        if len(chunk) < count:
+            raise MeshError(f"mesh file: ends early, {what} missing")
+        try:
+            return [cast(t) for t in chunk]
+        except ValueError as exc:
+            raise MeshError(f"mesh file: bad {what}: {exc}") from None
 
-    n = expect("nodes")
-    nodes = np.array([float(t) for t in tokens[pos:pos + 2 * n]]).reshape(n, 2)
-    pos += 2 * n
-    m = expect("triangles")
-    tris = [tuple(int(t) for t in tokens[pos + 3 * i:pos + 3 * i + 3]) for i in range(m)]
-    pos += 3 * m
-    k = expect("boundary")
+    def expect(word, least):
+        if take(1, str, f"'{word}' header") != [word]:
+            raise MeshError(f"mesh file: expected '{word}' header")
+        (count,) = take(1, int, f"'{word}' count")
+        if count < least:
+            raise MeshError(f"mesh file: '{word}' count must be >= {least}")
+        return count
+
+    n = expect("nodes", 3)
+    nodes = np.array(take(2 * n, float, "node coordinates")).reshape(n, 2)
+    m = expect("triangles", 1)
+    tris = np.array(take(3 * m, int, "triangle node indices")).reshape(m, 3)
+    if np.any((tris < 0) | (tris >= n)):
+        raise MeshError("mesh file: triangle node index out of range")
+    k = expect("boundary", 0)
     labels = {}
-    for i in range(k):
-        a, b, lab = tokens[pos + 3 * i:pos + 3 * i + 3]
-        labels[(int(a), int(b))] = lab
+    for _ in range(k):
+        a, b = take(2, int, "boundary side")
+        labels[(a, b)] = take(1, str, "boundary label")[0]
     return import_triangulation(nodes, tris, labels)
 
 

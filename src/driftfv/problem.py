@@ -18,7 +18,7 @@ import numpy as np
 
 from . import constitutive as cst
 from .constitutive import PressureLaw
-from .mesh import DiscreteFunction, Mesh
+from .mesh import Mesh
 
 _COMPAT_TOL = 1e-12
 
@@ -86,7 +86,11 @@ class Problem:
     M: float = 0.0
     alpha_n: float = 0.0            # quasi-Fermi constants from compatibility
     alpha_p: float = 0.0
-    experimental: bool = False      # set when m = 0 (no decay theorem applies)
+
+    @property
+    def experimental(self) -> bool:
+        """m = 0: degenerate data, outside the decay theorem's hypotheses."""
+        return self.m == 0.0
 
     @property
     def doping_inf_norm(self) -> float:
@@ -98,21 +102,16 @@ class Problem:
 
 @dataclass
 class State:
-    """Densities and potential at one time level."""
-    n: DiscreteFunction
-    p: DiscreteFunction
-    psi: DiscreteFunction
+    """Cell values of the densities and the potential at one time level.
+
+    The Dirichlet edge values are the same at every level; they live on the
+    :class:`Problem` (``n_dirichlet``, ``p_dirichlet``, ``psi_dirichlet``).
+    """
+    n: np.ndarray
+    p: np.ndarray
+    psi: np.ndarray
     step: int = 0
     time: float = 0.0
-
-
-def make_state(problem: Problem, n_cells, p_cells, psi_cells,
-               step: int = 0, time: float = 0.0) -> State:
-    return State(
-        n=DiscreteFunction(np.asarray(n_cells, float), problem.n_dirichlet.copy()),
-        p=DiscreteFunction(np.asarray(p_cells, float), problem.p_dirichlet.copy()),
-        psi=DiscreteFunction(np.asarray(psi_cells, float), problem.psi_dirichlet.copy()),
-        step=step, time=time)
 
 
 def _validate(problem: Problem) -> Problem:
@@ -130,7 +129,6 @@ def _validate(problem: Problem) -> Problem:
         raise HypothesisError("density data must be nonnegative (m >= 0)")
     problem.m = float(np.min(data))
     problem.M = float(np.max(data))
-    problem.experimental = problem.m == 0.0
 
     hn = cst.enthalpy(law, problem.n_dirichlet)
     hp = cst.enthalpy(law, problem.p_dirichlet)

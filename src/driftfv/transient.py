@@ -20,7 +20,7 @@ import numpy as np
 from . import constitutive as cst
 from . import sparse as la
 from .flux import flux_coefficients
-from .problem import HypothesisError, Problem, State, make_state
+from .problem import HypothesisError, Problem, State
 
 
 class InvariantError(RuntimeError):
@@ -33,7 +33,6 @@ class StepperConfig:
     t_end: float = 10.0
     fp_tol: float = 1e-10
     fp_max_iter: int = 200
-    damping: float = 1.0          # Picard damping, auto-halved down to 0.125
     check_m_matrices: bool = False
 
     def validate(self, problem: Problem) -> None:
@@ -42,13 +41,18 @@ class StepperConfig:
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise HypothesisError(
                 f"end time must be finite and nonnegative, got {self.t_end!r}")
+        if not (math.isfinite(self.fp_tol) and self.fp_tol >= 0.0):
+            raise HypothesisError(
+                f"fixed-point tolerance must be finite and nonnegative, "
+                f"got {self.fp_tol!r}")
+        if self.fp_max_iter < 1:
+            raise HypothesisError(f"fixed-point iteration limit must be >= 1, "
+                                  f"got {self.fp_max_iter!r}")
         cinf = problem.doping_inf_norm
         if cinf > 0.0 and self.dt > problem.lambda2 / cinf:
             raise HypothesisError(
                 f"time step {self.dt:g} exceeds lambda^2/||C||_inf = "
                 f"{problem.lambda2 / cinf:g} required with nonzero doping")
-        if not (0.0 < self.damping <= 1.0):
-            raise HypothesisError("damping must lie in (0, 1]")
 
 
 class BoundsTracker:
@@ -113,7 +117,7 @@ class Stepper:
     def initial_state(self) -> State:
         """State at time zero: initial densities and the matching potential."""
         n0, p0 = self.problem.initial_state()
-        return make_state(self.problem, n0, p0, self.solve_poisson(n0, p0))
+        return State(n0, p0, self.solve_poisson(n0, p0))
 
     def _density_system(self, dens, dens_dir, dpsi, prev, mu, r0_diag, r0_rhs):
         """Assemble A, b for one linearized density system.
@@ -133,8 +137,7 @@ class Stepper:
     def _density_systems(self, n_it, p_it, psi_cells, n_prev, p_prev, mu):
         """(A_N, b_N), (A_P, b_P) with every coefficient frozen at the iterate."""
         pr = self.problem
-        dpsi = (self.mesh.edge_other_values(psi_cells, pr.psi_dirichlet)
-                - psi_cells[self.mesh.edge_cells[:, 0]])
+        dpsi = self.mesh.edge_differences(psi_cells, pr.psi_dirichlet)
         if pr.recombination.is_none:
             r0 = np.zeros(self.mesh.n_cells)
         else:
@@ -172,17 +175,15 @@ class Stepper:
     def advance(self, state: State, tracker: BoundsTracker) -> "tuple[State, StepReport]":
         cfg = self.config
         pr = self.problem
-        n_prev = state.n.cell_values
-        p_prev = state.p.cell_values
-        n_it = n_prev.copy()
-        p_it = p_prev.copy()
+        n_prev, p_prev = state.n, state.p
+        n_it, p_it = n_prev.copy(), p_prev.copy()
         step_index = state.step + 1
 
         upper_next = tracker.upper(step_index)
         mu = cfg.dt * max(upper_next, float(np.max(n_it, initial=0.0)),
                           float(np.max(p_it, initial=0.0)))
 
-        omega = cfg.damping
+        omega = 1.0
         best_inc = np.inf
         inc = np.inf
         calm_streak = 0
@@ -207,8 +208,8 @@ class Stepper:
                 calm_streak = 0
             else:
                 calm_streak += 1
-                if calm_streak >= 5 and omega < cfg.damping:
-                    omega = min(cfg.damping, 2.0 * omega)
+                if calm_streak >= 5 and omega < 1.0:
+                    omega = min(1.0, 2.0 * omega)
                     calm_streak = 0
             best_inc = min(best_inc, inc)
             n_it, p_it = n_new, p_new
@@ -239,12 +240,12 @@ class Stepper:
         report = StepReport(
             iterations=iterations, increment=float(inc),
             residual=float(residual), damping=omega, bound_excess=excess)
-        new_state = make_state(pr, n_it, p_it, psi,
-                               step=step_index, time=state.time + cfg.dt)
+        new_state = State(n_it, p_it, psi, step=step_index,
+                          time=state.time + cfg.dt)
         return new_state, report
 
 
-def run(problem: Problem, config: StepperConfig, equilibrium_state,
+def run(problem: Problem, config: StepperConfig, equilibrium_state: State,
         sink=None, state_sink=None):
     """Execute floor(t_end/dt) steps, emitting one diagnostics record per level.
 
@@ -255,8 +256,7 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state,
     """
     from . import diagnostics as diag
 
-    eq = (equilibrium_state.as_state()
-          if hasattr(equilibrium_state, "as_state") else equilibrium_state)
+    eq = equilibrium_state
     stepper = Stepper(problem, config)
     tracker = BoundsTracker(problem, config.dt)
     state = stepper.initial_state()

@@ -185,13 +185,13 @@ def test_criterion_07_equilibrium_preservation():
         config = StepperConfig(dt=DT, fp_tol=FP_TOL)
         stepper = Stepper(problem, config)
         tracker = BoundsTracker(problem, DT)
-        state = eq.as_state()
+        state = eq
         drift = 0.0
         for _ in range(100):
             state, _ = stepper.advance(state, tracker)
             drift = max(drift,
-                        float(np.max(np.abs(state.n.cell_values - eq.n.cell_values))),
-                        float(np.max(np.abs(state.p.cell_values - eq.p.cell_values))))
+                        float(np.max(np.abs(state.n - eq.n))),
+                        float(np.max(np.abs(state.p - eq.p))))
         ok = ok and drift <= 1e-8
     assert _verdict(7, "equilibrium preserved over 100 steps", ok)
 
@@ -300,8 +300,8 @@ def test_criterion_09_tiny_instance_oracle():
             stepper = Stepper(problem, config)
             tracker = BoundsTracker(problem, dt)
             psi0 = stepper.solve_poisson(problem.n_initial, problem.p_initial)
-            from driftfv.problem import make_state
-            state0 = make_state(problem, problem.n_initial, problem.p_initial, psi0)
+            from driftfv.problem import State
+            state0 = State(problem.n_initial, problem.p_initial, psi0)
             state, _ = stepper.advance(state0, tracker)
 
             z0 = np.concatenate([problem.n_initial, problem.p_initial, psi0])
@@ -311,9 +311,9 @@ def test_criterion_09_tiny_instance_oracle():
                 method="hybr", tol=1e-13)
             theta = problem.mesh.n_cells
             diff = max(
-                np.max(np.abs(state.n.cell_values - sol.x[:theta])),
-                np.max(np.abs(state.p.cell_values - sol.x[theta:2 * theta])),
-                np.max(np.abs(state.psi.cell_values - sol.x[2 * theta:])))
+                np.max(np.abs(state.n - sol.x[:theta])),
+                np.max(np.abs(state.p - sol.x[theta:2 * theta])),
+                np.max(np.abs(state.psi - sol.x[2 * theta:])))
             ok = ok and sol.success and diff <= 1e-8
     assert _verdict(9, "tiny-instance dense oracle agreement (1e-8)", ok)
 
@@ -350,7 +350,7 @@ def test_criterion_10_equilibrium_solver():
         eq = solve_equilibrium(problem)
         ok = ok and eq.residual <= 1e-10
         if case == "linear_r0" and doping == "zero":
-            product = eq.n.cell_values * eq.p.cell_values
+            product = eq.n * eq.p
             ok = ok and bool(np.max(np.abs(product - 1.0)) <= 1e-10)
     assert _verdict(10, "equilibrium residual and mass action", ok)
 

@@ -7,7 +7,7 @@ from driftfv.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, ConfigError,
                          main, reproduce_paper, write_vtk)
 from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
-from driftfv.problem import (PRESET_CASES, PRESET_DOPINGS, make_state,
+from driftfv.problem import (PRESET_CASES, PRESET_DOPINGS, State,
                              pn_junction_preset)
 
 GOOD_CONFIG = """
@@ -65,6 +65,29 @@ def test_missing_mesh_file_exits_2(tmp_path, capsys):
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("alpha", ["1.0", "0.5", "nan"])
+def test_power_law_alpha_not_above_one_exits_2(tmp_path, capsys, alpha):
+    cfg = GOOD_CONFIG.replace("law = isothermal", f"law = power\nalpha = {alpha}")
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error: power law requires a finite alpha > 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "nodes x\n",
+    "nodes 3\n0 0\n1 0\n",
+    "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 3\nboundary 0\n",
+    "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3\n0 1 dirichlet\n"])
+def test_malformed_mesh_file_exits_2(tmp_path, capsys, text):
+    mesh_path = _write(tmp_path, text, name="bad.mesh")
+    cfg = GOOD_CONFIG.replace("type = cartesian", f"type = file\nfile = {mesh_path}")
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: mesh file")
+    assert "Traceback" not in err
+
+
 def test_nonlinear_with_recombination_exits_3(tmp_path, capsys):
     cfg = GOOD_CONFIG.replace("law = isothermal", "law = power\nalpha = 1.6666666666666667")
     cfg = cfg.replace("n_bottom = 2.718281828459045", "n_bottom = 0.9")
@@ -86,7 +109,15 @@ def test_nonlinear_with_recombination_exits_3(tmp_path, capsys):
      "density data"),
     ("[solver]", "[doping]\nkind = constant\nvalue = nan\n\n[solver]", "doping"),
     # h(0) = log 0 makes the isothermal contact potential infinite.
-    ("n_top = 1.0", "n_top = 0.0", "Dirichlet potential")])
+    ("n_top = 1.0", "n_top = 0.0", "Dirichlet potential"),
+    ("fp_tol = 1e-10", "fp_tol = nan", "fixed-point tolerance"),
+    ("fp_tol = 1e-10", "fp_tol = -1", "fixed-point tolerance"),
+    ("fp_tol = 1e-10", "fp_tol = 1e-10\nfp_max_iter = 0",
+     "fixed-point iteration limit"),
+    ("fp_tol = 1e-10", "fp_tol = 1e-10\nequilibrium_tol = nan",
+     "equilibrium tolerance"),
+    ("fp_tol = 1e-10", "fp_tol = 1e-10\nequilibrium_tol = -1",
+     "equilibrium tolerance")])
 def test_nonfinite_or_nonpositive_input_exits_3(tmp_path, capsys, good, bad, message):
     cfg = GOOD_CONFIG.replace(good, bad)
     assert bad in cfg
@@ -174,7 +205,7 @@ def test_write_vtk_single_cell(tmp_path):
     path = tmp_path / "one.vtk"
     prob = preset.build(build_cartesian(
         1, 1, dirichlet_predicate=lambda x, y: y < 1e-12))
-    state = make_state(prob, [1.0], [2.0], [0.5])
+    state = State(np.array([1.0]), np.array([2.0]), np.array([0.5]))
     write_vtk(state, state, prob.mesh, path)
     text = path.read_text()
     assert "CELLS 1" in text
@@ -188,7 +219,7 @@ def test_write_vtk_quad_connectivity(tmp_path):
     preset = pn_junction_preset("linear_r0", "zero")
     prob = preset.build(build_cartesian(
         2, 1, dirichlet_predicate=lambda x, y: y < 1e-12))
-    state = make_state(prob, [1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
+    state = State(np.ones(2), np.ones(2), np.zeros(2))
     path = tmp_path / "two.vtk"
     write_vtk(state, state, prob.mesh, path)
     lines = path.read_text().splitlines()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from driftfv.diagnostics import (DiagnosticsRecord, check_entropy_chain,
                                  f_functional, fit_decay_rate, production,
                                  read_csv, write_csv)
 from driftfv.equilibrium import solve_equilibrium
-from driftfv.mesh import DiscreteFunction, build_cartesian
-from driftfv.problem import discretize_data, make_state, pn_junction_preset
+from driftfv.mesh import build_cartesian
+from driftfv.problem import State, discretize_data, pn_junction_preset
 from driftfv.transient import StepperConfig, run
 
 
@@ -19,11 +21,15 @@ def _single_cell_problem():
         lambda x, y: 1.0, lambda x, y: 1.0, lambda x, y: 0.0)
 
 
+def _state(n, p, psi):
+    return State(np.array(n, float), np.array(p, float), np.array(psi, float))
+
+
 def test_entropy_single_cell():
     # H(e) - H(1) - h(1)(e - 1) = 1 on a unit cell.
     prob = _single_cell_problem()
-    eq = make_state(prob, [1.0], [1.0], [0.0])
-    state = make_state(prob, [np.e], [1.0], [0.0])
+    eq = _state([1.0], [1.0], [0.0])
+    state = _state([np.e], [1.0], [0.0])
     assert entropy(prob, state, eq) == pytest.approx(1.0)
     assert entropy(prob, eq, eq) == 0.0
 
@@ -32,13 +38,13 @@ def test_entropy_positive_on_perturbations():
     preset = pn_junction_preset("linear_r0", "zero")
     mesh = build_cartesian(6, 6, dirichlet_predicate=preset.dirichlet_predicate)
     prob = preset.build(mesh)
-    eq = solve_equilibrium(prob).as_state()
+    eq = solve_equilibrium(prob)
     rng = np.random.default_rng(2)
     for _ in range(20):
-        state = make_state(
-            prob, eq.n.cell_values * np.exp(rng.uniform(-0.5, 0.5, mesh.n_cells)),
-            eq.p.cell_values * np.exp(rng.uniform(-0.5, 0.5, mesh.n_cells)),
-            eq.psi.cell_values + rng.uniform(-0.5, 0.5, mesh.n_cells))
+        state = State(
+            eq.n * np.exp(rng.uniform(-0.5, 0.5, mesh.n_cells)),
+            eq.p * np.exp(rng.uniform(-0.5, 0.5, mesh.n_cells)),
+            eq.psi + rng.uniform(-0.5, 0.5, mesh.n_cells))
         assert entropy(prob, state, eq) > 0.0
 
 
@@ -50,14 +56,14 @@ def test_production_two_cell():
         PressureLaw.isothermal(), 1.0,
         lambda x, y: 0.0, lambda x, y: 1.0, lambda x, y: 1.0,
         lambda x, y: 1.0, lambda x, y: 1.0, lambda x, y: 0.0)
-    eq = make_state(prob, [1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
+    eq = _state([1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
     n = np.zeros(2)
     order = np.argsort(prob.mesh.cell_centers[:2, 0])
     n[order] = [1.0, np.e]
-    state = make_state(prob, n, [1.0, 1.0], [0.0, 0.0])
+    state = _state(n, [1.0, 1.0], [0.0, 0.0])
     # Dirichlet edges also contribute: suppress them by matching boundary data.
-    state.n.dirichlet_values[:] = n[prob.mesh.edge_cells[prob.mesh.dirichlet_edges, 0]]
-    state.p.dirichlet_values[:] = 1.0
+    prob = dataclasses.replace(
+        prob, n_dirichlet=n[prob.mesh.edge_cells[prob.mesh.dirichlet_edges, 0]])
     assert production(prob, state, eq) == pytest.approx(2.0)
 
 
@@ -65,23 +71,23 @@ def test_production_zero_at_equilibrium():
     preset = pn_junction_preset("linear_auger", "pn")
     mesh = build_cartesian(6, 6, dirichlet_predicate=preset.dirichlet_predicate)
     prob = preset.build(mesh)
-    eq = solve_equilibrium(prob).as_state()
+    eq = solve_equilibrium(prob)
     assert production(prob, eq, eq) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_production_handles_zero_density():
     prob = _single_cell_problem()
-    eq = make_state(prob, [1.0], [1.0], [0.0])
-    state = make_state(prob, [0.0], [1.0], [0.0])
-    state.n.dirichlet_values[:] = 0.0
+    eq = _state([1.0], [1.0], [0.0])
+    state = _state([0.0], [1.0], [0.0])
+    prob = dataclasses.replace(prob, n_dirichlet=np.zeros(prob.mesh.n_dirichlet))
     value = production(prob, state, eq)
     assert np.isfinite(value)
 
 
 def test_f_functional():
     prob = _single_cell_problem()
-    eq = make_state(prob, [1.0], [1.0], [0.0])
-    state = make_state(prob, [3.0], [1.0], [0.0])
+    eq = _state([1.0], [1.0], [0.0])
+    state = _state([3.0], [1.0], [0.0])
     assert f_functional(prob, state, eq) == pytest.approx(4.0)
     assert f_functional(prob, eq, eq) == 0.0
 

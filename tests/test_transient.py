@@ -27,13 +27,16 @@ def test_config_validation():
         StepperConfig(dt=-1.0).validate(prob)
     with pytest.raises(HypothesisError):
         StepperConfig(dt=2.0).validate(prob)  # dt > lambda^2/||C||
-    with pytest.raises(HypothesisError):
-        StepperConfig(damping=0.0).validate(prob)
     for bad in (dict(dt=float("nan")), dict(dt=float("inf")),
                 dict(t_end=float("nan")), dict(t_end=float("inf")),
-                dict(t_end=-1.0)):
+                dict(t_end=-1.0), dict(fp_tol=float("nan")),
+                dict(fp_tol=float("inf")), dict(fp_tol=-1e-10),
+                dict(fp_max_iter=0)):
         with pytest.raises(HypothesisError):
             StepperConfig(**bad).validate(prob)
+    for bad in (dict(tol=float("nan")), dict(tol=-1.0), dict(max_iter=0)):
+        with pytest.raises(HypothesisError):
+            solve_equilibrium(prob, **bad)
     StepperConfig(dt=0.5).validate(prob)
 
 
@@ -90,10 +93,10 @@ def test_advance_preserves_equilibrium():
     config = StepperConfig(dt=1e-2)
     stepper = Stepper(prob, config)
     tracker = BoundsTracker(prob, config.dt)
-    state, report = stepper.advance(eq.as_state(), tracker)
+    state, report = stepper.advance(eq, tracker)
     assert report.iterations == 1
-    assert np.max(np.abs(state.n.cell_values - eq.n.cell_values)) <= config.fp_tol
-    assert np.max(np.abs(state.p.cell_values - eq.p.cell_values)) <= config.fp_tol
+    assert np.max(np.abs(state.n - eq.n)) <= config.fp_tol
+    assert np.max(np.abs(state.p - eq.p)) <= config.fp_tol
 
 
 def test_advance_reports_m_matrices():
@@ -146,8 +149,7 @@ def test_scheme_residual_small_after_step():
     state, report = stepper.advance(state0, tracker)
     assert report.residual <= 10.0 * config.fp_tol
     rn, rp = stepper.scheme_residuals(
-        state.n.cell_values, state.p.cell_values, state.psi.cell_values,
-        state0.n.cell_values, state0.p.cell_values)
+        state.n, state.p, state.psi, state0.n, state0.p)
     assert np.max(np.abs(rn)) <= 10.0 * config.fp_tol
     assert np.max(np.abs(rp)) <= 10.0 * config.fp_tol
 
@@ -178,8 +180,8 @@ def test_run_equilibrium_start_stays_flat():
     scale = 1e-10 * (1.0 + records[0].entropy)
     # The run starts from the interpolated profile, not equilibrium; redo
     # from equilibrium initial data by swapping the initial fields.
-    prob.n_initial = eq.n.cell_values.copy()
-    prob.p_initial = eq.p.cell_values.copy()
+    prob.n_initial = eq.n.copy()
+    prob.p_initial = eq.p.copy()
     _, records = run(prob, StepperConfig(dt=1e-2, t_end=0.1), eq)
     assert all(r.entropy <= 1e-8 for r in records)
 
