@@ -10,7 +10,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -120,9 +119,10 @@ def build_problem(cfg, mesh: Mesh) -> Problem:
         law = PressureLaw.isothermal()
     elif law_name == "power":
         alpha = _get(cfg, "physics", "alpha", cast=float)
-        if not 1.0 < alpha < math.inf:
-            raise ConfigError(f"power law requires a finite alpha > 1, got {alpha!r}")
-        law = PressureLaw.power(alpha)
+        try:
+            law = PressureLaw.power(alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     else:
         raise ConfigError(f"unknown pressure law {law_name!r}")
     lambda2 = _get(cfg, "physics", "lambda2", 1.0, float)
@@ -249,6 +249,7 @@ def run_scenario(config_path, csv_override=None, vtk_every=0) -> RunManifest:
         mesh = build_mesh(cfg)
         problem = build_problem(cfg, mesh)
         step_cfg = build_stepper_config(cfg)
+        step_cfg.validate(problem)
     with _timed(manifest, "equilibrium"):
         eq = solve_equilibrium(
             problem, tol=_get(cfg, "solver", "equilibrium_tol", 1e-10, float))

@@ -11,6 +11,7 @@ power law r(s) = s^alpha with alpha > 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ class PressureLaw:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ValueError("pressure exponent must be >= 1")
+        if not 1.0 <= self.alpha < math.inf:
+            raise ValueError(f"pressure exponent must be finite and >= 1, got {self.alpha!r}")
 
     @classmethod
     def isothermal(cls) -> "PressureLaw":
@@ -34,8 +35,8 @@ class PressureLaw:
 
     @classmethod
     def power(cls, alpha: float) -> "PressureLaw":
-        if alpha <= 1.0:
-            raise ValueError("power law requires alpha > 1")
+        if not 1.0 < alpha < math.inf:
+            raise ValueError(f"power law requires a finite alpha > 1, got {alpha!r}")
         return cls(alpha)
 
     @property

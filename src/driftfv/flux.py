@@ -44,14 +44,21 @@ def flux_coefficients(dpsi, dr):
     """(a_fwd, a_bwd) so that F = tau*(a_fwd*n_K - a_bwd*n_Ksigma).
 
     Both coefficients are nonnegative; near-zero dr falls back to the upwind
-    limit dr*B(x/dr) -> max(-x, 0).
+    limit dr*B(x/dr) -> max(-x, 0).  One Bernoulli evaluation per edge:
+    B(-|x|) = B(|x|) + |x| adds two nonnegative terms, so it loses nothing to
+    cancellation.
     """
     dpsi = np.asarray(dpsi, dtype=float)
     dr = np.asarray(dr, dtype=float)
     deg = dr <= DR_DEGENERATE
     drs = np.where(deg, 1.0, dr)
-    a_fwd = np.where(deg, np.maximum(dpsi, 0.0), drs * bernoulli(-dpsi / drs))
-    a_bwd = np.where(deg, np.maximum(-dpsi, 0.0), drs * bernoulli(dpsi / drs))
+    x = dpsi / drs
+    ax = np.abs(x)
+    b_pos = bernoulli(ax)
+    b_neg = b_pos + ax
+    pos = x >= 0.0
+    a_fwd = np.where(deg, np.maximum(dpsi, 0.0), drs * np.where(pos, b_neg, b_pos))
+    a_bwd = np.where(deg, np.maximum(-dpsi, 0.0), drs * np.where(pos, b_pos, b_neg))
     return a_fwd, a_bwd
 
 

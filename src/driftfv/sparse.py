@@ -16,6 +16,13 @@ backward error a fresh LU solve delivers,
     ||b - A x||_inf <= min(tol, 16 eps (||A||_inf ||x||_inf + ||b||_inf)),
 and otherwise factors A afresh, so x is still the exact solution of A x = b
 perturbed at rounding level.
+
+``correct`` is the inexact inner solve of the transient Picard loop: one
+correction x0 + LU^{-1}(b - A x0) of the current iterate x0 on the held
+factor, kept only if it is nonnegative and at least halves the residual.
+Such an x is not the solution of an M-matrix system; its nonnegativity
+comes from that test, and when the test fails the caller falls back to
+``solve``.  ``check_m_matrix`` still covers every assembled matrix.
 """
 from __future__ import annotations
 
@@ -112,6 +119,25 @@ def _refine(A, b, b_norm, tol, lu):
             return None
         x = x + lu.solve(r)
         prev = res
+
+
+def correct(A, b, x0, held: HeldFactor) -> "np.ndarray | None":
+    """One correction x0 + LU^{-1}(b - A x0) of a guess on the held factor.
+
+    Returns the corrected x only if it is nonnegative and its residual
+    ||b - A x||_inf is at most ``_REFINE_CONTRACTION`` times that of x0;
+    returns None when nothing is held or either test fails.
+    """
+    if held.lu is None:
+        return None
+    r0 = b - A @ x0
+    x = x0 + held.lu.solve(r0)
+    if not np.all(x >= 0.0):
+        return None
+    res = np.max(np.abs(b - A @ x), initial=0.0)
+    if not res <= _REFINE_CONTRACTION * np.max(np.abs(r0), initial=0.0):
+        return None
+    return x
 
 
 @dataclass

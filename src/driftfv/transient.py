@@ -6,8 +6,17 @@ system with the current iterate, then two decoupled linear density systems
 are solved whose coefficients (edge diffusion means, Bernoulli weights, and
 the recombination factor in the isothermal case) are frozen at the iterate.
 A penalty mu m(K)/(lambda^2 dt) on the diagonal keeps the systems strictly
-diagonally dominant M-matrices, so the iterates stay nonnegative and, with
+diagonally dominant M-matrices, whose solutions are nonnegative and, with
 zero doping, inside the data bounds [m, M].
+
+The inner solves are inexact: each species first tries one correction of
+its iterate on the LU factor it holds (``sparse.correct``), kept only if the
+residual halves and the result is nonnegative, and otherwise solves its
+system in full.  So an intermediate iterate may be a one-step correction
+rather than the exact solution of an M-matrix system.  Every assembled
+matrix can still be checked (``check_m_matrices``); a step is accepted
+only when the scheme residual of the converged iterate is at most
+10 fp_tol, and the density bounds are checked on that converged state.
 """
 from __future__ import annotations
 
@@ -81,6 +90,12 @@ class StepReport:
     residual: float
     damping: float
     bound_excess: float = 0.0
+
+
+def _correct_or_solve(A, b, x_it, held: la.HeldFactor) -> np.ndarray:
+    """The held factor's safeguarded correction of x_it, else a full solve."""
+    x = la.correct(A, b, x_it, held)
+    return la.solve(A, b, held) if x is None else x
 
 
 class Stepper:
@@ -157,7 +172,8 @@ class Stepper:
                 if not rep.is_m_matrix:
                     raise InvariantError(
                         f"{name} is not an M-matrix: {rep.violations[:3]}")
-        return la.solve(A_n, b_n, self._held_n), la.solve(A_p, b_p, self._held_p)
+        return (_correct_or_solve(A_n, b_n, n_it, self._held_n),
+                _correct_or_solve(A_p, b_p, p_it, self._held_p))
 
     # -- nonlinear step ----------------------------------------------------
 

@@ -127,6 +127,16 @@ def test_nonfinite_or_nonpositive_input_exits_3(tmp_path, capsys, good, bad, mes
     assert "Traceback" not in err
 
 
+def test_stepper_settings_checked_before_equilibrium(tmp_path, monkeypatch, capsys):
+    def no_equilibrium(*args, **kwargs):
+        raise AssertionError("solve_equilibrium ran before the settings were checked")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", no_equilibrium)
+    cfg = GOOD_CONFIG.replace("fp_tol = 1e-10", "fp_tol = nan")
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_HYPOTHESIS
+    assert "hypothesis violation: fixed-point tolerance" in capsys.readouterr().err
+
+
 def _preset_config(preset):
     """INI text carrying the data of one preset."""
     law = preset.law

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftfv.constitutive import (PressureLaw, big_h, dr_mean, enthalpy,
                                   g_inverse, g_prime, pressure, pressure_prime)
@@ -16,6 +18,15 @@ def test_law_construction():
         PressureLaw.power(1.0)
     with pytest.raises(ValueError):
         PressureLaw(0.5)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 1.0, 0.5])
+def test_power_law_rejects_alpha_not_finite_above_one(alpha):
+    with pytest.raises(ValueError, match="power law requires a finite alpha > 1"):
+        PressureLaw.power(alpha)
+    if alpha != 1.0:
+        with pytest.raises(ValueError, match="pressure exponent"):
+            PressureLaw(alpha)
 
 
 def test_enthalpy_values():
@@ -83,6 +94,15 @@ def test_dr_symmetry_and_nonnegativity():
         ab = dr_mean(law, a, b)
         assert np.allclose(ab, dr_mean(law, b, a), rtol=1e-12, atol=1e-14)
         assert np.all(ab >= 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(law=st.one_of(st.just(ISO), st.floats(1.05, 4.0).map(PressureLaw.power)),
+       a=st.floats(0.0, 1e3), b=st.floats(0.0, 1e3))
+def test_dr_symmetry_and_nonnegativity_property(law, a, b):
+    ab = dr_mean(law, a, b)
+    assert ab == dr_mean(law, b, a)
+    assert ab >= 0.0
 
 
 def test_dr_log_identity():

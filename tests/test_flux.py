@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftfv.constitutive import PressureLaw, dr_mean, enthalpy, g_inverse
-from driftfv.flux import bernoulli, flux_coefficients, lemma1_residual, sg_flux
+from driftfv.flux import (DR_DEGENERATE, bernoulli, flux_coefficients,
+                          lemma1_residual, sg_flux)
 
 ISO = PressureLaw.isothermal()
 POW2 = PressureLaw.power(2.0)
+EPS = np.finfo(float).eps
+# Fixed example sequences, so that the suite runs the same inputs every time.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def test_bernoulli_values():
@@ -139,3 +146,51 @@ def test_lemma1_random_nonpositive():
         res = lemma1_residual(tau, n_k, n_s, dpsi, dr, h_k, h_s)
         scale = tau * np.maximum(n_k, n_s) * (1.0 + dpsi ** 2)
         assert np.all(res <= 1e-12 * scale)
+
+
+@PROPERTY
+@given(FINITE)
+def test_bernoulli_reflection_property(x):
+    # The form flux_coefficients evaluates: two nonnegative terms, no
+    # cancellation, so it holds to a few ulps over the whole double range.
+    ax = abs(x)
+    assert bernoulli(-ax) == pytest.approx(bernoulli(ax) + ax, rel=4.0 * EPS, abs=0.0)
+
+
+@PROPERTY
+@given(FINITE, FINITE)
+def test_bernoulli_nonnegative_and_nonincreasing_property(x, y):
+    lo, hi = min(x, y), max(x, y)
+    b_lo, b_hi = bernoulli(lo), bernoulli(hi)
+    assert np.isfinite(b_lo) and b_hi >= 0.0
+    assert b_lo >= b_hi * (1.0 - 4.0 * EPS)
+
+
+_NEAR_DEGENERATE = st.one_of(
+    st.sampled_from([np.nextafter(DR_DEGENERATE, 0.0), DR_DEGENERATE,
+                     np.nextafter(DR_DEGENERATE, 1.0), 0.0]),
+    st.floats(0.5 * DR_DEGENERATE, 2.0 * DR_DEGENERATE))
+
+
+@PROPERTY
+@given(dpsi=st.floats(-1e6, 1e6),
+       dr=st.one_of(_NEAR_DEGENERATE, st.floats(0.0, 1e6)))
+def test_flux_coefficients_property(dpsi, dr):
+    a_fwd, a_bwd = flux_coefficients(dpsi, dr)
+    assert a_fwd >= 0.0 and a_bwd >= 0.0
+    # Equal densities carry the pure drift tau * n * dpsi.
+    assert abs(a_fwd - a_bwd - dpsi) <= 4.0 * EPS * (abs(dpsi) + max(dr, 1.0))
+
+
+_LAWS = st.one_of(st.just(ISO), st.floats(1.05, 4.0).map(PressureLaw.power))
+_DENSITY = st.floats(1e-6, 10.0)
+
+
+@PROPERTY
+@given(law=_LAWS, tau=st.floats(1e-6, 10.0), n_k=_DENSITY, n_s=_DENSITY,
+       dpsi=st.floats(-20.0, 20.0))
+def test_lemma1_residual_nonpositive_property(law, tau, n_k, n_s, dpsi):
+    h_k, h_s = float(enthalpy(law, n_k)), float(enthalpy(law, n_s))
+    res = lemma1_residual(tau, n_k, n_s, dpsi, dr_mean(law, n_k, n_s), h_k, h_s)
+    w = (h_s - h_k) - dpsi
+    assert res <= 1e-12 * tau * max(n_k, n_s) * (1.0 + w ** 2)

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from driftfv.mesh import build_cartesian, import_triangulation
 from driftfv.problem import contact_predicate
 from driftfv.sparse import (HeldFactor, MMatrixReport, SolverError,
-                            check_m_matrix, solve, tpfa_system)
+                            check_m_matrix, correct, factor, solve, tpfa_system)
 
 
 def test_solve_identity():
@@ -75,6 +75,50 @@ def test_singular_matrix_with_held_factor_raises_and_drops_it():
     with pytest.raises(SolverError):
         solve(A, np.array([1.0, 0.0]), held)
     assert held.lu is None
+
+
+def _held(A):
+    held = HeldFactor()
+    held.lu = factor(sp.csc_matrix(A))
+    return held
+
+
+def test_correction_on_nearby_factor_is_accepted():
+    rng = np.random.default_rng(13)
+    A1 = _random_m_matrix(rng)
+    A2 = A1.copy()
+    A2.data *= 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, A2.nnz)
+    b, x0 = rng.random(A1.shape[0]), rng.random(A1.shape[0])
+    held = _held(A1)
+    first = held.lu
+    x = correct(A2, b, x0, held)
+    assert held.lu is first
+    assert np.all(x >= 0.0)
+    assert np.max(np.abs(b - A2 @ x)) <= 0.5 * np.max(np.abs(b - A2 @ x0))
+    assert np.allclose(x, x0 + first.solve(b - A2 @ x0), rtol=0.0, atol=1e-15)
+
+
+def test_correction_needs_a_held_factor():
+    A, b = sp.identity(3, format="csc"), np.ones(3)
+    assert correct(A, b, np.zeros(3), HeldFactor()) is None
+
+
+def test_correction_rejected_unless_residual_halves():
+    # Held factor of I for the system 3 I x = b: from x0 = 0 the correction
+    # is x = b >= 0 with residual -2 b, twice the residual b of x0.
+    A, b = 3.0 * sp.identity(3, format="csc"), np.array([1.0, 2.0, 3.0])
+    assert correct(A, b, np.zeros(3), _held(sp.identity(3))) is None
+    # A held factor of A itself solves exactly: residual 0, accepted.
+    assert np.allclose(correct(A, b, np.zeros(3), _held(A)), b / 3.0)
+
+
+def test_correction_rejected_with_a_negative_entry():
+    # The exact solution has a negative entry: the residual vanishes, but
+    # the corrected x may not enter the density iteration.
+    A, b = sp.identity(2, format="csc"), np.array([1.0, -1e-300])
+    assert correct(A, b, np.zeros(2), _held(A)) is None
+    assert np.array_equal(correct(A, np.array([1.0, 0.0]), np.zeros(2), _held(A)),
+                          [1.0, 0.0])
 
 
 def test_check_m_matrix_examples():
