@@ -46,19 +46,42 @@ def flux_coefficients(dpsi, dr):
     Both coefficients are nonnegative; near-zero dr falls back to the upwind
     limit dr*B(x/dr) -> max(-x, 0).  One Bernoulli evaluation per edge:
     B(-|x|) = B(|x|) + |x| adds two nonnegative terms, so it loses nothing to
-    cancellation.
+    cancellation.  B(|x|) is |x|/expm1(|x|) in one pass, with ``bernoulli``'s
+    Taylor and saturation branches patched in only where they apply, so it
+    equals ``bernoulli(|x|)`` bit for bit.  A float dr of 1 (the isothermal
+    law) skips the dr arithmetic.
     """
     dpsi = np.asarray(dpsi, dtype=float)
-    dr = np.asarray(dr, dtype=float)
-    deg = dr <= DR_DEGENERATE
-    drs = np.where(deg, 1.0, dr)
-    x = dpsi / drs
+    unit = isinstance(dr, float) and dr == 1.0
+    if unit:
+        x = dpsi
+    else:
+        dr = np.asarray(dr, dtype=float)
+        deg = dr <= DR_DEGENERATE
+        degenerate = deg.any()
+        drs = np.where(deg, 1.0, dr) if degenerate else dr
+        x = dpsi / drs
     ax = np.abs(x)
-    b_pos = bernoulli(ax)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b_pos = np.asarray(ax / np.expm1(ax))
+    small = ax < _TAYLOR_CUT
+    if small.any():
+        xs = ax[small]
+        b_pos[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
+    big = ax > _EXP_CUT
+    if big.any():
+        b_pos[big] = 0.0
     b_neg = b_pos + ax
     pos = x >= 0.0
-    a_fwd = np.where(deg, np.maximum(dpsi, 0.0), drs * np.where(pos, b_neg, b_pos))
-    a_bwd = np.where(deg, np.maximum(-dpsi, 0.0), drs * np.where(pos, b_pos, b_neg))
+    a_fwd = np.where(pos, b_neg, b_pos)
+    a_bwd = np.where(pos, b_pos, b_neg)
+    if unit:
+        return a_fwd, a_bwd
+    a_fwd = drs * a_fwd
+    a_bwd = drs * a_bwd
+    if degenerate:
+        a_fwd = np.where(deg, np.maximum(dpsi, 0.0), a_fwd)
+        a_bwd = np.where(deg, np.maximum(-dpsi, 0.0), a_bwd)
     return a_fwd, a_bwd
 
 

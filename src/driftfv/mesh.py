@@ -34,6 +34,12 @@ def _point_line_distance(x, p1, p2):
     return np.abs(cross) / nrm
 
 
+def _read_only(arr):
+    """``arr``, made read-only: a mesh shares its index arrays with every caller."""
+    arr.flags.writeable = False
+    return arr
+
+
 class Mesh:
     """Two-point-flux finite-volume mesh (2D); geometry in flat numpy arrays."""
 
@@ -89,6 +95,23 @@ class Mesh:
                                  self.edge_p2[edges]) / d[edges]))
 
     @cached_property
+    def stencil_offdiagonal(self):
+        """(rows, cols) of the stencil's off-diagonal entries: (K, L) for each
+        interior edge, then (L, K) for each, with K the first incident cell."""
+        k, ell = self.edge_cells[self.interior_edges].T
+        return (_read_only(np.concatenate([k, ell])),
+                _read_only(np.concatenate([ell, k])))
+
+    @cached_property
+    def stencil_diagonal_cells(self):
+        """Cell of each term summed into the stencil's diagonal: every cell,
+        then K and L of each interior edge, then K of each Dirichlet edge."""
+        k, ell = self.edge_cells.T
+        it = self.interior_edges
+        return _read_only(np.concatenate([np.arange(self.n_cells), k[it], ell[it],
+                                          k[self.dirichlet_edges]]))
+
+    @cached_property
     def stencil_csc(self):
         """CSC layout of the two-point stencil: (order, indices, indptr).
 
@@ -96,18 +119,16 @@ class Mesh:
         then (L, K) for each interior edge; ``values[order]`` is that list
         in CSC order (by column, rows sorted within a column).
         """
-        it = self.interior_edges
         cells = np.arange(self.n_cells)
-        rows = np.concatenate([cells, self.edge_cells[it, 0], self.edge_cells[it, 1]])
-        cols = np.concatenate([cells, self.edge_cells[it, 1], self.edge_cells[it, 0]])
+        off_rows, off_cols = self.stencil_offdiagonal
+        rows = np.concatenate([cells, off_rows])
+        cols = np.concatenate([cells, off_cols])
         order = np.lexsort((rows, cols))
         indptr = np.zeros(self.n_cells + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=self.n_cells), out=indptr[1:])
-        layout = (order, rows[order].astype(np.int32), indptr)
         # Every assembled matrix shares these arrays; none may edit them.
-        for arr in layout:
-            arr.flags.writeable = False
-        return layout
+        return (_read_only(order), _read_only(rows[order].astype(np.int32)),
+                _read_only(indptr))
 
     @cached_property
     def laplacian_lu(self):
@@ -123,17 +144,26 @@ class Mesh:
 
     # -- edge values of cell functions ------------------------------------
 
+    @cached_property
+    def edge_other_index(self):
+        """Per edge, the index of u_{K,sigma} in [cell values, Dirichlet values]."""
+        idx = self.edge_cells[:, 0].copy()
+        it = self.interior_edges
+        idx[it] = self.edge_cells[it, 1]
+        idx[self.dirichlet_edges] = self.n_cells + np.arange(self.n_dirichlet)
+        return _read_only(idx)
+
     def edge_other_values(self, cell_values, dirichlet_values) -> np.ndarray:
         """u_{K,sigma} per edge with K the first incident cell.
 
         Interior: opposite cell value; Dirichlet: edge value; Neumann: own
         cell value (zero-flux mirror).
         """
-        vals = cell_values[self.edge_cells[:, 0]].copy()
-        it = self.interior_edges
-        vals[it] = cell_values[self.edge_cells[it, 1]]
-        vals[self.dirichlet_edges] = dirichlet_values
-        return vals
+        n = self.n_cells
+        ext = np.empty(n + self.n_dirichlet)
+        ext[:n] = cell_values
+        ext[n:] = dirichlet_values
+        return ext[self.edge_other_index]
 
     def edge_differences(self, cell_values, dirichlet_values) -> np.ndarray:
         """Du_{K,sigma} = u_{K,sigma} - u_K per edge (K = first cell)."""

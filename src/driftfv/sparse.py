@@ -1,10 +1,14 @@
-"""Sparse assembly, linear solves, and M-matrix verification.
+"""Two-point operators, sparse linear solves, and M-matrix verification.
 
-Thin layer over scipy.sparse: every system is the two-point operator of
-``tpfa_system``, assembled straight into CSC form and solved by a direct
-LU factorization, and ``check_m_matrix`` verifies the structural
-properties (positive diagonal, nonpositive off-diagonal, strict column
-diagonal dominance) that give entrywise-nonnegative inverses.
+Every system is the two-point operator of ``tpfa_operator``: a
+``TpfaOperator`` holding the diagonal and the off-diagonal edge weights,
+whose product ``A @ u`` is computed edge by edge with index arrays cached
+on the mesh.  Its CSC form is laid out only when a direct LU factorization
+or ``check_m_matrix`` needs it (``tpfa_system`` returns that form at once);
+``solve`` and ``check_m_matrix`` take either form.  ``check_m_matrix``
+verifies the structural properties (positive diagonal, nonpositive
+off-diagonal, strict column diagonal dominance) that give
+entrywise-nonnegative inverses.
 
 Every factorization uses the minimum-degree ordering of A^T + A
 (``MMD_AT_PLUS_A``), which keeps the fill of the two-point stencil's LU
@@ -20,9 +24,11 @@ perturbed at rounding level.
 ``correct`` is the inexact inner solve of the transient Picard loop: one
 correction x0 + LU^{-1}(b - A x0) of the current iterate x0 on the held
 factor, kept only if it is nonnegative and at least halves the residual.
-Such an x is not the solution of an M-matrix system; its nonnegativity
-comes from that test, and when the test fails the caller falls back to
-``solve``.  ``check_m_matrix`` still covers every assembled matrix.
+It needs only ``A @ x``, so an operator reaches its CSC form only when
+the correction is refused.  Such an x is not the solution of an M-matrix
+system; its nonnegativity comes from that test, and when the test fails
+the caller falls back to ``solve``.  ``check_m_matrix`` can still cover
+every assembled operator.
 """
 from __future__ import annotations
 
@@ -75,7 +81,7 @@ def solve(A, b, held: "HeldFactor | None" = None) -> np.ndarray:
     backward error; otherwise, or when it is not accepted, A is factored
     afresh and the new factor is kept in ``held``.
     """
-    A = sp.csc_matrix(A)
+    A = _csc(A)
     b = np.asarray(b, dtype=float)
     b_norm = np.max(np.abs(b), initial=0.0)
     tol = max(1e-12, 1e-12 * b_norm)
@@ -132,10 +138,10 @@ def correct(A, b, x0, held: HeldFactor) -> "np.ndarray | None":
         return None
     r0 = b - A @ x0
     x = x0 + held.lu.solve(r0)
-    if not np.all(x >= 0.0):
+    if not (x >= 0.0).all():
         return None
-    res = np.max(np.abs(b - A @ x), initial=0.0)
-    if not res <= _REFINE_CONTRACTION * np.max(np.abs(r0), initial=0.0):
+    res = np.abs(b - A @ x).max(initial=0.0)
+    if not res <= _REFINE_CONTRACTION * np.abs(r0).max(initial=0.0):
         return None
     return x
 
@@ -151,7 +157,7 @@ class MMatrixReport:
 
 def check_m_matrix(A) -> MMatrixReport:
     """Structural M-matrix check: diag > 0, offdiag <= 0, strict column dominance."""
-    A = sp.csc_matrix(A)
+    A = _csc(A)
     diag = A.diagonal()
     violations = []
     for i in np.nonzero(diag <= 0.0)[0][:10]:
@@ -171,11 +177,48 @@ def check_m_matrix(A) -> MMatrixReport:
     return MMatrixReport(is_m_matrix=not violations, violations=violations)
 
 
-def tpfa_system(mesh: Mesh, a_fwd, a_bwd, diag, u_dirichlet):
-    """Two-point operator in CSC form and its Dirichlet right-hand side.
+class TpfaOperator:
+    """The two-point operator A of ``tpfa_operator``, applied without a matrix.
 
-    Returns (A, g) such that, with u_{K,sigma} the neighbor or Dirichlet
-    value across sigma,
+    Holds A's diagonal and its off-diagonal entries in the mesh's stencil
+    order, (K, L) and then (L, K) for each interior edge.  ``A @ u`` gathers
+    u across the interior edges and sums each cell's entries with one
+    ``bincount``; ``tocsc()`` lays the same entries out in CSC form for a
+    factorization or an M-matrix check.
+    """
+
+    __slots__ = ("mesh", "diagonal", "offdiagonal")
+
+    def __init__(self, mesh: Mesh, diagonal, offdiagonal):
+        self.mesh = mesh
+        self.diagonal = diagonal
+        self.offdiagonal = offdiagonal
+
+    @property
+    def shape(self):
+        return (self.mesh.n_cells, self.mesh.n_cells)
+
+    def __matmul__(self, x):
+        rows, cols = self.mesh.stencil_offdiagonal
+        return self.diagonal * x + np.bincount(
+            rows, weights=self.offdiagonal * x[cols], minlength=self.mesh.n_cells)
+
+    def tocsc(self):
+        order, indices, indptr = self.mesh.stencil_csc
+        data = np.concatenate([self.diagonal, self.offdiagonal])[order]
+        return sp.csc_matrix((data, indices, indptr), shape=self.shape)
+
+
+def _csc(A):
+    """A as a CSC matrix; an operator lays out its entries."""
+    return A.tocsc() if isinstance(A, TpfaOperator) else sp.csc_matrix(A)
+
+
+def tpfa_operator(mesh: Mesh, a_fwd, a_bwd, diag, u_dirichlet):
+    """Two-point operator and its Dirichlet right-hand side.
+
+    Returns (A, g), A a ``TpfaOperator``, such that, with u_{K,sigma} the
+    neighbor or Dirichlet value across sigma,
         sum_sigma tau (a_fwd u_K - a_bwd u_{K,sigma}) + diag_K u_K
     is (A @ u_cells - g)_K; Neumann edges carry no flux.  ``a_fwd`` and
     ``a_bwd`` are per-edge weights seen from the first incident cell K (the
@@ -183,19 +226,22 @@ def tpfa_system(mesh: Mesh, a_fwd, a_bwd, diag, u_dirichlet):
     broadcast, so unit weights and zero ``diag`` give the Laplacian.
     """
     n = mesh.n_cells
-    k = mesh.edge_cells[:, 0]
-    ell = mesh.edge_cells[:, 1]
     it, de = mesh.interior_edges, mesh.dirichlet_edges
     t_fwd = mesh.edge_tau * a_fwd
     t_bwd = mesh.edge_tau * a_bwd
     # bincount adds in input order: diag_K first, then K's edge terms.
     diagonal = np.bincount(
-        np.concatenate([np.arange(n), k[it], ell[it], k[de]]),
-        weights=np.concatenate([np.broadcast_to(diag, (n,)), t_fwd[it],
-                                t_bwd[it], t_fwd[de]]),
+        mesh.stencil_diagonal_cells,
+        weights=np.concatenate([np.full(n, diag) if np.ndim(diag) == 0 else diag,
+                                t_fwd[it], t_bwd[it], t_fwd[de]]),
         minlength=n)
-    order, indices, indptr = mesh.stencil_csc
-    data = np.concatenate([diagonal, -t_bwd[it], -t_fwd[it]])[order]
-    A = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-    g = np.bincount(k[de], weights=t_bwd[de] * u_dirichlet, minlength=n)
+    A = TpfaOperator(mesh, diagonal, np.concatenate([-t_bwd[it], -t_fwd[it]]))
+    g = np.bincount(mesh.edge_cells[de, 0], weights=t_bwd[de] * u_dirichlet,
+                    minlength=n)
     return A, g
+
+
+def tpfa_system(mesh: Mesh, a_fwd, a_bwd, diag, u_dirichlet):
+    """``tpfa_operator`` with A in CSC form."""
+    A, g = tpfa_operator(mesh, a_fwd, a_bwd, diag, u_dirichlet)
+    return A.tocsc(), g

@@ -17,6 +17,11 @@ rather than the exact solution of an M-matrix system.  Every assembled
 matrix can still be checked (``check_m_matrices``); a step is accepted
 only when the scheme residual of the converged iterate is at most
 10 fp_tol, and the density bounds are checked on that converged state.
+
+The density systems are matrix-free (``sparse.tpfa_operator``): the
+correction and the residual check use only ``A @ x``, so a CSC matrix is
+laid out only for a full solve or for ``check_m_matrices``.  Under the
+isothermal law dr is 1, and the edge values and ``dr_mean`` are skipped.
 """
 from __future__ import annotations
 
@@ -44,12 +49,20 @@ class StepperConfig:
     fp_max_iter: int = 200
     check_m_matrices: bool = False
 
+    @property
+    def n_steps(self) -> int:
+        """Number of steps to t_end: floor(t_end/dt), forgiving rounding."""
+        return int(math.floor(self.t_end / self.dt + 1e-9))
+
     def validate(self, problem: Problem) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise HypothesisError(f"time step must be finite and positive, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise HypothesisError(
                 f"end time must be finite and nonnegative, got {self.t_end!r}")
+        if self.t_end > 0.0 and self.n_steps == 0:
+            raise HypothesisError(
+                f"end time {self.t_end!r} is shorter than the time step {self.dt!r}")
         if not (math.isfinite(self.fp_tol) and self.fp_tol >= 0.0):
             raise HypothesisError(
                 f"fixed-point tolerance must be finite and nonnegative, "
@@ -124,8 +137,8 @@ class Stepper:
         """Potential from the linear Poisson system with given densities."""
         b = self._poisson_b_dir + self.mk * (p_cells - n_cells + self.problem.doping)
         psi = self._poisson_lu.solve(b / self.lam2)
-        res = np.max(np.abs(self.lam2 * (self.L @ psi) - b), initial=0.0)
-        if res > 1e-12 * max(1.0, np.max(np.abs(b), initial=0.0)):
+        res = np.abs(self.lam2 * (self.L @ psi) - b).max(initial=0.0)
+        if res > 1e-12 * max(1.0, np.abs(b).max(initial=0.0)):
             raise la.SolverError(f"Poisson residual {res:.3e} too large")
         return psi
 
@@ -135,17 +148,20 @@ class Stepper:
         return State(n0, p0, self.solve_poisson(n0, p0))
 
     def _density_system(self, dens, dens_dir, dpsi, prev, mu, r0_diag, r0_rhs):
-        """Assemble A, b for one linearized density system.
+        """Operator A and right-hand side b of one linearized density system.
 
         ``dpsi`` must already carry the species sign (potential flipped for
         holes).  ``r0_diag``/``r0_rhs`` add the frozen recombination coupling.
         """
         mesh = self.mesh
-        other = mesh.edge_other_values(dens, dens_dir)
-        dr = cst.dr_mean(self.law, dens[mesh.edge_cells[:, 0]], other)
+        if self.law.is_isothermal:
+            dr = 1.0
+        else:
+            other = mesh.edge_other_values(dens, dens_dir)
+            dr = cst.dr_mean(self.law, dens[mesh.edge_cells[:, 0]], other)
         a_fwd, a_bwd = flux_coefficients(dpsi, dr)
         pen = self.mk / self.config.dt * (1.0 + mu / self.lam2)
-        A, g = la.tpfa_system(mesh, a_fwd, a_bwd, pen + r0_diag, dens_dir)
+        A, g = la.tpfa_operator(mesh, a_fwd, a_bwd, pen + r0_diag, dens_dir)
         b = self.mk / self.config.dt * (mu / self.lam2 * dens + prev) + r0_rhs
         return A, b + g
 
@@ -154,13 +170,14 @@ class Stepper:
         pr = self.problem
         dpsi = self.mesh.edge_differences(psi_cells, pr.psi_dirichlet)
         if pr.recombination.is_none:
-            r0 = np.zeros(self.mesh.n_cells)
+            mr0 = mr0_n = mr0_p = 0.0
         else:
-            r0 = pr.recombination.r0(n_it, p_it)
+            mr0 = self.mk * pr.recombination.r0(n_it, p_it)
+            mr0_n, mr0_p = mr0 * p_it, mr0 * n_it
         return (self._density_system(n_it, pr.n_dirichlet, dpsi, n_prev, mu,
-                                     self.mk * r0 * p_it, self.mk * r0),
+                                     mr0_n, mr0),
                 self._density_system(p_it, pr.p_dirichlet, -dpsi, p_prev, mu,
-                                     self.mk * r0 * n_it, self.mk * r0))
+                                     mr0_p, mr0))
 
     def linearized_density_step(self, n_it, p_it, psi_cells, n_prev, p_prev, mu):
         """One application of the decoupled linear density solves."""
@@ -212,8 +229,8 @@ class Stepper:
                 n_it, p_it, psi, n_prev, p_prev, mu)
             n_new = omega * n_hat + (1.0 - omega) * n_it
             p_new = omega * p_hat + (1.0 - omega) * p_it
-            inc = max(np.max(np.abs(n_new - n_it), initial=0.0),
-                      np.max(np.abs(p_new - p_it), initial=0.0))
+            inc = max(np.abs(n_new - n_it).max(initial=0.0),
+                      np.abs(p_new - p_it).max(initial=0.0))
             increments.append(inc)
             # Damp only on significant growth (10x over the best increment so
             # far): the increment of a convergent iteration need not be
@@ -287,8 +304,7 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state: State,
     emit(diag.make_record(state, eq, problem, fp_iters=0, prev_record=None))
     if state_sink is not None:
         state_sink(state)
-    n_steps = int(np.floor(config.t_end / config.dt + 1e-9))
-    for _ in range(n_steps):
+    for _ in range(config.n_steps):
         try:
             state, report = stepper.advance(state, tracker)
         except (la.SolverError, InvariantError) as exc:

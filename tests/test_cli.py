@@ -102,6 +102,8 @@ def test_nonlinear_with_recombination_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("good, bad, message", [
     ("dt = 1e-2", "dt = nan", "time step"),
     ("dt = 1e-2", "dt = inf", "time step"),
+    ("t_end = 0.05", "t_end = 0.005",
+     "end time 0.005 is shorter than the time step 0.01"),
     ("lambda2 = 1.0", "lambda2 = 0", "lambda^2"),
     ("lambda2 = 1.0", "lambda2 = nan", "lambda^2"),
     ("lambda2 = 1.0", "lambda2 = -1", "lambda^2"),

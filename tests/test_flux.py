@@ -116,6 +116,30 @@ def test_degenerate_upwind_limit():
         assert nearly == pytest.approx(limit, rel=1e-6)
 
 
+def test_flux_coefficients_equal_the_bernoulli_form_bit_for_bit():
+    # The one-pass |x|/expm1(|x|) with its fix-ups must give exactly what
+    # dr*B(-+x/dr) through ``bernoulli`` gives, on every branch: x = 0, the
+    # Taylor range, ordinary values, saturation past 700, degenerate dr and
+    # the float dr of 1 that skips the dr arithmetic.
+    rng = np.random.default_rng(21)
+    dpsi = np.concatenate([[0.0, -0.0, 1e-300, -1e-9, 5e-9, 700.5, -705.0, 1e4],
+                           rng.normal(0.0, 3.0, 200), rng.normal(0.0, 1e-8, 50)])
+    dr = rng.uniform(0.0, 3.0, dpsi.size)
+    dr[::9] = 0.0
+    dr[1::9] = DR_DEGENERATE
+    dr[2::9] = 2.0 * DR_DEGENERATE
+    for d in (dr, np.ones_like(dr), 1.0):
+        deg = np.asarray(d) <= DR_DEGENERATE
+        drs = np.where(deg, 1.0, d)
+        x = dpsi / drs
+        b_pos = bernoulli(np.abs(x))
+        b_neg = b_pos + np.abs(x)
+        want_fwd = np.where(deg, np.maximum(dpsi, 0.0), drs * np.where(x >= 0.0, b_neg, b_pos))
+        want_bwd = np.where(deg, np.maximum(-dpsi, 0.0), drs * np.where(x >= 0.0, b_pos, b_neg))
+        a_fwd, a_bwd = flux_coefficients(dpsi, d)
+        assert np.array_equal(a_fwd, want_fwd) and np.array_equal(a_bwd, want_bwd)
+
+
 def test_hole_flux_signs():
     f_n = sg_flux(1.0, 2.0, 2.0, 1.0, 1.0)
     f_p = sg_flux(1.0, 2.0, 2.0, -1.0, 1.0)

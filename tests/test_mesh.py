@@ -110,6 +110,25 @@ def test_discrete_function_edge_values():
         assert other[e] == 5.0
 
 
+def test_edge_other_values_match_per_edge_loop():
+    pred = lambda x, y: y < 1e-12 or (y > 1.0 - 1e-12 and x < 0.5)
+    mesh = build_cartesian(4, 3, dirichlet_predicate=pred)
+    assert len(mesh.neumann_edges) and mesh.n_dirichlet
+    rng = np.random.default_rng(3)
+    u, u_dir = rng.random(mesh.n_cells), rng.random(mesh.n_dirichlet)
+    want = []
+    for e, (k, ell) in enumerate(mesh.edge_cells):
+        if e in mesh.interior_edges:
+            want.append(u[ell])
+        elif e in mesh.dirichlet_edges:
+            want.append(u_dir[mesh.dirichlet_index[e]])
+        else:
+            want.append(u[k])
+    assert np.array_equal(mesh.edge_other_values(u, u_dir), want)
+    assert np.array_equal(mesh.edge_other_values(u, 0.5)[mesh.dirichlet_edges],
+                          np.full(mesh.n_dirichlet, 0.5))
+
+
 def test_seminorm_zero_iff_constant():
     mesh = build_cartesian(3, 3)
     assert seminorm_h1(mesh, np.full(mesh.n_cells, 2.5), 2.5) == 0.0

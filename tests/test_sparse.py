@@ -5,7 +5,8 @@ import scipy.sparse as sp
 from driftfv.mesh import build_cartesian, import_triangulation
 from driftfv.problem import contact_predicate
 from driftfv.sparse import (HeldFactor, MMatrixReport, SolverError,
-                            check_m_matrix, correct, factor, solve, tpfa_system)
+                            TpfaOperator, check_m_matrix, correct, factor, solve,
+                            tpfa_operator, tpfa_system)
 
 
 def test_solve_identity():
@@ -235,3 +236,29 @@ def test_tpfa_system_matches_per_edge_reference(mesh, rtol):
     assert np.max(np.abs(g - D @ u_dir)) <= rtol * np.max(np.abs(D @ u_dir))
     # The layout is the mesh's, built once and shared by every assembly.
     assert np.shares_memory(A.indices, _laplacian(mesh)[0].indices)
+
+
+@pytest.mark.parametrize("mesh", [
+    build_cartesian(9, 7, dirichlet_predicate=contact_predicate), _hexagon_fan()],
+    ids=["cartesian-contacts", "hexagon"])
+def test_operator_product_matches_csc_system(mesh):
+    # Both meshes carry interior, Dirichlet and Neumann edges.
+    assert len(mesh.neumann_edges) and mesh.n_dirichlet and len(mesh.interior_edges)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        a_fwd, a_bwd = rng.random(mesh.n_edges), rng.random(mesh.n_edges)
+        diag = rng.random(mesh.n_cells)
+        u_dir = rng.uniform(0.0, 2.0, mesh.n_dirichlet)
+        A, g = tpfa_operator(mesh, a_fwd, a_bwd, diag, u_dir)
+        C, g_csc = tpfa_system(mesh, a_fwd, a_bwd, diag, u_dir)
+        assert isinstance(A, TpfaOperator) and A.shape == C.shape
+        assert np.array_equal(g, g_csc)
+        assert (A.tocsc() != C).nnz == 0
+        u = rng.uniform(-1.0, 1.0, mesh.n_cells)
+        scale = np.max(abs(C) @ np.abs(u))
+        assert np.max(np.abs(A @ u - C @ u)) <= 1e-14 * scale
+        # solve and check_m_matrix take the operator as they take its matrix.
+        b = rng.random(mesh.n_cells)
+        assert np.max(np.abs(solve(A, b) - solve(C, b))) <= 1e-13
+        assert check_m_matrix(A).is_m_matrix == check_m_matrix(C).is_m_matrix
+

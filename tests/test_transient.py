@@ -38,6 +38,11 @@ def test_config_validation():
         with pytest.raises(HypothesisError):
             solve_equilibrium(prob, **bad)
     StepperConfig(dt=0.5).validate(prob)
+    # A positive end time shorter than one step would run no step at all.
+    with pytest.raises(HypothesisError, match=r"end time 0\.005 .* time step 0\.01"):
+        StepperConfig(dt=0.01, t_end=0.005).validate(prob)
+    StepperConfig(dt=0.01, t_end=0.0).validate(prob)
+    StepperConfig(dt=0.01, t_end=0.01).validate(prob)
 
 
 def test_bounds_tracker():
@@ -107,6 +112,49 @@ def test_advance_reports_m_matrices():
     state, report = stepper.advance(stepper.initial_state(), tracker)
     assert state.step == 1
     assert state.time == pytest.approx(config.dt)
+
+
+def test_m_matrices_checked_twice_per_picard_iteration(monkeypatch):
+    prob = _preset_problem("nonlinear_nondegenerate", "pn", nx=6)
+    eq = solve_equilibrium(prob)
+    real = la.check_m_matrix
+    checked = []
+
+    def counting(A):
+        checked.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(la, "check_m_matrix", counting)
+    _, records = run(prob, StepperConfig(dt=1e-2, t_end=0.05, check_m_matrices=True), eq)
+    iterations = sum(r.fp_iters for r in records)
+    assert iterations >= 5
+    assert len(checked) == 2 * iterations
+
+
+def test_density_csc_built_only_for_full_solves(monkeypatch):
+    prob = _preset_problem("nonlinear_nondegenerate", "pn", nx=6)
+    config = StepperConfig(dt=1e-2)
+    stepper = Stepper(prob, config)
+    tracker = BoundsTracker(prob, config.dt)
+    built, solved = [], []
+    real_tocsc, real_solve = la.TpfaOperator.tocsc, la.solve
+
+    def tocsc(self):
+        built.append(self.shape)
+        return real_tocsc(self)
+
+    def solve(A, b, held=None):
+        solved.append(A.shape)
+        return real_solve(A, b, held)
+
+    monkeypatch.setattr(la.TpfaOperator, "tocsc", tocsc)
+    monkeypatch.setattr(la, "solve", solve)
+    state, iterations = stepper.initial_state(), 0
+    for _ in range(3):
+        state, report = stepper.advance(state, tracker)
+        iterations += report.iterations
+    # Corrections and residual checks apply the operators without a matrix.
+    assert len(built) == len(solved) < 2 * iterations
 
 
 def test_m_matrix_check_rejects_positive_offdiagonal(monkeypatch):
