@@ -21,23 +21,23 @@ _EXP_CUT = 700.0
 def bernoulli(x):
     """B(x) = x/(e^x - 1), B(0) = 1; nonnegative and nonincreasing.
 
-    Stable across the whole double range: Taylor series near 0, saturation
-    to 0 (resp. -x) for large positive (resp. negative) arguments.
+    Stable across the whole double range: x/expm1(x) in one pass, with the
+    Taylor series patched in near 0 and saturation to 0 for large positive
+    arguments.  Large negative arguments need no patch: expm1(x) is exactly
+    -1 there, so the quotient is -x.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
     xv = np.atleast_1d(arr)
-    out = np.empty_like(xv)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = xv / np.expm1(xv)
     small = np.abs(xv) < _TAYLOR_CUT
-    big_pos = xv > _EXP_CUT
-    big_neg = xv < -_EXP_CUT
-    mid = ~(small | big_pos | big_neg)
-    xs = xv[small]
-    out[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
-    out[big_pos] = 0.0
-    out[big_neg] = -xv[big_neg]
-    out[mid] = xv[mid] / np.expm1(xv[mid])
-    return float(out[0]) if scalar else out
+    if small.any():
+        xs = xv[small]
+        out[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
+    big = xv > _EXP_CUT
+    if big.any():
+        out[big] = 0.0
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def flux_coefficients(dpsi, dr):
@@ -46,10 +46,8 @@ def flux_coefficients(dpsi, dr):
     Both coefficients are nonnegative; near-zero dr falls back to the upwind
     limit dr*B(x/dr) -> max(-x, 0).  One Bernoulli evaluation per edge:
     B(-|x|) = B(|x|) + |x| adds two nonnegative terms, so it loses nothing to
-    cancellation.  B(|x|) is |x|/expm1(|x|) in one pass, with ``bernoulli``'s
-    Taylor and saturation branches patched in only where they apply, so it
-    equals ``bernoulli(|x|)`` bit for bit.  A float dr of 1 (the isothermal
-    law) skips the dr arithmetic.
+    cancellation.  A float dr of 1 (the isothermal law) skips the dr
+    arithmetic.
     """
     dpsi = np.asarray(dpsi, dtype=float)
     unit = isinstance(dr, float) and dr == 1.0
@@ -62,15 +60,7 @@ def flux_coefficients(dpsi, dr):
         drs = np.where(deg, 1.0, dr) if degenerate else dr
         x = dpsi / drs
     ax = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b_pos = np.asarray(ax / np.expm1(ax))
-    small = ax < _TAYLOR_CUT
-    if small.any():
-        xs = ax[small]
-        b_pos[small] = 1.0 - xs / 2.0 + xs * xs / 12.0
-    big = ax > _EXP_CUT
-    if big.any():
-        b_pos[big] = 0.0
+    b_pos = bernoulli(ax)
     b_neg = b_pos + ax
     pos = x >= 0.0
     a_fwd = np.where(pos, b_neg, b_pos)

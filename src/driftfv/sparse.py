@@ -138,10 +138,10 @@ def correct(A, b, x0, held: HeldFactor) -> "np.ndarray | None":
         return None
     r0 = b - A @ x0
     x = x0 + held.lu.solve(r0)
-    if not (x >= 0.0).all():
+    if not np.all(x >= 0.0):
         return None
-    res = np.abs(b - A @ x).max(initial=0.0)
-    if not res <= _REFINE_CONTRACTION * np.abs(r0).max(initial=0.0):
+    res = np.max(np.abs(b - A @ x), initial=0.0)
+    if not res <= _REFINE_CONTRACTION * np.max(np.abs(r0), initial=0.0):
         return None
     return x
 
@@ -232,8 +232,8 @@ def tpfa_operator(mesh: Mesh, a_fwd, a_bwd, diag, u_dirichlet):
     # bincount adds in input order: diag_K first, then K's edge terms.
     diagonal = np.bincount(
         mesh.stencil_diagonal_cells,
-        weights=np.concatenate([np.full(n, diag) if np.ndim(diag) == 0 else diag,
-                                t_fwd[it], t_bwd[it], t_fwd[de]]),
+        weights=np.concatenate([np.broadcast_to(diag, (n,)), t_fwd[it],
+                                t_bwd[it], t_fwd[de]]),
         minlength=n)
     A = TpfaOperator(mesh, diagonal, np.concatenate([-t_bwd[it], -t_fwd[it]]))
     g = np.bincount(mesh.edge_cells[de, 0], weights=t_bwd[de] * u_dirichlet,

@@ -137,8 +137,8 @@ class Stepper:
         """Potential from the linear Poisson system with given densities."""
         b = self._poisson_b_dir + self.mk * (p_cells - n_cells + self.problem.doping)
         psi = self._poisson_lu.solve(b / self.lam2)
-        res = np.abs(self.lam2 * (self.L @ psi) - b).max(initial=0.0)
-        if res > 1e-12 * max(1.0, np.abs(b).max(initial=0.0)):
+        res = np.max(np.abs(self.lam2 * (self.L @ psi) - b), initial=0.0)
+        if res > 1e-12 * max(1.0, np.max(np.abs(b), initial=0.0)):
             raise la.SolverError(f"Poisson residual {res:.3e} too large")
         return psi
 
@@ -170,14 +170,13 @@ class Stepper:
         pr = self.problem
         dpsi = self.mesh.edge_differences(psi_cells, pr.psi_dirichlet)
         if pr.recombination.is_none:
-            mr0 = mr0_n = mr0_p = 0.0
+            r0 = np.zeros(self.mesh.n_cells)
         else:
-            mr0 = self.mk * pr.recombination.r0(n_it, p_it)
-            mr0_n, mr0_p = mr0 * p_it, mr0 * n_it
+            r0 = pr.recombination.r0(n_it, p_it)
         return (self._density_system(n_it, pr.n_dirichlet, dpsi, n_prev, mu,
-                                     mr0_n, mr0),
+                                     self.mk * r0 * p_it, self.mk * r0),
                 self._density_system(p_it, pr.p_dirichlet, -dpsi, p_prev, mu,
-                                     mr0_p, mr0))
+                                     self.mk * r0 * n_it, self.mk * r0))
 
     def linearized_density_step(self, n_it, p_it, psi_cells, n_prev, p_prev, mu):
         """One application of the decoupled linear density solves."""
@@ -229,8 +228,8 @@ class Stepper:
                 n_it, p_it, psi, n_prev, p_prev, mu)
             n_new = omega * n_hat + (1.0 - omega) * n_it
             p_new = omega * p_hat + (1.0 - omega) * p_it
-            inc = max(np.abs(n_new - n_it).max(initial=0.0),
-                      np.abs(p_new - p_it).max(initial=0.0))
+            inc = max(np.max(np.abs(n_new - n_it), initial=0.0),
+                      np.max(np.abs(p_new - p_it), initial=0.0))
             increments.append(inc)
             # Damp only on significant growth (10x over the best increment so
             # far): the increment of a convergent iteration need not be

@@ -35,6 +35,18 @@ def test_bernoulli_stable_everywhere():
     assert np.all(b >= 0.0)
 
 
+def test_bernoulli_branches_exact():
+    # x/expm1(x) needs no patch for large negative x, where expm1(x) is
+    # exactly -1; the Taylor and saturation patches give their exact forms.
+    neg = np.array([-700.5, -1e4, -1e308, -np.inf])
+    assert np.array_equal(bernoulli(neg), -neg)
+    assert np.array_equal(bernoulli(np.array([700.5, 1e4, np.inf])), np.zeros(3))
+    tiny = np.array([0.0, -0.0, 1e-300, -3e-9, 9e-9])
+    assert np.array_equal(bernoulli(tiny), 1.0 - tiny / 2.0 + tiny * tiny / 12.0)
+    assert type(bernoulli(-800.0)) is float and bernoulli(-800.0) == 800.0
+    assert np.isnan(bernoulli(np.nan))
+
+
 def test_bernoulli_monotone():
     x = np.linspace(-50.0, 50.0, 5000)
     assert np.all(np.diff(bernoulli(x)) <= 0.0)
@@ -117,10 +129,10 @@ def test_degenerate_upwind_limit():
 
 
 def test_flux_coefficients_equal_the_bernoulli_form_bit_for_bit():
-    # The one-pass |x|/expm1(|x|) with its fix-ups must give exactly what
-    # dr*B(-+x/dr) through ``bernoulli`` gives, on every branch: x = 0, the
-    # Taylor range, ordinary values, saturation past 700, degenerate dr and
-    # the float dr of 1 that skips the dr arithmetic.
+    # With its degenerate and dr passes skipped where they are not needed,
+    # flux_coefficients must give exactly dr*B(-+x/dr) on every branch:
+    # x = 0, the Taylor range, ordinary values, saturation past 700,
+    # degenerate dr and the float dr of 1 that skips the dr arithmetic.
     rng = np.random.default_rng(21)
     dpsi = np.concatenate([[0.0, -0.0, 1e-300, -1e-9, 5e-9, 700.5, -705.0, 1e4],
                            rng.normal(0.0, 3.0, 200), rng.normal(0.0, 1e-8, 50)])
