@@ -4,7 +4,9 @@ A pressure law r(s) determines the enthalpy h(s) = int_1^s r'(t)/t dt, its
 antiderivative H with H(1) = 0, the generalized inverse g of h (clipped to 0
 below h(0+)), and the edge diffusion mean dr(a, b) = (h(b)-h(a))/(log b -
 log a) that makes the generalized exponential-fitting flux vanish exactly at
-discrete thermal equilibrium.
+discrete thermal equilibrium.  ``dr_indexed`` is the one dr kernel: it
+evaluates log and h once per value (a cell or a Dirichlet datum) and gathers
+them per edge; ``dr_mean`` is the same kernel on pointwise pairs.
 
 Two variants are provided: isothermal (r = Id, h = log, g = exp) and the
 power law r(s) = s^alpha with alpha > 1.
@@ -107,23 +109,44 @@ def g_prime(law: PressureLaw, s):
     return base ** ((2.0 - a) / (a - 1.0)) / a
 
 
+def dr_indexed(law: PressureLaw, values, first, other):
+    """Edge diffusion coefficient dr(values[first], values[other]) per pair.
+
+    log and h are evaluated once per value and gathered per pair, so a cell
+    value shared by several edges costs one evaluation.  A pair of distinct
+    positive values takes the quotient (h(b)-h(a))/(log b - log a), and only
+    the other pairs (a zero, equal values, or |log b - log a| below
+    ``_DR_LOG_TOL``) evaluate r'((a+b)/2).  Exactly symmetric in the pair.
+    """
+    values = np.asarray(values, dtype=float)
+    first = np.asarray(first)
+    other = np.asarray(other)
+    if law.is_isothermal:
+        return np.ones(first.shape)
+    # A value that is not positive becomes NaN, and so does the dlog of each
+    # of its pairs, which then fails the test below and takes r'.
+    positive = np.where(values > 0.0, values, np.nan)
+    log_v = np.log(positive)
+    h_v = enthalpy(law, positive)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN too
+        dlog = log_v[other] - log_v[first]
+        use_quotient = np.abs(dlog) >= _DR_LOG_TOL
+        out = np.divide(h_v[other] - h_v[first], dlog, out=np.empty(dlog.shape),
+                        where=use_quotient)
+    mid = ~use_quotient
+    if mid.any():
+        out[mid] = pressure_prime(law, 0.5 * (values[first[mid]] + values[other[mid]]))
+    return out
+
+
 def dr_mean(law: PressureLaw, a, b):
-    """Edge diffusion coefficient dr(a, b).
+    """Edge diffusion coefficient dr(a, b), pointwise over broadcast a and b.
 
     (h(b)-h(a))/(log b - log a) for distinct positive arguments, otherwise
     r'((a+b)/2).  Symmetric, nonnegative, and identically 1 in the isothermal
-    case.
+    case.  Evaluated by ``dr_indexed`` on the values [a, b].
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if law.is_isothermal:
-        return np.ones(np.broadcast(a, b).shape)
-    mid = pressure_prime(law, 0.5 * (a + b))
-    pos = (a > 0.0) & (b > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dlog = np.where(pos, np.log(np.where(pos, b, 1.0)) - np.log(np.where(pos, a, 1.0)), 0.0)
-        quotient = np.where(pos, enthalpy(law, np.where(pos, b, 1.0))
-                            - enthalpy(law, np.where(pos, a, 1.0)), 0.0)
-        ratio = quotient / np.where(dlog == 0.0, 1.0, dlog)
-    use_quotient = pos & (np.abs(dlog) >= _DR_LOG_TOL)
-    return np.where(use_quotient, ratio, mid)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    pairs = np.arange(a.size)
+    values = np.concatenate([a.ravel(), b.ravel()])
+    return dr_indexed(law, values, pairs, pairs + a.size).reshape(a.shape)

@@ -46,7 +46,8 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
     a_n, a_p = problem.alpha_n, problem.alpha_p
     mk = mesh.cell_measures
 
-    L, g = la.tpfa_system(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
+    L, g = la.tpfa_operator(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
+    L = L.tocsc()
     b_dir = lam2 * g
 
     def residual(psi):

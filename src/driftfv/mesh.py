@@ -93,34 +93,54 @@ class Mesh:
         self.xi = float(np.min(
             _point_line_distance(self.cell_centers[cells], self.edge_p1[edges],
                                  self.edge_p2[edges]) / d[edges]))
+        self._block_stencils = {}
+
+    # -- two-point stencil ------------------------------------------------
+    #
+    # The active edges are those that carry flux: the interior edges, then
+    # the Dirichlet edges.  Neumann edges carry none and get no coefficients.
 
     @cached_property
-    def stencil_offdiagonal(self):
-        """(rows, cols) of the stencil's off-diagonal entries: (K, L) for each
-        interior edge, then (L, K) for each, with K the first incident cell."""
-        k, ell = self.edge_cells[self.interior_edges].T
-        return (_read_only(np.concatenate([k, ell])),
-                _read_only(np.concatenate([ell, k])))
+    def active_edges(self):
+        """Edge ids of the interior edges, then of the Dirichlet edges."""
+        return _read_only(np.concatenate([self.interior_edges, self.dirichlet_edges]))
 
     @cached_property
-    def stencil_diagonal_cells(self):
-        """Cell of each term summed into the stencil's diagonal: every cell,
-        then K and L of each interior edge, then K of each Dirichlet edge."""
-        k, ell = self.edge_cells.T
-        it = self.interior_edges
-        return _read_only(np.concatenate([np.arange(self.n_cells), k[it], ell[it],
-                                          k[self.dirichlet_edges]]))
+    def active_tau(self):
+        """Transmissibility of each active edge."""
+        return _read_only(self.edge_tau[self.active_edges])
+
+    @cached_property
+    def active_cells(self):
+        """(first, other) per active edge: K, the first incident cell, and the
+        index of u_{K,sigma} in [cell values, Dirichlet values] (the second
+        cell of an interior edge, n_cells + j for Dirichlet edge j)."""
+        return (_read_only(self.edge_cells[self.active_edges, 0]),
+                _read_only(self.edge_other_index[self.active_edges]))
+
+    def block_stencil(self, blocks: int) -> "BlockStencil":
+        """Index arrays of ``blocks`` copies of the stencil, block by block.
+
+        Block s acts on cells s*n_cells .. (s+1)*n_cells - 1 of a stacked
+        vector and reads its Dirichlet values at s*(n_cells + n_dirichlet)
+        onwards of the stacked [cell values, Dirichlet values] of each block.
+        Built once per block count; read-only.
+        """
+        stencil = self._block_stencils.get(blocks)
+        if stencil is None:
+            stencil = self._block_stencils[blocks] = BlockStencil(self, blocks)
+        return stencil
 
     @cached_property
     def stencil_csc(self):
-        """CSC layout of the two-point stencil: (order, indices, indptr).
+        """CSC layout of the one-block two-point stencil: (order, indices, indptr).
 
         The stencil's entries are listed as the diagonal, then (K, L) and
         then (L, K) for each interior edge; ``values[order]`` is that list
         in CSC order (by column, rows sorted within a column).
         """
         cells = np.arange(self.n_cells)
-        off_rows, off_cols = self.stencil_offdiagonal
+        off_rows, off_cols = self.block_stencil(1).offdiagonal
         rows = np.concatenate([cells, off_rows])
         cols = np.concatenate([cells, off_cols])
         order = np.lexsort((rows, cols))
@@ -138,9 +158,9 @@ class Mesh:
         Dirichlet data only in the right-hand side, so they all share it.
         """
         # Imported here because sparse imports this module.
-        from .sparse import factor, tpfa_system
-        L, _ = tpfa_system(self, 1.0, 1.0, 0.0, np.zeros(self.n_dirichlet))
-        return factor(L)
+        from .sparse import factor, tpfa_operator
+        L, _ = tpfa_operator(self, 1.0, 1.0, 0.0, np.zeros(self.n_dirichlet))
+        return factor(L.tocsc())
 
     # -- edge values of cell functions ------------------------------------
 
@@ -169,6 +189,39 @@ class Mesh:
         """Du_{K,sigma} = u_{K,sigma} - u_K per edge (K = first cell)."""
         return (self.edge_other_values(cell_values, dirichlet_values)
                 - cell_values[self.edge_cells[:, 0]])
+
+
+class BlockStencil:
+    """Index arrays of ``blocks`` stacked copies of a mesh's two-point stencil.
+
+    Block s of each array is block 0 shifted by s*n_cells (cell indices) or
+    by s*(n_cells + n_dirichlet) (indices into per-block [cell values,
+    Dirichlet values]), so an operation over all blocks sums each block's
+    entries in the same order as over one.
+    """
+
+    __slots__ = ("diagonal_cells", "offdiagonal", "dirichlet_cells", "edge_values")
+
+    def __init__(self, mesh: Mesh, blocks: int):
+        n = mesh.n_cells
+        n_values = n + mesh.n_dirichlet
+        k, ell = mesh.edge_cells[mesh.interior_edges].T
+        kd = mesh.edge_cells[mesh.dirichlet_edges, 0]
+        first, other = mesh.active_cells
+
+        def stack(parts, width):
+            one = np.concatenate(parts)
+            return _read_only(np.concatenate([one + s * width for s in range(blocks)]))
+
+        # Cell of each term summed into the diagonal: every cell, then K and
+        # L of each interior edge, then K of each Dirichlet edge.
+        self.diagonal_cells = stack([np.arange(n), k, ell, kd], n)
+        # (rows, cols) of the off-diagonal entries: (K, L) for each interior
+        # edge, then (L, K) for each.
+        self.offdiagonal = (stack([k, ell], n), stack([ell, k], n))
+        self.dirichlet_cells = stack([kd], n)
+        # (first, other) per active edge, into the stacked edge values.
+        self.edge_values = (stack([first], n_values), stack([other], n_values))
 
 
 def norm_l2(mesh: Mesh, cell_values: np.ndarray) -> float:

@@ -1,14 +1,17 @@
 """Two-point operators, sparse linear solves, and M-matrix verification.
 
-Every system is the two-point operator of ``tpfa_operator``: a
-``TpfaOperator`` holding the diagonal and the off-diagonal edge weights,
-whose product ``A @ u`` is computed edge by edge with index arrays cached
-on the mesh.  Its CSC form is laid out only when a direct LU factorization
-or ``check_m_matrix`` needs it (``tpfa_system`` returns that form at once);
-``solve`` and ``check_m_matrix`` take either form.  ``check_m_matrix``
-verifies the structural properties (positive diagonal, nonpositive
-off-diagonal, strict column diagonal dominance) that give
-entrywise-nonnegative inverses.
+Every system is the two-point operator of ``tpfa_operator``, the one
+assembly entry point: a block-diagonal ``TpfaOperator`` with one block per
+coefficient row (the Poisson and Newton systems have one block, the
+transient density systems two, N and P), holding the diagonal and the
+off-diagonal edge weights of all blocks stacked.  Its product ``A @ u`` with
+the stacked vector is one gather and one ``bincount`` over index arrays
+cached on the mesh; ``A.block(s)`` is block s as a one-block operator, and
+its CSC form is laid out (``tocsc()``) only when a direct LU factorization
+or ``check_m_matrix`` needs it.  ``solve`` and ``check_m_matrix`` take an
+operator or a matrix.  ``check_m_matrix`` verifies the structural
+properties (positive diagonal, nonpositive off-diagonal, strict column
+diagonal dominance) that give entrywise-nonnegative inverses.
 
 Every factorization uses the minimum-degree ordering of A^T + A
 (``MMD_AT_PLUS_A``), which keeps the fill of the two-point stencil's LU
@@ -23,12 +26,13 @@ perturbed at rounding level.
 
 ``correct`` is the inexact inner solve of the transient Picard loop: one
 correction x0 + LU^{-1}(b - A x0) of the current iterate x0 on the held
-factor, kept only if it is nonnegative and at least halves the residual.
-It needs only ``A @ x``, so an operator reaches its CSC form only when
-the correction is refused.  Such an x is not the solution of an M-matrix
+factor of each block, from one residual of the stacked iterate, kept for a
+block only if it is nonnegative and at least halves that block's residual.
+It needs only ``A @ x``, so a block reaches its CSC form only when its
+correction is refused.  Such an x is not the solution of an M-matrix
 system; its nonnegativity comes from that test, and when the test fails
-the caller falls back to ``solve``.  ``check_m_matrix`` can still cover
-every assembled operator.
+the caller falls back to ``solve`` on that block.  ``check_m_matrix`` can
+still cover every assembled block.
 """
 from __future__ import annotations
 
@@ -127,23 +131,37 @@ def _refine(A, b, b_norm, tol, lu):
         prev = res
 
 
-def correct(A, b, x0, held: HeldFactor) -> "np.ndarray | None":
+def correct(A, b, x0, held):
     """One correction x0 + LU^{-1}(b - A x0) of a guess on the held factor.
 
-    Returns the corrected x only if it is nonnegative and its residual
-    ||b - A x||_inf is at most ``_REFINE_CONTRACTION`` times that of x0;
-    returns None when nothing is held or either test fails.
+    ``held`` is a ``HeldFactor``, or one per block of a block-diagonal A
+    (a ``TpfaOperator``), each correcting its own block: one residual of the
+    stacked x0 and one triangular solve per block.  A block's corrected x
+    is kept only if it is nonnegative and its residual ||b - A x||_inf is at
+    most ``_REFINE_CONTRACTION`` times that of x0.  Returns the kept x, or
+    with one factor per block a list with the kept x of each block and None
+    where nothing is held or a test fails; None when nothing is kept.
     """
-    if held.lu is None:
+    helds = (held,) if isinstance(held, HeldFactor) else tuple(held)
+    if all(h.lu is None for h in helds):
         return None
+    m = len(x0) // len(helds)
     r0 = b - A @ x0
-    x = x0 + held.lu.solve(r0)
-    if not np.all(x >= 0.0):
+    # A block without a factor keeps x0; its test below fails on `held`.
+    x = x0 + np.concatenate([np.zeros(m) if h.lu is None
+                             else h.lu.solve(r0[s * m:(s + 1) * m])
+                             for s, h in enumerate(helds)])
+    # A is block-diagonal: the residual of a block depends on that block only.
+    r = b - A @ x
+    kept = ((np.min(x.reshape(-1, m), axis=1) >= 0.0)
+            & (np.max(np.abs(r).reshape(-1, m), axis=1)
+               <= _REFINE_CONTRACTION * np.max(np.abs(r0).reshape(-1, m), axis=1))
+            & [h.lu is not None for h in helds])
+    if not kept.any():
         return None
-    res = np.max(np.abs(b - A @ x), initial=0.0)
-    if not res <= _REFINE_CONTRACTION * np.max(np.abs(r0), initial=0.0):
-        return None
-    return x
+    if isinstance(held, HeldFactor):
+        return x
+    return [x[s * m:(s + 1) * m] if ok else None for s, ok in enumerate(kept)]
 
 
 @dataclass
@@ -178,13 +196,15 @@ def check_m_matrix(A) -> MMatrixReport:
 
 
 class TpfaOperator:
-    """The two-point operator A of ``tpfa_operator``, applied without a matrix.
+    """The block-diagonal two-point operator of ``tpfa_operator``, applied
+    without a matrix.
 
-    Holds A's diagonal and its off-diagonal entries in the mesh's stencil
-    order, (K, L) and then (L, K) for each interior edge.  ``A @ u`` gathers
-    u across the interior edges and sums each cell's entries with one
-    ``bincount``; ``tocsc()`` lays the same entries out in CSC form for a
-    factorization or an M-matrix check.
+    Holds the diagonal of every block, stacked, and the off-diagonal entries
+    of every block in the mesh's stencil order, (K, L) and then (L, K) for
+    each interior edge.  ``A @ u`` gathers the stacked u across the interior
+    edges and sums each cell's entries with one ``bincount``; ``block(s)``
+    is block s as a one-block operator, and ``tocsc()`` lays the entries out
+    in CSC form for a factorization or an M-matrix check.
     """
 
     __slots__ = ("mesh", "diagonal", "offdiagonal")
@@ -195,15 +215,29 @@ class TpfaOperator:
         self.offdiagonal = offdiagonal
 
     @property
+    def blocks(self) -> int:
+        return len(self.diagonal) // self.mesh.n_cells
+
+    @property
     def shape(self):
-        return (self.mesh.n_cells, self.mesh.n_cells)
+        return (len(self.diagonal), len(self.diagonal))
 
     def __matmul__(self, x):
-        rows, cols = self.mesh.stencil_offdiagonal
+        rows, cols = self.mesh.block_stencil(self.blocks).offdiagonal
         return self.diagonal * x + np.bincount(
-            rows, weights=self.offdiagonal * x[cols], minlength=self.mesh.n_cells)
+            rows, weights=self.offdiagonal * x[cols], minlength=len(self.diagonal))
+
+    def block(self, s: int) -> "TpfaOperator":
+        """Block s (a view of its entries) as a one-block operator."""
+        n = self.mesh.n_cells
+        m = len(self.offdiagonal) // self.blocks
+        return TpfaOperator(self.mesh, self.diagonal[s * n:(s + 1) * n],
+                            self.offdiagonal[s * m:(s + 1) * m])
 
     def tocsc(self):
+        if self.blocks != 1:
+            return sp.block_diag([self.block(s).tocsc() for s in range(self.blocks)],
+                                 format="csc")
         order, indices, indptr = self.mesh.stencil_csc
         data = np.concatenate([self.diagonal, self.offdiagonal])[order]
         return sp.csc_matrix((data, indices, indptr), shape=self.shape)
@@ -215,33 +249,38 @@ def _csc(A):
 
 
 def tpfa_operator(mesh: Mesh, a_fwd, a_bwd, diag, u_dirichlet):
-    """Two-point operator and its Dirichlet right-hand side.
+    """Block-diagonal two-point operator and its Dirichlet right-hand side.
 
-    Returns (A, g), A a ``TpfaOperator``, such that, with u_{K,sigma} the
-    neighbor or Dirichlet value across sigma,
+    One block per row of ``u_dirichlet`` (shape (blocks, n_dirichlet), or
+    (n_dirichlet,) for one block).  Returns (A, g), A a ``TpfaOperator`` on
+    the stacked cell values of all blocks and g stacked alike, such that in
+    each block, with u_{K,sigma} the neighbor or Dirichlet value across sigma,
         sum_sigma tau (a_fwd u_K - a_bwd u_{K,sigma}) + diag_K u_K
-    is (A @ u_cells - g)_K; Neumann edges carry no flux.  ``a_fwd`` and
-    ``a_bwd`` are per-edge weights seen from the first incident cell K (the
-    second cell L sees them swapped), ``diag`` is per cell; scalars
-    broadcast, so unit weights and zero ``diag`` give the Laplacian.
+    is (A @ u - g)_K.  ``a_fwd`` and ``a_bwd`` hold one weight per active
+    edge (``mesh.active_edges``: interior, then Dirichlet; Neumann edges
+    carry no flux) seen from the first incident cell K, the second cell L
+    seeing them swapped; ``diag`` holds one per cell.  Each takes one row
+    per block; a single row or a scalar serves every block, so unit weights
+    and zero ``diag`` give the Laplacian.
     """
-    n = mesh.n_cells
-    it, de = mesh.interior_edges, mesh.dirichlet_edges
-    t_fwd = mesh.edge_tau * a_fwd
-    t_bwd = mesh.edge_tau * a_bwd
+    u_dir = np.atleast_2d(u_dirichlet)
+    blocks = len(u_dir)
+    n, ni = mesh.n_cells, len(mesh.interior_edges)
+    stencil = mesh.block_stencil(blocks)
+    # One row (or a scalar) broadcasts over the blocks in every use below.
+    t_fwd = mesh.active_tau * a_fwd
+    t_bwd = mesh.active_tau * a_bwd
     # bincount adds in input order: diag_K first, then K's edge terms.
-    diagonal = np.bincount(
-        mesh.stencil_diagonal_cells,
-        weights=np.concatenate([np.broadcast_to(diag, (n,)), t_fwd[it],
-                                t_bwd[it], t_fwd[de]]),
-        minlength=n)
-    A = TpfaOperator(mesh, diagonal, np.concatenate([-t_bwd[it], -t_fwd[it]]))
-    g = np.bincount(mesh.edge_cells[de, 0], weights=t_bwd[de] * u_dirichlet,
-                    minlength=n)
-    return A, g
-
-
-def tpfa_system(mesh: Mesh, a_fwd, a_bwd, diag, u_dirichlet):
-    """``tpfa_operator`` with A in CSC form."""
-    A, g = tpfa_operator(mesh, a_fwd, a_bwd, diag, u_dirichlet)
-    return A.tocsc(), g
+    terms = np.empty((blocks, n + len(mesh.active_tau) + ni))
+    terms[:, :n] = diag
+    terms[:, n:n + ni] = t_fwd[..., :ni]
+    terms[:, n + ni:n + 2 * ni] = t_bwd[..., :ni]
+    terms[:, n + 2 * ni:] = t_fwd[..., ni:]
+    diagonal = np.bincount(stencil.diagonal_cells, weights=terms.ravel(),
+                           minlength=blocks * n)
+    offdiagonal = np.empty((blocks, 2 * ni))
+    np.negative(t_bwd[..., :ni], out=offdiagonal[:, :ni])
+    np.negative(t_fwd[..., :ni], out=offdiagonal[:, ni:])
+    g = np.bincount(stencil.dirichlet_cells, weights=(t_bwd[..., ni:] * u_dir).ravel(),
+                    minlength=blocks * n)
+    return TpfaOperator(mesh, diagonal, offdiagonal.ravel()), g

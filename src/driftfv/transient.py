@@ -10,7 +10,7 @@ diagonally dominant M-matrices, whose solutions are nonnegative and, with
 zero doping, inside the data bounds [m, M].
 
 The inner solves are inexact: each species first tries one correction of
-its iterate on the LU factor it holds (``sparse.correct``), kept only if the
+its iterate on the LU factor it holds (``sparse.correct``), kept only if its
 residual halves and the result is nonnegative, and otherwise solves its
 system in full.  So an intermediate iterate may be a one-step correction
 rather than the exact solution of an M-matrix system.  Every assembled
@@ -18,10 +18,17 @@ matrix can still be checked (``check_m_matrices``); a step is accepted
 only when the scheme residual of the converged iterate is at most
 10 fp_tol, and the density bounds are checked on that converged state.
 
-The density systems are matrix-free (``sparse.tpfa_operator``): the
-correction and the residual check use only ``A @ x``, so a CSC matrix is
-laid out only for a full solve or for ``check_m_matrices``.  Under the
-isothermal law dr is 1, and the edge values and ``dr_mean`` are skipped.
+The iterate is kept stacked, u = [N; P], and both density systems are
+assembled in one pass as the two blocks of one matrix-free operator
+(``sparse.tpfa_operator``).  The hole flux is the electron flux with -dPsi
+and its own dr: under the isothermal law dr is 1 and the hole coefficients
+are the electron ones swapped; under a power law one ``flux_coefficients``
+call covers the stacked [dPsi; -dPsi] and the per-value dr of both species
+(``constitutive.dr_indexed``).  The correction forms one stacked residual
+and one triangular solve per species, and each species keeps its own
+held factor, acceptance test and fallback to a full solve.  Only ``A @ x``
+is needed, so a CSC matrix is laid out only for a full solve or for
+``check_m_matrices``, block by block.
 """
 from __future__ import annotations
 
@@ -70,11 +77,13 @@ class StepperConfig:
         if self.fp_max_iter < 1:
             raise HypothesisError(f"fixed-point iteration limit must be >= 1, "
                                   f"got {self.fp_max_iter!r}")
+        # The upper density bound M (1 - dt ||C||/lambda^2)^{-n} needs
+        # dt < lambda^2/||C||_inf; it is infinite at equality.
         cinf = problem.doping_inf_norm
-        if cinf > 0.0 and self.dt > problem.lambda2 / cinf:
+        if cinf > 0.0 and not self.dt * cinf / problem.lambda2 < 1.0:
             raise HypothesisError(
-                f"time step {self.dt:g} exceeds lambda^2/||C||_inf = "
-                f"{problem.lambda2 / cinf:g} required with nonzero doping")
+                f"time step {self.dt:g} must be below lambda^2/||C||_inf = "
+                f"{problem.lambda2 / cinf:g} with nonzero doping")
 
 
 class BoundsTracker:
@@ -105,10 +114,14 @@ class StepReport:
     bound_excess: float = 0.0
 
 
-def _correct_or_solve(A, b, x_it, held: la.HeldFactor) -> np.ndarray:
-    """The held factor's safeguarded correction of x_it, else a full solve."""
-    x = la.correct(A, b, x_it, held)
-    return la.solve(A, b, held) if x is None else x
+def _correct_or_solve(A, b, u_it, helds) -> np.ndarray:
+    """Each block's safeguarded correction of u_it on its held factor, else
+    a full solve of that block; stacked like u_it."""
+    kept = la.correct(A, b, u_it, helds) or [None] * len(helds)
+    m = len(u_it) // len(helds)
+    return np.concatenate([
+        la.solve(A.block(s), b[s * m:(s + 1) * m], held) if x is None else x
+        for s, (held, x) in enumerate(zip(helds, kept))])
 
 
 class Stepper:
@@ -124,12 +137,15 @@ class Stepper:
         self.lam2 = problem.lambda2
         self.mk = mesh.cell_measures
 
-        self.L, g = la.tpfa_system(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
+        # CSC: the Poisson residual check multiplies by it once per solve,
+        # and scipy's CSC product is cheaper than the operator's.
+        L, g = la.tpfa_operator(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
+        self.L = L.tocsc()
         self._poisson_lu = mesh.laplacian_lu
         self._poisson_b_dir = self.lam2 * g
-        # Density factors kept across Picard iterations and steps.
-        self._held_n = la.HeldFactor()
-        self._held_p = la.HeldFactor()
+        self._density_dirichlet = np.stack([problem.n_dirichlet, problem.p_dirichlet])
+        # Density factors of N and P, kept across Picard iterations and steps.
+        self._held = (la.HeldFactor(), la.HeldFactor())
 
     # -- linear building blocks -------------------------------------------
 
@@ -147,49 +163,57 @@ class Stepper:
         n0, p0 = self.problem.initial_state()
         return State(n0, p0, self.solve_poisson(n0, p0))
 
-    def _density_system(self, dens, dens_dir, dpsi, prev, mu, r0_diag, r0_rhs):
-        """Operator A and right-hand side b of one linearized density system.
+    def _density_systems(self, u_it, psi_cells, prev, mu):
+        """Block operator A and right-hand side b of both linearized density
+        systems, stacked [N; P] like the iterate u_it and every coefficient
+        frozen at it.
 
-        ``dpsi`` must already carry the species sign (potential flipped for
-        holes).  ``r0_diag``/``r0_rhs`` add the frozen recombination coupling.
+        The hole flux is the electron flux with -dPsi and its own dr.  Under
+        the isothermal law dr is 1, so the hole coefficients are the electron
+        ones swapped (B(-x) and B(x) trade places); under a power law the
+        coefficients of both species come from one ``flux_coefficients`` call
+        on the stacked potential differences and dr.
         """
-        mesh = self.mesh
+        mesh, pr = self.mesh, self.problem
+        n = mesh.n_cells
+        first, other = mesh.active_cells
+        psi_values = np.concatenate([psi_cells, pr.psi_dirichlet])
+        dpsi = psi_values[other] - psi_cells[first]
         if self.law.is_isothermal:
-            dr = 1.0
+            a_fwd, a_bwd = flux_coefficients(dpsi, 1.0)
+            # Rows 0-1 are the forward weights of N and P, rows 1-2 their
+            # backward weights.
+            rows = np.concatenate([a_fwd, a_bwd, a_fwd]).reshape(3, -1)
+            a_fwd, a_bwd = rows[:2], rows[1:]
         else:
-            other = mesh.edge_other_values(dens, dens_dir)
-            dr = cst.dr_mean(self.law, dens[mesh.edge_cells[:, 0]], other)
-        a_fwd, a_bwd = flux_coefficients(dpsi, dr)
-        pen = self.mk / self.config.dt * (1.0 + mu / self.lam2)
-        A, g = la.tpfa_operator(mesh, a_fwd, a_bwd, pen + r0_diag, dens_dir)
-        b = self.mk / self.config.dt * (mu / self.lam2 * dens + prev) + r0_rhs
-        return A, b + g
-
-    def _density_systems(self, n_it, p_it, psi_cells, n_prev, p_prev, mu):
-        """(A_N, b_N), (A_P, b_P) with every coefficient frozen at the iterate."""
-        pr = self.problem
-        dpsi = self.mesh.edge_differences(psi_cells, pr.psi_dirichlet)
-        if pr.recombination.is_none:
-            r0 = np.zeros(self.mesh.n_cells)
-        else:
-            r0 = pr.recombination.r0(n_it, p_it)
-        return (self._density_system(n_it, pr.n_dirichlet, dpsi, n_prev, mu,
-                                     self.mk * r0 * p_it, self.mk * r0),
-                self._density_system(p_it, pr.p_dirichlet, -dpsi, p_prev, mu,
-                                     self.mk * r0 * n_it, self.mk * r0))
+            values = np.concatenate([u_it[:n], pr.n_dirichlet, u_it[n:], pr.p_dirichlet])
+            dr = cst.dr_indexed(self.law, values, *mesh.block_stencil(2).edge_values)
+            a_fwd, a_bwd = flux_coefficients(np.concatenate([dpsi, -dpsi]), dr)
+            a_fwd, a_bwd = a_fwd.reshape(2, -1), a_bwd.reshape(2, -1)
+        mk_dt = self.mk / self.config.dt
+        diag = mk_dt * (1.0 + mu / self.lam2)
+        b = mk_dt * (mu / self.lam2 * u_it.reshape(2, n) + prev.reshape(2, n))
+        if not pr.recombination.is_none:
+            # The frozen recombination couples each species to the other.
+            r0 = self.mk * pr.recombination.r0(u_it[:n], u_it[n:])
+            diag = diag + r0 * u_it.reshape(2, n)[::-1]
+            b += r0
+        A, g = la.tpfa_operator(mesh, a_fwd, a_bwd, diag, self._density_dirichlet)
+        return A, b.ravel() + g
 
     def linearized_density_step(self, n_it, p_it, psi_cells, n_prev, p_prev, mu):
         """One application of the decoupled linear density solves."""
-        (A_n, b_n), (A_p, b_p) = self._density_systems(
-            n_it, p_it, psi_cells, n_prev, p_prev, mu)
+        u_it = np.concatenate([n_it, p_it])
+        A, b = self._density_systems(u_it, psi_cells, np.concatenate([n_prev, p_prev]), mu)
         if self.config.check_m_matrices:
-            for name, A in (("A_N", A_n), ("A_P", A_p)):
-                rep = la.check_m_matrix(A)
+            for s, name in enumerate(("A_N", "A_P")):
+                rep = la.check_m_matrix(A.block(s))
                 if not rep.is_m_matrix:
                     raise InvariantError(
                         f"{name} is not an M-matrix: {rep.violations[:3]}")
-        return (_correct_or_solve(A_n, b_n, n_it, self._held_n),
-                _correct_or_solve(A_p, b_p, p_it, self._held_p))
+        u = _correct_or_solve(A, b, u_it, self._held)
+        n = self.mesh.n_cells
+        return u[:n], u[n:]
 
     # -- nonlinear step ----------------------------------------------------
 
@@ -200,36 +224,38 @@ class Stepper:
         the same x are the implicit balance, so the residual is A x - b; the
         penalty terms cancel there, and mu = 0 leaves them out altogether.
         """
-        (A_n, b_n), (A_p, b_p) = self._density_systems(
-            n_new, p_new, psi_cells, n_prev, p_prev, 0.0)
-        return A_n @ n_new - b_n, A_p @ p_new - b_p
+        u = np.concatenate([n_new, p_new])
+        A, b = self._density_systems(u, psi_cells, np.concatenate([n_prev, p_prev]), 0.0)
+        r = A @ u - b
+        n = self.mesh.n_cells
+        return r[:n], r[n:]
 
     def advance(self, state: State, tracker: BoundsTracker) -> "tuple[State, StepReport]":
         cfg = self.config
         pr = self.problem
-        n_prev, p_prev = state.n, state.p
-        n_it, p_it = n_prev.copy(), p_prev.copy()
+        n = self.mesh.n_cells
+        # The iterate, stacked [N; P]; n_prev and p_prev are views of prev.
+        prev = np.concatenate([state.n, state.p])
+        n_prev, p_prev = prev[:n], prev[n:]
+        u = prev.copy()
         step_index = state.step + 1
 
         upper_next = tracker.upper(step_index)
-        mu = cfg.dt * max(upper_next, float(np.max(n_it, initial=0.0)),
-                          float(np.max(p_it, initial=0.0)))
+        mu = cfg.dt * max(upper_next, float(np.max(u, initial=0.0)))
 
         omega = 1.0
         best_inc = np.inf
         inc = np.inf
         calm_streak = 0
-        psi = self.solve_poisson(n_it, p_it)
+        psi = self.solve_poisson(u[:n], u[n:])
         iterations = 0
         residual = np.inf
         increments = []
         for iterations in range(1, cfg.fp_max_iter + 1):
-            n_hat, p_hat = self.linearized_density_step(
-                n_it, p_it, psi, n_prev, p_prev, mu)
-            n_new = omega * n_hat + (1.0 - omega) * n_it
-            p_new = omega * p_hat + (1.0 - omega) * p_it
-            inc = max(np.max(np.abs(n_new - n_it), initial=0.0),
-                      np.max(np.abs(p_new - p_it), initial=0.0))
+            u_hat = np.concatenate(self.linearized_density_step(
+                u[:n], u[n:], psi, n_prev, p_prev, mu))
+            u_new = omega * u_hat + (1.0 - omega) * u
+            inc = float(np.max(np.abs(u_new - u), initial=0.0))
             increments.append(inc)
             # Damp only on significant growth (10x over the best increment so
             # far): the increment of a convergent iteration need not be
@@ -244,12 +270,12 @@ class Stepper:
                     omega = min(1.0, 2.0 * omega)
                     calm_streak = 0
             best_inc = min(best_inc, inc)
-            n_it, p_it = n_new, p_new
-            psi = self.solve_poisson(n_it, p_it)
+            u = u_new
+            psi = self.solve_poisson(u[:n], u[n:])
             if inc <= cfg.fp_tol:
-                rn, rp = self.scheme_residuals(n_it, p_it, psi, n_prev, p_prev)
-                residual = max(np.max(np.abs(rn), initial=0.0),
-                               np.max(np.abs(rp), initial=0.0))
+                rn, rp = self.scheme_residuals(u[:n], u[n:], psi, n_prev, p_prev)
+                residual = float(max(np.max(np.abs(rn), initial=0.0),
+                                     np.max(np.abs(rp), initial=0.0)))
                 if residual <= 10.0 * cfg.fp_tol:
                     break
         else:
@@ -260,8 +286,7 @@ class Stepper:
 
         lo = tracker.lower(step_index) - cfg.fp_tol
         hi = tracker.upper(step_index) + cfg.fp_tol
-        excess = max(float(lo - min(n_it.min(), p_it.min())),
-                     float(max(n_it.max(), p_it.max()) - hi), 0.0)
+        excess = max(float(lo - u.min()), float(u.max() - hi), 0.0)
         if excess > 0.0:
             msg = (f"density bounds [{lo:.6g}, {hi:.6g}] violated by {excess:.3e} "
                    f"at step {step_index}")
@@ -270,9 +295,9 @@ class Stepper:
             warnings.warn(msg, RuntimeWarning)
 
         report = StepReport(
-            iterations=iterations, increment=float(inc),
-            residual=float(residual), damping=omega, bound_excess=excess)
-        new_state = State(n_it, p_it, psi, step=step_index,
+            iterations=iterations, increment=inc,
+            residual=residual, damping=omega, bound_excess=excess)
+        new_state = State(u[:n], u[n:], psi, step=step_index,
                           time=state.time + cfg.dt)
         return new_state, report
 

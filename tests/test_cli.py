@@ -129,6 +129,16 @@ def test_nonfinite_or_nonpositive_input_exits_3(tmp_path, capsys, good, bad, mes
     assert "Traceback" not in err
 
 
+def test_time_step_at_the_doping_limit_exits_3(tmp_path, capsys):
+    # ||C||_inf = 1 and lambda^2 = 1: dt = 1 makes the upper bound infinite.
+    cfg = GOOD_CONFIG.replace("[solver]", "[doping]\nkind = pn\n\n[solver]")
+    cfg = cfg.replace("dt = 1e-2", "dt = 1.0").replace("t_end = 0.05", "t_end = 1.0")
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_HYPOTHESIS
+    err = capsys.readouterr().err
+    assert "hypothesis violation: time step 1 must be below lambda^2/||C||_inf = 1" in err
+    assert "Traceback" not in err
+
+
 def test_stepper_settings_checked_before_equilibrium(tmp_path, monkeypatch, capsys):
     def no_equilibrium(*args, **kwargs):
         raise AssertionError("solve_equilibrium ran before the settings were checked")

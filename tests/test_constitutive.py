@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftfv.constitutive import (PressureLaw, big_h, dr_mean, enthalpy,
-                                  g_inverse, g_prime, pressure, pressure_prime)
+from driftfv.constitutive import (_DR_LOG_TOL, PressureLaw, big_h, dr_indexed,
+                                  dr_mean, enthalpy, g_inverse, g_prime, pressure,
+                                  pressure_prime)
 
 ISO = PressureLaw.isothermal()
 POW2 = PressureLaw.power(2.0)
@@ -103,6 +104,38 @@ def test_dr_symmetry_and_nonnegativity_property(law, a, b):
     ab = dr_mean(law, a, b)
     assert ab == dr_mean(law, b, a)
     assert ab >= 0.0
+
+
+# Cell values: zeros, and positive values each with a neighbour closer than
+# _DR_LOG_TOL in log, so that pairs hit both branches of dr.
+_dr_values = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+                      min_size=1, max_size=8).map(
+    lambda base: np.array(base + [v * (1.0 + 0.25 * _DR_LOG_TOL) for v in base]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(law=st.one_of(st.just(ISO), st.floats(1.05, 4.0).map(PressureLaw.power)),
+       values=_dr_values, data=st.data())
+def test_dr_indexed_matches_pointwise_dr_mean_property(law, values, data):
+    index = st.integers(0, len(values) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=24))
+    first, other = np.array(pairs).T
+    got = dr_indexed(law, values, first, other)
+    assert np.array_equal(got, dr_indexed(law, values, other, first))
+    for dr, i, j in zip(got, first, other):
+        assert dr == dr_mean(law, values[i], values[j])
+        assert dr >= 0.0
+
+
+def test_dr_indexed_covers_both_branches():
+    a = 2.0
+    values = np.array([0.0, a, a * (1.0 + 0.25 * _DR_LOG_TOL), 3.0])
+    first, other = np.array([[0, 1], [1, 1], [1, 2], [1, 3]]).T
+    got = dr_indexed(POW2, values, first, other)
+    # A zero, an equal pair and a near-equal pair take r'((a+b)/2).
+    mid = pressure_prime(POW2, 0.5 * (values[first] + values[other]))
+    assert np.array_equal(got[:3], mid[:3])
+    assert got[3] == (enthalpy(POW2, 3.0) - enthalpy(POW2, a)) / (np.log(3.0) - np.log(a))
 
 
 def test_dr_log_identity():

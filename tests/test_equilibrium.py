@@ -82,13 +82,14 @@ def test_equilibrium_fluxes_vanish(case):
 def test_newton_jacobian_is_m_matrix():
     import scipy.sparse as sp
     from driftfv import constitutive as cst
-    from driftfv.sparse import tpfa_system
+    from driftfv.sparse import tpfa_operator
 
     preset = pn_junction_preset("nonlinear_nondegenerate", "pn")
     mesh = build_cartesian(8, 8, dirichlet_predicate=preset.dirichlet_predicate)
     prob = preset.build(mesh)
     eq = solve_equilibrium(prob)
-    L, _ = tpfa_system(mesh, 1.0, 1.0, 0.0, prob.psi_dirichlet)
+    L, _ = tpfa_operator(mesh, 1.0, 1.0, 0.0, prob.psi_dirichlet)
+    L = L.tocsc()
     gpn = cst.g_prime(prob.law, prob.alpha_n + eq.psi)
     gpp = cst.g_prime(prob.law, prob.alpha_p - eq.psi)
     J = prob.lambda2 * L + sp.diags(mesh.cell_measures * (gpn + gpp))

@@ -6,7 +6,7 @@ from driftfv.mesh import build_cartesian, import_triangulation
 from driftfv.problem import contact_predicate
 from driftfv.sparse import (HeldFactor, MMatrixReport, SolverError,
                             TpfaOperator, check_m_matrix, correct, factor, solve,
-                            tpfa_operator, tpfa_system)
+                            tpfa_operator)
 
 
 def test_solve_identity():
@@ -122,6 +122,24 @@ def test_correction_rejected_with_a_negative_entry():
                           [1.0, 0.0])
 
 
+def test_block_correction_tests_each_block_on_its_own():
+    mesh = build_cartesian(3, 3)
+    n, n_active = mesh.n_cells, len(mesh.active_edges)
+    diag = np.stack([np.ones(n), np.full(n, 3.0)])
+    A, _ = tpfa_operator(mesh, 1.0, 1.0, diag, np.zeros((2, mesh.n_dirichlet)))
+    assert A.blocks == 2 and A.shape == (2 * n, 2 * n)
+    # Block 0 holds its own factor and is solved exactly.  Block 1 holds the
+    # factor of I: its correction from 0 is b_1 with residual (I - A_1) b_1,
+    # over half of b_1, though under half of the stacked residual's norm.
+    b = np.concatenate([np.ones(n), np.full(n, 0.01)])
+    held = (_held(A.block(0).tocsc()), _held(sp.identity(n)))
+    kept = correct(A, b, np.zeros(2 * n), held)
+    assert kept[1] is None
+    assert np.allclose(A.block(0) @ kept[0], b[:n], rtol=0.0, atol=1e-14)
+    # Nothing kept in any block: None, as for one block.
+    assert correct(A, b, np.zeros(2 * n), (HeldFactor(), held[1])) is None
+
+
 def test_check_m_matrix_examples():
     assert check_m_matrix(sp.identity(3, format="csr")).is_m_matrix
     good = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
@@ -156,7 +174,8 @@ def _laplacian(mesh, u_dir=None):
     """Unit-weight two-point system: the Laplacian and its Dirichlet data."""
     if u_dir is None:
         u_dir = np.zeros(mesh.n_dirichlet)
-    return tpfa_system(mesh, 1.0, 1.0, 0.0, u_dir)
+    L, g = tpfa_operator(mesh, 1.0, 1.0, 0.0, u_dir)
+    return L.tocsc(), g
 
 
 def test_tpfa_laplacian_3cell():
@@ -246,11 +265,13 @@ def test_operator_product_matches_csc_system(mesh):
     assert len(mesh.neumann_edges) and mesh.n_dirichlet and len(mesh.interior_edges)
     rng = np.random.default_rng(17)
     for _ in range(5):
-        a_fwd, a_bwd = rng.random(mesh.n_edges), rng.random(mesh.n_edges)
+        n_active = len(mesh.active_edges)
+        a_fwd, a_bwd = rng.random(n_active), rng.random(n_active)
         diag = rng.random(mesh.n_cells)
         u_dir = rng.uniform(0.0, 2.0, mesh.n_dirichlet)
         A, g = tpfa_operator(mesh, a_fwd, a_bwd, diag, u_dir)
-        C, g_csc = tpfa_system(mesh, a_fwd, a_bwd, diag, u_dir)
+        C, g_csc = tpfa_operator(mesh, a_fwd, a_bwd, diag, u_dir)
+        C = C.tocsc()
         assert isinstance(A, TpfaOperator) and A.shape == C.shape
         assert np.array_equal(g, g_csc)
         assert (A.tocsc() != C).nnz == 0

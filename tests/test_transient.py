@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from driftfv import sparse as la
-from driftfv.constitutive import PressureLaw
+from driftfv.constitutive import PressureLaw, dr_mean
 from driftfv.equilibrium import solve_equilibrium
+from driftfv.flux import flux_coefficients
 from driftfv.mesh import build_cartesian
 from driftfv.problem import (HypothesisError, discretize_data,
                              pn_junction_preset)
-from driftfv.sparse import tpfa_system
+from driftfv.sparse import tpfa_operator
 from driftfv import transient
 from driftfv.transient import (BoundsTracker, InvariantError, Stepper,
                                StepperConfig, run)
@@ -43,6 +44,17 @@ def test_config_validation():
         StepperConfig(dt=0.01, t_end=0.005).validate(prob)
     StepperConfig(dt=0.01, t_end=0.0).validate(prob)
     StepperConfig(dt=0.01, t_end=0.01).validate(prob)
+
+
+def test_time_step_at_the_doping_limit_is_rejected():
+    # The upper bound M (1 - dt ||C||/lambda^2)^{-n} is infinite at equality.
+    prob = _preset_problem(doping="pn")
+    limit = prob.lambda2 / prob.doping_inf_norm
+    with pytest.raises(HypothesisError, match="must be below lambda"):
+        StepperConfig(dt=limit, t_end=limit).validate(prob)
+    dt = 0.5 * limit
+    StepperConfig(dt=dt, t_end=dt).validate(prob)
+    assert np.isfinite(BoundsTracker(prob, dt).upper(3))
 
 
 def test_bounds_tracker():
@@ -247,7 +259,8 @@ def test_maximum_principle_c_zero():
 
 def test_laplacian_factored_once_per_mesh(splu_calls):
     prob = _preset_problem("linear_r0", "zero", nx=8)
-    L, _ = tpfa_system(prob.mesh, 1.0, 1.0, 0.0, prob.psi_dirichlet)
+    L, _ = tpfa_operator(prob.mesh, 1.0, 1.0, 0.0, prob.psi_dirichlet)
+    L = L.tocsc()
     eq = solve_equilibrium(prob)
     run(prob, StepperConfig(dt=1e-2, t_end=0.0), eq)
 
@@ -294,3 +307,83 @@ def test_density_factors_reused_across_iterations_and_steps(monkeypatch, splu_ca
     for name in ("entropy", "l2_n", "l2_p", "l2_psi", "min_n", "min_p", "max_n", "max_p"):
         got, want = getattr(corrected[-1], name), getattr(solved[-1], name)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-14), name
+
+
+def _per_species_systems(stepper, n_it, p_it, psi_cells, n_prev, p_prev, mu):
+    """[(A_N, b_N), (A_P, b_P)] assembled one species at a time over every
+    edge, as a reference for the stacked block assembly."""
+    mesh, pr, law = stepper.mesh, stepper.problem, stepper.law
+    mk, dt, lam2 = mesh.cell_measures, stepper.config.dt, stepper.lam2
+    dpsi = mesh.edge_differences(psi_cells, pr.psi_dirichlet)
+    if pr.recombination.is_none:
+        r0 = np.zeros(mesh.n_cells)
+    else:
+        r0 = pr.recombination.r0(n_it, p_it)
+    systems = []
+    for dens, dens_dir, dpsi_s, prev, partner in (
+            (n_it, pr.n_dirichlet, dpsi, n_prev, p_it),
+            (p_it, pr.p_dirichlet, -dpsi, p_prev, n_it)):
+        if law.is_isothermal:
+            dr = 1.0
+        else:
+            dr = dr_mean(law, dens[mesh.edge_cells[:, 0]],
+                         mesh.edge_other_values(dens, dens_dir))
+        a_fwd, a_bwd = flux_coefficients(dpsi_s, dr)
+        pen = mk / dt * (1.0 + mu / lam2)
+        A, g = la.tpfa_operator(mesh, a_fwd[mesh.active_edges], a_bwd[mesh.active_edges],
+                                pen + mk * r0 * partner, dens_dir)
+        b = mk / dt * (mu / lam2 * dens + prev) + mk * r0
+        systems.append((A, b + g))
+    return systems
+
+
+@pytest.mark.parametrize("case, doping", [
+    ("linear_srh", "pn"), ("nonlinear_nondegenerate", "pn"),
+    ("nonlinear_degenerate", "zero")])
+def test_stacked_density_systems_match_per_species_reference(case, doping):
+    prob = _preset_problem(case, doping, nx=8)
+    config = StepperConfig(dt=1e-2)
+    stepper = Stepper(prob, config)
+    n = prob.mesh.n_cells
+    n_prev, p_prev = prob.initial_state()
+    n_it, p_it = n_prev, p_prev
+    mu = config.dt * max(prob.M, n_it.max(), p_it.max())
+    held = (la.HeldFactor(), la.HeldFactor())
+    # The first iteration factors both systems; the later ones correct.
+    for _ in range(4):
+        psi = stepper.solve_poisson(n_it, p_it)
+        reference = _per_species_systems(stepper, n_it, p_it, psi, n_prev, p_prev, mu)
+        A, b = stepper._density_systems(np.concatenate([n_it, p_it]), psi,
+                                        np.concatenate([n_prev, p_prev]), mu)
+        want = []
+        for s, ((A_ref, b_ref), x_it) in enumerate(zip(reference, (n_it, p_it))):
+            assert np.array_equal(A.block(s).diagonal, A_ref.diagonal)
+            assert np.array_equal(A.block(s).offdiagonal, A_ref.offdiagonal)
+            assert np.array_equal(b[s * n:(s + 1) * n], b_ref)
+            x = la.correct(A_ref, b_ref, x_it, held[s])
+            want.append(la.solve(A_ref, b_ref, held[s]) if x is None else x)
+        got = stepper.linearized_density_step(n_it, p_it, psi, n_prev, p_prev, mu)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        n_it, p_it = got
+        reference = _per_species_systems(stepper, n_it, p_it, psi, n_prev, p_prev, 0.0)
+        residuals = stepper.scheme_residuals(n_it, p_it, psi, n_prev, p_prev)
+        for r, x, (A_ref, b_ref) in zip(residuals, (n_it, p_it), reference):
+            assert np.array_equal(r, A_ref @ x - b_ref)
+
+
+def test_m_matrix_check_names_the_hole_block(monkeypatch):
+    real = la.tpfa_operator
+
+    def positive_hole_offdiagonal(mesh, a_fwd, a_bwd, diag, u_dirichlet):
+        A, g = real(mesh, a_fwd, a_bwd, diag, u_dirichlet)
+        if A.blocks == 2:
+            half = len(A.offdiagonal) // 2
+            A.offdiagonal[half:] = np.abs(A.offdiagonal[half:])
+        return A, g
+
+    monkeypatch.setattr(la, "tpfa_operator", positive_hole_offdiagonal)
+    prob = _preset_problem("linear_r0", "zero", nx=4)
+    config = StepperConfig(dt=1e-2, check_m_matrices=True)
+    stepper = Stepper(prob, config)
+    with pytest.raises(InvariantError, match="A_P is not an M-matrix"):
+        stepper.advance(stepper.initial_state(), BoundsTracker(prob, config.dt))
