@@ -110,10 +110,12 @@ def g_prime(law: PressureLaw, s):
 
 
 def dr_indexed(law: PressureLaw, values, first, other):
-    """Edge diffusion coefficient dr(values[first], values[other]) per pair.
+    """Edge diffusion coefficient dr(values[..., first], values[..., other]).
 
-    log and h are evaluated once per value and gathered per pair, so a cell
-    value shared by several edges costs one evaluation.  A pair of distinct
+    ``values`` holds one row of values per block (or is one row), and each
+    row is paired by the same indices.  log and h are evaluated once per
+    value and gathered per pair, so a cell value shared by several edges
+    costs one evaluation.  A pair of distinct
     positive values takes the quotient (h(b)-h(a))/(log b - log a), and only
     the other pairs (a zero, equal values, or |log b - log a| below
     ``_DR_LOG_TOL``) evaluate r'((a+b)/2).  Exactly symmetric in the pair.
@@ -122,20 +124,22 @@ def dr_indexed(law: PressureLaw, values, first, other):
     first = np.asarray(first)
     other = np.asarray(other)
     if law.is_isothermal:
-        return np.ones(first.shape)
+        return np.ones(values.shape[:-1] + first.shape)
     # A value that is not positive becomes NaN, and so does the dlog of each
     # of its pairs, which then fails the test below and takes r'.
     positive = np.where(values > 0.0, values, np.nan)
     log_v = np.log(positive)
     h_v = enthalpy(law, positive)
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN too
-        dlog = log_v[other] - log_v[first]
+        dlog = np.take(log_v, other, axis=-1) - np.take(log_v, first, axis=-1)
         use_quotient = np.abs(dlog) >= _DR_LOG_TOL
-        out = np.divide(h_v[other] - h_v[first], dlog, out=np.empty(dlog.shape),
-                        where=use_quotient)
+        out = np.divide(np.take(h_v, other, axis=-1) - np.take(h_v, first, axis=-1),
+                        dlog, out=np.empty(dlog.shape), where=use_quotient)
     mid = ~use_quotient
     if mid.any():
-        out[mid] = pressure_prime(law, 0.5 * (values[first[mid]] + values[other[mid]]))
+        a = np.take(values, first, axis=-1)[mid]
+        b = np.take(values, other, axis=-1)[mid]
+        out[mid] = pressure_prime(law, 0.5 * (a + b))
     return out
 
 

@@ -118,14 +118,17 @@ class Mesh:
         return (_read_only(self.edge_cells[self.active_edges, 0]),
                 _read_only(self.edge_other_index[self.active_edges]))
 
-    def block_stencil(self, blocks: int) -> "BlockStencil":
-        """Index arrays of ``blocks`` copies of the stencil, block by block.
+    @cached_property
+    def stencil_cols(self):
+        """Column of each off-diagonal stencil entry: L for each interior
+        edge, then K for each (rows in ``BlockStencil.offdiagonal_rows``)."""
+        k, ell = self.edge_cells[self.interior_edges].T
+        return _read_only(np.concatenate([ell, k]))
 
-        Block s acts on cells s*n_cells .. (s+1)*n_cells - 1 of a stacked
-        vector and reads its Dirichlet values at s*(n_cells + n_dirichlet)
-        onwards of the stacked [cell values, Dirichlet values] of each block.
-        Built once per block count; read-only.
-        """
+    def block_stencil(self, blocks: int) -> "BlockStencil":
+        """Cell indices of ``blocks`` stacked copies of the stencil, block s
+        on cells s*n_cells .. (s+1)*n_cells - 1.  Built once per block count;
+        read-only."""
         stencil = self._block_stencils.get(blocks)
         if stencil is None:
             stencil = self._block_stencils[blocks] = BlockStencil(self, blocks)
@@ -140,9 +143,8 @@ class Mesh:
         in CSC order (by column, rows sorted within a column).
         """
         cells = np.arange(self.n_cells)
-        off_rows, off_cols = self.block_stencil(1).offdiagonal
-        rows = np.concatenate([cells, off_rows])
-        cols = np.concatenate([cells, off_cols])
+        rows = np.concatenate([cells, self.block_stencil(1).offdiagonal_rows])
+        cols = np.concatenate([cells, self.stencil_cols])
         order = np.lexsort((rows, cols))
         indptr = np.zeros(self.n_cells + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=self.n_cells), out=indptr[1:])
@@ -192,36 +194,33 @@ class Mesh:
 
 
 class BlockStencil:
-    """Index arrays of ``blocks`` stacked copies of a mesh's two-point stencil.
+    """Cells that the sums over ``blocks`` stacked copies of a mesh's
+    two-point stencil add into.
 
-    Block s of each array is block 0 shifted by s*n_cells (cell indices) or
-    by s*(n_cells + n_dirichlet) (indices into per-block [cell values,
-    Dirichlet values]), so an operation over all blocks sums each block's
-    entries in the same order as over one.
+    Block s of each array is block 0 shifted by s*n_cells, so one
+    ``bincount`` over all blocks sums each block's entries in the same order
+    as over one.  Gathers need no such copies: they take one block's indices
+    along the last axis of the blocks' values.
     """
 
-    __slots__ = ("diagonal_cells", "offdiagonal", "dirichlet_cells", "edge_values")
+    __slots__ = ("diagonal_cells", "offdiagonal_rows", "dirichlet_cells")
 
     def __init__(self, mesh: Mesh, blocks: int):
         n = mesh.n_cells
-        n_values = n + mesh.n_dirichlet
         k, ell = mesh.edge_cells[mesh.interior_edges].T
         kd = mesh.edge_cells[mesh.dirichlet_edges, 0]
-        first, other = mesh.active_cells
 
-        def stack(parts, width):
+        def stack(*parts):
             one = np.concatenate(parts)
-            return _read_only(np.concatenate([one + s * width for s in range(blocks)]))
+            return _read_only(np.concatenate([one + s * n for s in range(blocks)]))
 
-        # Cell of each term summed into the diagonal: every cell, then K and
-        # L of each interior edge, then K of each Dirichlet edge.
-        self.diagonal_cells = stack([np.arange(n), k, ell, kd], n)
-        # (rows, cols) of the off-diagonal entries: (K, L) for each interior
-        # edge, then (L, K) for each.
-        self.offdiagonal = (stack([k, ell], n), stack([ell, k], n))
-        self.dirichlet_cells = stack([kd], n)
-        # (first, other) per active edge, into the stacked edge values.
-        self.edge_values = (stack([first], n_values), stack([other], n_values))
+        # Cell of each diagonal term: every cell, then K and L of each
+        # interior edge, then K of each Dirichlet edge.
+        self.diagonal_cells = stack(np.arange(n), k, ell, kd)
+        # Row of each off-diagonal entry: (K, L) for each interior edge, then
+        # (L, K) for each; their columns are ``Mesh.stencil_cols``.
+        self.offdiagonal_rows = stack(k, ell)
+        self.dirichlet_cells = stack(kd)
 
 
 def norm_l2(mesh: Mesh, cell_values: np.ndarray) -> float:

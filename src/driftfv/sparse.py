@@ -201,8 +201,9 @@ class TpfaOperator:
 
     Holds the diagonal of every block, stacked, and the off-diagonal entries
     of every block in the mesh's stencil order, (K, L) and then (L, K) for
-    each interior edge.  ``A @ u`` gathers the stacked u across the interior
-    edges and sums each cell's entries with one ``bincount``; ``block(s)``
+    each interior edge.  ``A @ u`` gathers each block of u across the interior
+    edges in one ``take`` and sums each cell's entries with one ``bincount``;
+    ``block(s)``
     is block s as a one-block operator, and ``tocsc()`` lays the entries out
     in CSC form for a factorization or an M-matrix check.
     """
@@ -223,9 +224,12 @@ class TpfaOperator:
         return (len(self.diagonal), len(self.diagonal))
 
     def __matmul__(self, x):
-        rows, cols = self.mesh.block_stencil(self.blocks).offdiagonal
+        blocks = self.blocks
+        rows = self.mesh.block_stencil(blocks).offdiagonal_rows
+        gathered = np.take(x.reshape(blocks, -1), self.mesh.stencil_cols, axis=1)
         return self.diagonal * x + np.bincount(
-            rows, weights=self.offdiagonal * x[cols], minlength=len(self.diagonal))
+            rows, weights=self.offdiagonal * gathered.ravel(),
+            minlength=len(self.diagonal))
 
     def block(self, s: int) -> "TpfaOperator":
         """Block s (a view of its entries) as a one-block operator."""

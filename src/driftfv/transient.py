@@ -187,9 +187,9 @@ class Stepper:
             a_fwd, a_bwd = rows[:2], rows[1:]
         else:
             values = np.concatenate([u_it[:n], pr.n_dirichlet, u_it[n:], pr.p_dirichlet])
-            dr = cst.dr_indexed(self.law, values, *mesh.block_stencil(2).edge_values)
-            a_fwd, a_bwd = flux_coefficients(np.concatenate([dpsi, -dpsi]), dr)
-            a_fwd, a_bwd = a_fwd.reshape(2, -1), a_bwd.reshape(2, -1)
+            dr = cst.dr_indexed(self.law, values.reshape(2, -1), first, other)
+            a_fwd, a_bwd = flux_coefficients(
+                np.concatenate([dpsi, -dpsi]).reshape(2, -1), dr)
         mk_dt = self.mk / self.config.dt
         diag = mk_dt * (1.0 + mu / self.lam2)
         b = mk_dt * (mu / self.lam2 * u_it.reshape(2, n) + prev.reshape(2, n))
