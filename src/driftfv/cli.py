@@ -189,15 +189,14 @@ def write_vtk(state, eq, mesh: Mesh, path) -> None:
         f.write(f"POINTS {len(mesh.points)} double\n")
         for x, y in mesh.points:
             f.write(f"{x:.17g} {y:.17g} 0.0\n")
-        sizes = [len(nodes) for nodes in mesh.cell_nodes]
-        f.write(f"CELLS {mesh.n_cells} {sum(sizes) + mesh.n_cells}\n")
+        size = mesh.cell_nodes.shape[1]
+        if size not in _VTK_CELL_TYPES:
+            raise MeshError(f"cannot export {size}-node cell to VTK")
+        f.write(f"CELLS {mesh.n_cells} {(size + 1) * mesh.n_cells}\n")
         for nodes in mesh.cell_nodes:
-            f.write(" ".join(str(v) for v in (len(nodes),) + tuple(nodes)) + "\n")
+            f.write(" ".join(map(str, (size, *nodes))) + "\n")
         f.write(f"CELL_TYPES {mesh.n_cells}\n")
-        for s in sizes:
-            if s not in _VTK_CELL_TYPES:
-                raise MeshError(f"cannot export {s}-node cell to VTK")
-            f.write(f"{_VTK_CELL_TYPES[s]}\n")
+        f.write(f"{_VTK_CELL_TYPES[size]}\n" * mesh.n_cells)
         f.write(f"CELL_DATA {mesh.n_cells}\n")
         arrays = (("N", state.n), ("P", state.p), ("Psi", state.psi),
                   ("N_eq", eq.n), ("P_eq", eq.p), ("Psi_eq", eq.psi))

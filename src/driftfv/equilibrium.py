@@ -6,7 +6,9 @@ with the problem's Dirichlet data, and the equilibrium densities follow as
 N = g(alpha_N + Psi), P = g(alpha_P - Psi).  The solver is a damped
 (semismooth) Newton method; the clipping kink of g has a one-sided zero
 derivative, and the Jacobian stays an M-matrix (stiffness plus nonnegative
-diagonal).
+diagonal).  Successive Jacobians differ only in that diagonal, so each is
+solved on the LU factor of an earlier one where iterative refinement reaches
+the backward error of a fresh factorization, and factored afresh otherwise.
 """
 from __future__ import annotations
 
@@ -65,6 +67,7 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
     res = residual(psi)
     history = [float(np.max(np.abs(res)))]
     iterations = 0
+    held = la.HeldFactor()
     while history[-1] > tol:
         if iterations >= max_iter:
             raise la.SolverError(
@@ -73,7 +76,7 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
         gpn = cst.g_prime(law, a_n + psi)
         gpp = cst.g_prime(law, a_p - psi)
         J = lam2 * L + sp.diags(mk * (gpn + gpp))
-        delta = la.solve(J, -res)
+        delta = la.solve(J, -res, held)
         # Halving line search on the residual inf-norm; g's kink makes
         # undamped steps overshoot occasionally.
         step = 1.0

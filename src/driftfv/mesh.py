@@ -34,6 +34,13 @@ def _point_line_distance(x, p1, p2):
     return np.abs(cross) / nrm
 
 
+def _require_finite(name, values):
+    """``values``, once checked finite; a NaN or inf passes every sign test."""
+    if not np.all(np.isfinite(values)):
+        raise MeshError(f"non-finite {name}")
+    return values
+
+
 def _read_only(arr):
     """``arr``, made read-only: a mesh shares its index arrays with every caller."""
     arr.flags.writeable = False
@@ -46,7 +53,7 @@ class Mesh:
     def __init__(self, points, cell_nodes, cell_centers, cell_measures,
                  edge_kind, edge_cells, edge_p1, edge_p2):
         self.points = np.asarray(points, dtype=float)
-        self.cell_nodes = [tuple(c) for c in cell_nodes]
+        self.cell_nodes = np.asarray(cell_nodes, dtype=np.int64)
         self.cell_centers = np.asarray(cell_centers, dtype=float)
         self.cell_measures = np.asarray(cell_measures, dtype=float)
         self.edge_kind = np.asarray(edge_kind, dtype=np.int8)
@@ -54,6 +61,10 @@ class Mesh:
         self.edge_p1 = np.asarray(edge_p1, dtype=float)
         self.edge_p2 = np.asarray(edge_p2, dtype=float)
 
+        for name, values in (("node coordinates", self.points),
+                             ("cell centers", self.cell_centers),
+                             ("cell measures", self.cell_measures)):
+            _require_finite(name, values)
         if np.any(self.cell_measures <= 0.0):
             raise MeshError("nonpositive cell measure")
 
@@ -76,8 +87,9 @@ class Mesh:
         if np.any(d <= 0.0):
             raise MeshError("zero center distance on edge(s) %s"
                             % np.nonzero(d <= 0.0)[0].tolist())
+        _require_finite("center distances", d)
         self.edge_d = d
-        self.edge_tau = self.edge_measures / d
+        self.edge_tau = _require_finite("transmissibilities", self.edge_measures / d)
 
         # Dirichlet edge numbering (order of appearance in the edge list).
         self.dirichlet_edges = np.nonzero(self.edge_kind == DIRICHLET)[0]
@@ -241,11 +253,20 @@ def build_cartesian(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0),
     """Uniform Cartesian mesh on an axis-aligned rectangle.
 
     ``dirichlet_predicate(x, y)`` classifies boundary edges by their midpoint;
-    default is all-Dirichlet.
+    default is all-Dirichlet.  It is called once per boundary edge, with
+    scalars.  Cells are numbered row-major by j; the edges are the vertical
+    ones, row by row, then the horizontal ones.
     """
+    for n in (nx, ny):
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise MeshError(f"nx, ny must be integers, got {n!r}")
     if nx < 1 or ny < 1:
         raise MeshError("nx, ny must be >= 1")
     x0, x1, y0, y1 = domain
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite([x0, x1, y0, y1, x1 - x0, y1 - y0])
+    if not finite.all():
+        raise MeshError(f"domain and its extent must be finite, got {tuple(domain)!r}")
     if not (x1 > x0 and y1 > y0):
         raise MeshError("degenerate domain")
     if dirichlet_predicate is None:
@@ -257,55 +278,50 @@ def build_cartesian(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0),
     ys = y0 + dy * np.arange(ny + 1)
 
     # Nodes on the (nx+1) x (ny+1) grid, row-major by j.
-    node_id = lambda i, j: j * (nx + 1) + i
-    points = np.array([(xs[i], ys[j]) for j in range(ny + 1) for i in range(nx + 1)])
-
-    cid = lambda i, j: j * nx + i
-    cell_nodes = []
-    centers = np.empty((nx * ny, 2))
-    for j in range(ny):
-        for i in range(nx):
-            cell_nodes.append((node_id(i, j), node_id(i + 1, j),
-                               node_id(i + 1, j + 1), node_id(i, j + 1)))
-            centers[cid(i, j)] = (x0 + (i + 0.5) * dx, y0 + (j + 0.5) * dy)
+    points = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
+    node = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+    cell_nodes = np.stack([node[:-1, :-1], node[:-1, 1:], node[1:, 1:],
+                           node[1:, :-1]], axis=-1).reshape(-1, 4)
+    centers = np.column_stack([
+        np.tile(x0 + (np.arange(nx) + 0.5) * dx, ny),
+        np.repeat(y0 + (np.arange(ny) + 0.5) * dy, nx)])
     measures = np.full(nx * ny, dx * dy)
-
-    kind, cells, p1, p2 = [], [], [], []
-
-    def add(kd, k, ell, a, b):
-        kind.append(kd)
-        cells.append((k, ell))
-        p1.append(a)
-        p2.append(b)
+    cell = np.arange(nx * ny).reshape(ny, nx)
 
     def bkind(mx, my):
-        return DIRICHLET if dirichlet_predicate(mx, my) else NEUMANN
+        return [DIRICHLET if dirichlet_predicate(x, y) else NEUMANN
+                for x, y in zip(mx, my)]
 
-    # Vertical edges.
-    for j in range(ny):
-        for i in range(nx + 1):
-            a = (xs[i], ys[j])
-            b = (xs[i], ys[j + 1])
-            if i == 0:
-                add(bkind(xs[0], ys[j] + 0.5 * dy), cid(0, j), -1, a, b)
-            elif i == nx:
-                add(bkind(xs[nx], ys[j] + 0.5 * dy), cid(nx - 1, j), -1, a, b)
-            else:
-                add(INTERIOR, cid(i - 1, j), cid(i, j), a, b)
-    # Horizontal edges.
-    for j in range(ny + 1):
-        for i in range(nx):
-            a = (xs[i], ys[j])
-            b = (xs[i + 1], ys[j])
-            if j == 0:
-                add(bkind(xs[i] + 0.5 * dx, ys[0]), cid(i, 0), -1, a, b)
-            elif j == ny:
-                add(bkind(xs[i] + 0.5 * dx, ys[ny]), cid(i, ny - 1), -1, a, b)
-            else:
-                add(INTERIOR, cid(i, j - 1), cid(i, j), a, b)
+    # Vertical edges, (ny, nx+1): K the cell left of the edge (right of it
+    # on the left boundary), L the cell right of it; boundary edges first
+    # and last in each row.
+    v_kind = np.full((ny, nx + 1), INTERIOR)
+    ymid = ys[:-1] + 0.5 * dy
+    v_kind[:, 0] = bkind(np.full(ny, xs[0]), ymid)
+    v_kind[:, nx] = bkind(np.full(ny, xs[nx]), ymid)
+    v_cells = np.full((ny, nx + 1, 2), -1)
+    v_cells[:, :, 0] = cell[:, np.maximum(np.arange(nx + 1) - 1, 0)]
+    v_cells[:, 1:nx, 1] = cell[:, 1:]
+    v_p1 = np.stack(np.broadcast_arrays(xs, ys[:-1, None]), axis=-1)
+    v_p2 = np.stack(np.broadcast_arrays(xs, ys[1:, None]), axis=-1)
+
+    # Horizontal edges, (ny+1, nx): K the cell below (above it on the
+    # bottom boundary), L the cell above.
+    h_kind = np.full((ny + 1, nx), INTERIOR)
+    xmid = xs[:-1] + 0.5 * dx
+    h_kind[0] = bkind(xmid, np.full(nx, ys[0]))
+    h_kind[ny] = bkind(xmid, np.full(nx, ys[ny]))
+    h_cells = np.full((ny + 1, nx, 2), -1)
+    h_cells[:, :, 0] = cell[np.maximum(np.arange(ny + 1) - 1, 0)]
+    h_cells[1:ny, :, 1] = cell[1:]
+    h_p1 = np.stack(np.broadcast_arrays(xs[:-1], ys[:, None]), axis=-1)
+    h_p2 = np.stack(np.broadcast_arrays(xs[1:], ys[:, None]), axis=-1)
 
     return Mesh(points, cell_nodes, centers, measures,
-                np.array(kind), np.array(cells), np.array(p1), np.array(p2))
+                np.concatenate([v_kind.ravel(), h_kind.ravel()]),
+                np.concatenate([v_cells.reshape(-1, 2), h_cells.reshape(-1, 2)]),
+                np.concatenate([v_p1.reshape(-1, 2), h_p1.reshape(-1, 2)]),
+                np.concatenate([v_p2.reshape(-1, 2), h_p2.reshape(-1, 2)]))
 
 
 def _circumcenter(a, b, c):
@@ -330,7 +346,8 @@ def import_triangulation(nodes, triangles, boundary_labels) -> Mesh:
     lies on or outside its triangle (so that some center distance vanishes or
     orthogonality fails) are rejected.
     """
-    nodes = np.asarray(nodes, dtype=float)
+    # Checked before the circumcenters, whose arithmetic inf would poison.
+    nodes = _require_finite("node coordinates", np.asarray(nodes, dtype=float))
     triangles = [tuple(int(v) for v in t) for t in triangles]
     labels = {tuple(sorted(k)): v for k, v in boundary_labels.items()}
 
@@ -394,27 +411,32 @@ class ValidationReport:
 
 def validate(mesh: Mesh, angle_tol: float = 1e-8) -> ValidationReport:
     """Check admissibility: orthogonality, positive distances, Dirichlet part."""
+    e = mesh.interior_edges
+    k, ell = mesh.edge_cells[e].T
+    seg = mesh.cell_centers[ell] - mesh.cell_centers[k]
+    tan = mesh.edge_p2[e] - mesh.edge_p1[e]
+    # One BLAS dot per edge, the arithmetic of np.dot on each pair.
+    dot = (seg[:, None, :] @ tan[:, :, None])[:, 0, 0]
+    sn = np.abs(dot) / (np.hypot(seg[:, 0], seg[:, 1]) * np.hypot(tan[:, 0], tan[:, 1]))
+    defect = np.arcsin(np.minimum(sn, 1.0))
+    # fmax skips a NaN defect (coincident centers), as the same-side test flags them.
+    worst = np.fmax.reduce(defect, initial=0.0)
+    # Centers must lie on opposite sides of the edge.
+    v1 = mesh.cell_centers[k] - mesh.edge_p1[e]
+    v2 = mesh.cell_centers[ell] - mesh.edge_p1[e]
+    c1 = tan[:, 0] * v1[:, 1] - tan[:, 1] * v1[:, 0]
+    c2 = tan[:, 0] * v2[:, 1] - tan[:, 1] * v2[:, 0]
+    skew = defect > angle_tol
+    same_side = c1 * c2 >= 0.0
     bad = []
-    worst = 0.0
-    for e in mesh.interior_edges:
-        k, ell = mesh.edge_cells[e]
-        seg = mesh.cell_centers[ell] - mesh.cell_centers[k]
-        tan = mesh.edge_p2[e] - mesh.edge_p1[e]
-        sn = abs(np.dot(seg, tan)) / (np.hypot(*seg) * np.hypot(*tan))
-        defect = np.arcsin(min(sn, 1.0))
-        worst = max(worst, defect)
-        if defect > angle_tol:
-            bad.append((int(e), f"center segment not orthogonal (defect {defect:.3e} rad)"))
-        # Centers must lie on opposite sides of the edge.
-        v1 = mesh.cell_centers[k] - mesh.edge_p1[e]
-        v2 = mesh.cell_centers[ell] - mesh.edge_p1[e]
-        c1 = tan[0] * v1[1] - tan[1] * v1[0]
-        c2 = tan[0] * v2[1] - tan[1] * v2[0]
-        if c1 * c2 >= 0.0:
-            bad.append((int(e), "cell centers on the same side of the edge"))
-    if np.any(mesh.edge_tau <= 0.0) or np.any(mesh.edge_d <= 0.0):
-        for e in np.nonzero((mesh.edge_tau <= 0) | (mesh.edge_d <= 0))[0]:
-            bad.append((int(e), "nonpositive transmissibility or distance"))
+    for i in np.nonzero(skew | same_side)[0]:
+        if skew[i]:
+            bad.append((int(e[i]), "center segment not orthogonal "
+                                   f"(defect {defect[i]:.3e} rad)"))
+        if same_side[i]:
+            bad.append((int(e[i]), "cell centers on the same side of the edge"))
+    for j in np.nonzero((mesh.edge_tau <= 0) | (mesh.edge_d <= 0))[0]:
+        bad.append((int(j), "nonpositive transmissibility or distance"))
     if mesh.n_dirichlet == 0:
         bad.append((-1, "no Dirichlet boundary edges"))
     xi = mesh.xi
@@ -471,15 +493,15 @@ def read_mesh_file(path) -> Mesh:
 
 
 def write_mesh_file(mesh: Mesh, path) -> None:
+    if mesh.cell_nodes.shape[1] != 3:
+        raise MeshError("mesh file format only covers triangulations")
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"nodes {len(mesh.points)}\n")
         for x, y in mesh.points:
             f.write("%.17g %.17g\n" % (x, y))
         f.write(f"triangles {mesh.n_cells}\n")
         for nodes in mesh.cell_nodes:
-            if len(nodes) != 3:
-                raise MeshError("mesh file format only covers triangulations")
-            f.write("%d %d %d\n" % nodes)
+            f.write("%d %d %d\n" % tuple(nodes))
         bnd = [(e, _KIND_NAMES[k]) for e, k in enumerate(mesh.edge_kind) if k != INTERIOR]
         f.write(f"boundary {len(bnd)}\n")
         node_of = {tuple(p): i for i, p in enumerate(map(tuple, mesh.points))}

@@ -165,18 +165,19 @@ def discretize_data(mesh: Mesh, law: PressureLaw, lambda2: float,
     """Build a validated Problem from function-valued data.
 
     Cell data are taken at cell centers and boundary data at edge midpoints
-    (midpoint quadrature; second order for smooth data).
+    (midpoint quadrature; second order for smooth data).  Each callable is
+    called once, with the arrays of x and of y coordinates, and returns an
+    array of their shape or a scalar for all of them.
     """
-    xc, yc = mesh.cell_centers[:, 0], mesh.cell_centers[:, 1]
+    xc, yc = mesh.cell_centers.T
     de = mesh.dirichlet_edges
-    mid = 0.5 * (mesh.edge_p1[de] + mesh.edge_p2[de])
-    xm, ym = mid[:, 0], mid[:, 1]
+    xm, ym = (0.5 * (mesh.edge_p1[de] + mesh.edge_p2[de])).T
 
     def at_cells(f):
-        return np.array([float(f(x, y)) for x, y in zip(xc, yc)])
+        return np.array(np.broadcast_to(f(xc, yc), xc.shape), dtype=float)
 
     def at_edges(f):
-        return np.array([float(f(x, y)) for x, y in zip(xm, ym)])
+        return np.array(np.broadcast_to(f(xm, ym), xm.shape), dtype=float)
 
     problem = Problem(
         mesh=mesh, law=law, lambda2=float(lambda2),
@@ -231,9 +232,9 @@ def contact_predicate(x, y) -> bool:
     return (y < eps) or (y > 1.0 - eps and x <= 0.25 + eps)
 
 
-def _pn_doping(x, y) -> float:
+def _pn_doping(x, y):
     """N-region +1, P-region -1 in [0,0.5]x[0.5,1]."""
-    return -1.0 if (x < 0.5 and y > 0.5) else 1.0
+    return np.where((x < 0.5) & (y > 0.5), -1.0, 1.0)
 
 
 def _no_doping(x, y) -> float:
@@ -256,14 +257,13 @@ def diode_inputs(law: PressureLaw, recombination: RecombinationModel,
     p0, p1 = p_contacts
 
     def contact(bottom, top):
-        return lambda x, y: bottom if y < 0.5 else top
+        return lambda x, y: np.where(y < 0.5, bottom, top)
 
     n_d = contact(n0, n1)
     p_d = contact(p0, p1)
 
     def psi_d(x, y):
-        return 0.5 * (float(cst.enthalpy(law, n_d(x, y)))
-                      - float(cst.enthalpy(law, p_d(x, y))))
+        return 0.5 * (cst.enthalpy(law, n_d(x, y)) - cst.enthalpy(law, p_d(x, y)))
 
     def n_init(x, y):
         return n1 + (n0 - n1) * (1.0 - np.sqrt(y))

@@ -88,6 +88,18 @@ def test_malformed_mesh_file_exits_2(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_mesh_file_exits_2(tmp_path, capsys, value):
+    text = (f"nodes 3\n0 0\n{value} 1\n0 1\ntriangles 1\n0 1 2\n"
+            "boundary 3\n0 1 dirichlet\n1 2 dirichlet\n0 2 dirichlet\n")
+    mesh_path = _write(tmp_path, text, name="nonfinite.mesh")
+    cfg = GOOD_CONFIG.replace("type = cartesian", f"type = file\nfile = {mesh_path}")
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error: non-finite node coordinates" in err
+    assert "Traceback" not in err
+
+
 def test_nonlinear_with_recombination_exits_3(tmp_path, capsys):
     cfg = GOOD_CONFIG.replace("law = isothermal", "law = power\nalpha = 1.6666666666666667")
     cfg = cfg.replace("n_bottom = 2.718281828459045", "n_bottom = 0.9")
@@ -153,8 +165,10 @@ def _preset_config(preset):
     """INI text carrying the data of one preset."""
     law = preset.law
     rec = preset.recombination
-    n_bottom, n_top = preset.n_dirichlet(0.5, 0.0), preset.n_dirichlet(0.1, 1.0)
-    p_bottom, p_top = preset.p_dirichlet(0.5, 0.0), preset.p_dirichlet(0.1, 1.0)
+    n_bottom, n_top = (float(preset.n_dirichlet(0.5, 0.0)),
+                       float(preset.n_dirichlet(0.1, 1.0)))
+    p_bottom, p_top = (float(preset.p_dirichlet(0.5, 0.0)),
+                       float(preset.p_dirichlet(0.1, 1.0)))
     return "\n".join([
         "[mesh]", "nx = 6", "dirichlet = contacts",
         "[physics]",

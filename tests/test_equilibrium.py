@@ -125,3 +125,40 @@ def test_residual_history_monotone_tail():
     assert eq.iterations >= 1
     assert eq.residual == eq.residual_history[-1]
     assert eq.residual_history[-1] < eq.residual_history[0]
+
+
+def _equilibria(monkeypatch, reuse):
+    """Equilibria of all ten presets at 16x16, and the Newton factorizations."""
+    from driftfv import equilibrium, sparse
+    from driftfv.problem import PRESET_CASES, PRESET_DOPINGS
+
+    factor = sparse.factor
+    counts = []
+    monkeypatch.setattr(sparse, "factor", lambda A: counts.append(1) or factor(A))
+    if not reuse:
+        solve = sparse.solve
+        monkeypatch.setattr(equilibrium.la, "solve", lambda A, b, held=None: solve(A, b))
+    out, newton_factors = [], 0
+    for case in PRESET_CASES:
+        for doping in PRESET_DOPINGS:
+            preset = pn_junction_preset(case, doping)
+            mesh = build_cartesian(16, 16, dirichlet_predicate=preset.dirichlet_predicate)
+            prob = preset.build(mesh)
+            mesh.laplacian_lu  # the initial guess's factor, outside the count
+            before = len(counts)
+            out.append(solve_equilibrium(prob))
+            newton_factors += len(counts) - before
+    monkeypatch.undo()
+    return out, newton_factors
+
+
+def test_newton_reuses_its_factor(monkeypatch):
+    held, held_factors = _equilibria(monkeypatch, reuse=True)
+    fresh, fresh_factors = _equilibria(monkeypatch, reuse=False)
+    iterations = sum(eq.iterations for eq in held)
+    assert fresh_factors == iterations
+    assert held_factors < iterations
+    for a, b in zip(held, fresh):
+        assert a.iterations == b.iterations
+        assert a.residual <= 1e-10
+        assert np.max(np.abs(a.psi - b.psi)) <= 1e-13

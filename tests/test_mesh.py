@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from driftfv.mesh import (DIRICHLET, INTERIOR, NEUMANN, Mesh, MeshError,
-                          build_cartesian, import_triangulation, norm_l2,
-                          read_mesh_file, seminorm_h1, validate, write_mesh_file)
+                          ValidationReport, build_cartesian,
+                          import_triangulation, norm_l2, read_mesh_file,
+                          seminorm_h1, validate, write_mesh_file)
+from driftfv.problem import contact_predicate
 
 
 def test_cartesian_2x1_geometry():
@@ -57,18 +59,22 @@ def _xi_per_incidence(mesh):
     return min(ratios)
 
 
-def test_xi_matches_per_incidence_reference():
-    cartesian = build_cartesian(5, 3, domain=(0.0, 2.0, 0.0, 0.7),
-                                dirichlet_predicate=lambda x, y: y < 1e-12)
-    assert cartesian.xi == _xi_per_incidence(cartesian)
-    # Perturbed hexagon fan of acute triangles: incidences differ in xi.
+def _hexagon():
+    """Perturbed hexagon fan of acute triangles: incidences differ in xi."""
     angles = np.arange(6) * np.pi / 3.0 + 0.07
     radii = np.array([1.0, 0.93, 1.05, 0.97, 1.02, 0.95])
     nodes = [(0.04, -0.03)] + list(zip(radii * np.cos(angles), radii * np.sin(angles)))
     triangles = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
     labels = {(1 + i, 1 + (i + 1) % 6): "dirichlet" if i < 2 else "neumann"
               for i in range(6)}
-    triangulation = import_triangulation(nodes, triangles, labels)
+    return import_triangulation(nodes, triangles, labels)
+
+
+def test_xi_matches_per_incidence_reference():
+    cartesian = build_cartesian(5, 3, domain=(0.0, 2.0, 0.0, 0.7),
+                                dirichlet_predicate=lambda x, y: y < 1e-12)
+    assert cartesian.xi == _xi_per_incidence(cartesian)
+    triangulation = _hexagon()
     assert triangulation.xi == _xi_per_incidence(triangulation)
     assert 0.0 < triangulation.xi < 0.5
 
@@ -86,14 +92,10 @@ def test_validate_cartesian_ok():
 
 
 def test_validate_flags_perturbed_center():
-    mesh = build_cartesian(2, 1)
-    e = mesh.interior_edges[0]
-    k = mesh.edge_cells[e, 0]
-    # Tangential perturbation breaks orthogonality on the interior edge.
-    mesh.cell_centers[k] += np.array([0.0, 0.3 * mesh.edge_d[e]])
+    mesh = _perturbed_center()
     report = validate(mesh)
     assert not report.ok
-    assert any(eid == e for eid, _ in report.bad_edges)
+    assert any(eid == mesh.interior_edges[0] for eid, _ in report.bad_edges)
 
 
 def test_discrete_function_edge_values():
@@ -226,3 +228,232 @@ def test_edge_kinds_partition():
     assert (len(mesh.interior_edges) + len(mesh.dirichlet_edges)
             + len(mesh.neumann_edges)) == mesh.n_edges
     assert mesh.n_dirichlet == 4
+
+
+def _loop_cartesian(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), dirichlet_predicate=None):
+    """Reference builder: one node, cell and edge at a time."""
+    x0, x1, y0, y1 = domain
+    if dirichlet_predicate is None:
+        dirichlet_predicate = lambda x, y: True
+    dx = (x1 - x0) / nx
+    dy = (y1 - y0) / ny
+    xs = x0 + dx * np.arange(nx + 1)
+    ys = y0 + dy * np.arange(ny + 1)
+    node_id = lambda i, j: j * (nx + 1) + i
+    points = np.array([(xs[i], ys[j]) for j in range(ny + 1) for i in range(nx + 1)])
+    cid = lambda i, j: j * nx + i
+    cell_nodes = []
+    centers = np.empty((nx * ny, 2))
+    for j in range(ny):
+        for i in range(nx):
+            cell_nodes.append((node_id(i, j), node_id(i + 1, j),
+                               node_id(i + 1, j + 1), node_id(i, j + 1)))
+            centers[cid(i, j)] = (x0 + (i + 0.5) * dx, y0 + (j + 0.5) * dy)
+    measures = np.full(nx * ny, dx * dy)
+    kind, cells, p1, p2 = [], [], [], []
+
+    def add(kd, k, ell, a, b):
+        kind.append(kd)
+        cells.append((k, ell))
+        p1.append(a)
+        p2.append(b)
+
+    def bkind(mx, my):
+        return DIRICHLET if dirichlet_predicate(mx, my) else NEUMANN
+
+    for j in range(ny):
+        for i in range(nx + 1):
+            a, b = (xs[i], ys[j]), (xs[i], ys[j + 1])
+            if i == 0:
+                add(bkind(xs[0], ys[j] + 0.5 * dy), cid(0, j), -1, a, b)
+            elif i == nx:
+                add(bkind(xs[nx], ys[j] + 0.5 * dy), cid(nx - 1, j), -1, a, b)
+            else:
+                add(INTERIOR, cid(i - 1, j), cid(i, j), a, b)
+    for j in range(ny + 1):
+        for i in range(nx):
+            a, b = (xs[i], ys[j]), (xs[i + 1], ys[j])
+            if j == 0:
+                add(bkind(xs[i] + 0.5 * dx, ys[0]), cid(i, 0), -1, a, b)
+            elif j == ny:
+                add(bkind(xs[i] + 0.5 * dx, ys[ny]), cid(i, ny - 1), -1, a, b)
+            else:
+                add(INTERIOR, cid(i, j - 1), cid(i, j), a, b)
+    return Mesh(points, cell_nodes, centers, measures,
+                np.array(kind), np.array(cells), np.array(p1), np.array(p2))
+
+
+_MESH_ARRAYS = ("points", "cell_nodes", "cell_centers", "cell_measures",
+                "edge_kind", "edge_cells", "edge_p1", "edge_p2", "edge_measures",
+                "edge_d", "edge_tau", "dirichlet_edges", "neumann_edges",
+                "interior_edges", "dirichlet_index")
+
+
+def _bottom_only(domain):
+    y0 = domain[2]
+    return lambda x, y: y < y0 + 1e-12
+
+
+@pytest.mark.parametrize("predicate", ["default", "contacts", "bottom"])
+@pytest.mark.parametrize("nx, ny, domain", [
+    (1, 1, (0.0, 1.0, 0.0, 1.0)), (2, 1, (0.0, 1.0, 0.0, 1.0)),
+    (1, 3, (0.0, 1.0, 0.0, 1.0)), (7, 13, (0.0, 1.0, 0.0, 1.0)),
+    (32, 32, (0.0, 1.0, 0.0, 1.0)), (5, 3, (-0.3, 2.1, 0.1, 0.8))])
+def test_cartesian_matches_loop_builder(nx, ny, domain, predicate):
+    pred = {"default": None, "contacts": contact_predicate,
+            "bottom": _bottom_only(domain)}[predicate]
+    mesh = build_cartesian(nx, ny, domain=domain, dirichlet_predicate=pred)
+    want = _loop_cartesian(nx, ny, domain=domain, dirichlet_predicate=pred)
+    for name in _MESH_ARRAYS:
+        got, ref = getattr(mesh, name), getattr(want, name)
+        assert got.dtype == ref.dtype, name
+        assert got.shape == ref.shape, name
+        assert np.array_equal(got, ref), name
+    assert mesh.cell_nodes.shape == (nx * ny, 4)
+    assert (mesh.n_cells, mesh.n_edges, mesh.n_dirichlet) == (
+        want.n_cells, want.n_edges, want.n_dirichlet)
+    assert mesh.xi == want.xi
+
+
+def test_cartesian_asks_the_predicate_at_each_boundary_midpoint_once():
+    def asked(builder):
+        seen = []
+        builder(7, 4, domain=(0.1, 0.8, -0.3, 0.4),
+                dirichlet_predicate=lambda x, y: seen.append((x, y)) or True)
+        return sorted(seen)
+
+    seen = asked(build_cartesian)
+    assert len(set(seen)) == len(seen) == 2 * (7 + 4)
+    assert seen == asked(_loop_cartesian)
+
+
+@pytest.mark.parametrize("domain", [(0.0, np.inf, 0.0, 1.0), (0.0, 1.0, np.nan, 1.0),
+                                    (-np.inf, 1.0, 0.0, 1.0)])
+def test_nonfinite_domain_rejected(domain):
+    with pytest.raises(MeshError, match="finite"):
+        build_cartesian(2, 2, domain=domain)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+def test_non_integer_cell_count_rejected(n):
+    with pytest.raises(MeshError, match="integers"):
+        build_cartesian(n, 2)
+    with pytest.raises(MeshError, match="integers"):
+        build_cartesian(2, n)
+
+
+def test_numpy_integer_cell_count_accepted():
+    assert build_cartesian(np.int64(3), np.int32(2)).n_cells == 6
+
+
+def test_overflowing_domain_rejected():
+    # Finite corners whose distance overflows.
+    with pytest.raises(MeshError, match="finite"):
+        build_cartesian(2, 2, domain=(-1e308, 1e308, 0.0, 1.0))
+
+
+def _mesh_args(mesh):
+    return {name: getattr(mesh, name).copy() for name in (
+        "points", "cell_nodes", "cell_centers", "cell_measures", "edge_kind",
+        "edge_cells", "edge_p1", "edge_p2")}
+
+
+@pytest.mark.parametrize("field, what", [("points", "node coordinates"),
+                                         ("cell_centers", "cell centers"),
+                                         ("cell_measures", "cell measures")])
+def test_mesh_rejects_nonfinite_geometry(field, what):
+    args = _mesh_args(build_cartesian(2, 1))
+    args[field].flat[-1] = np.nan
+    with pytest.raises(MeshError, match=f"non-finite {what}"):
+        Mesh(**args)
+
+
+def test_mesh_rejects_nonfinite_edge_geometry():
+    ref = build_cartesian(2, 1)
+    # An interior edge's d joins the two centers, so only its tau is NaN.
+    args = _mesh_args(ref)
+    args["edge_p2"][ref.interior_edges[0]] = np.nan
+    with pytest.raises(MeshError, match="non-finite transmissibilities"):
+        Mesh(**args)
+    # A boundary edge's d is measured to the edge's line.
+    args = _mesh_args(ref)
+    args["edge_p1"][ref.dirichlet_edges[0]] = np.nan
+    with pytest.raises(MeshError, match="non-finite center distances"):
+        Mesh(**args)
+
+
+def test_mesh_file_with_nan_node_rejected(tmp_path):
+    path = tmp_path / "nan.mesh"
+    path.write_text("nodes 3\n0 0\nnan 1\n0 1\ntriangles 1\n0 1 2\n"
+                    "boundary 3\n0 1 dirichlet\n1 2 dirichlet\n0 2 dirichlet\n")
+    with pytest.raises(MeshError, match="non-finite"):
+        read_mesh_file(path)
+
+
+def _loop_validate(mesh, angle_tol=1e-8):
+    """Reference admissibility check: one interior edge at a time."""
+    bad = []
+    worst = 0.0
+    for e in mesh.interior_edges:
+        k, ell = mesh.edge_cells[e]
+        seg = mesh.cell_centers[ell] - mesh.cell_centers[k]
+        tan = mesh.edge_p2[e] - mesh.edge_p1[e]
+        sn = abs(np.dot(seg, tan)) / (np.hypot(*seg) * np.hypot(*tan))
+        defect = np.arcsin(min(sn, 1.0))
+        worst = max(worst, defect)
+        if defect > angle_tol:
+            bad.append((int(e), f"center segment not orthogonal (defect {defect:.3e} rad)"))
+        v1 = mesh.cell_centers[k] - mesh.edge_p1[e]
+        v2 = mesh.cell_centers[ell] - mesh.edge_p1[e]
+        c1 = tan[0] * v1[1] - tan[1] * v1[0]
+        c2 = tan[0] * v2[1] - tan[1] * v2[0]
+        if c1 * c2 >= 0.0:
+            bad.append((int(e), "cell centers on the same side of the edge"))
+    for e in np.nonzero((mesh.edge_tau <= 0) | (mesh.edge_d <= 0))[0]:
+        bad.append((int(e), "nonpositive transmissibility or distance"))
+    if mesh.n_dirichlet == 0:
+        bad.append((-1, "no Dirichlet boundary edges"))
+    if mesh.xi <= 0.0:
+        bad.append((-1, f"nonpositive regularity parameter xi={mesh.xi:g}"))
+    return ValidationReport(ok=not bad, worst_orthogonality_defect=float(worst),
+                            xi=float(mesh.xi), bad_edges=bad)
+
+
+def _perturbed_center():
+    # Tangential perturbation breaks orthogonality on the interior edge.
+    mesh = build_cartesian(2, 1)
+    e = mesh.interior_edges[0]
+    mesh.cell_centers[mesh.edge_cells[e, 0]] += np.array([0.0, 0.3 * mesh.edge_d[e]])
+    return mesh
+
+
+def _same_side():
+    # Cell 1's center moved right of and along its edge with cell 2: that
+    # edge is skew with both centers on one side, the edge with cell 0 skew.
+    mesh = build_cartesian(3, 1, dirichlet_predicate=lambda x, y: x < 1e-12)
+    mesh.cell_centers[1] = (0.7, 0.6)
+    return mesh
+
+
+def _coincident_centers():
+    # Edited after construction, which rejects it: the defect is 0/0.
+    mesh = build_cartesian(3, 1)
+    mesh.cell_centers[1] = mesh.cell_centers[2]
+    return mesh
+
+
+@pytest.mark.parametrize("make", [_hexagon, _perturbed_center, _same_side,
+                                  _coincident_centers, lambda: build_cartesian(6, 5)])
+def test_validate_matches_per_edge_loop(make):
+    mesh = make()
+    with np.errstate(invalid="ignore"):
+        report, want = validate(mesh), _loop_validate(mesh)
+    assert report == want
+    assert str(report) == str(want)
+
+
+def test_validate_same_side_lists_both_defects_in_edge_order():
+    report = validate(_same_side())
+    assert not report.ok
+    assert [e for e, _ in report.bad_edges] == [1, 2, 2]
+    assert report.bad_edges[-1][1] == "cell centers on the same side of the edge"

@@ -179,3 +179,61 @@ def test_initial_profile_matches_contacts():
     y = mesh.cell_centers[:, 1]
     expected = 1.0 + (np.e - 1.0) * (1.0 - np.sqrt(y))
     assert np.allclose(prob.n_initial, expected)
+
+
+_DATA_FIELDS = (("doping", "cells"), ("n_initial", "cells"), ("p_initial", "cells"),
+                ("n_dirichlet", "edges"), ("p_dirichlet", "edges"),
+                ("psi_dirichlet", "edges"))
+
+
+@pytest.mark.parametrize("case", PRESET_CASES)
+@pytest.mark.parametrize("doping", PRESET_DOPINGS)
+def test_preset_data_match_pointwise_evaluation(case, doping):
+    preset = pn_junction_preset(case, doping)
+    mesh = build_cartesian(7, 5, dirichlet_predicate=preset.dirichlet_predicate)
+    prob = preset.build(mesh)
+    de = mesh.dirichlet_edges
+    points = {"cells": mesh.cell_centers,
+              "edges": 0.5 * (mesh.edge_p1[de] + mesh.edge_p2[de])}
+    for name, where in _DATA_FIELDS:
+        f = getattr(preset, name)
+        want = np.array([float(f(x, y)) for x, y in points[where]])
+        got = getattr(prob, name)
+        assert got.dtype == np.float64, name
+        assert np.array_equal(got, want), name
+
+
+def test_scalar_data_broadcast():
+    mesh = build_cartesian(3, 2)
+    prob = discretize_data(mesh, PressureLaw.isothermal(), 1.0,
+                           lambda x, y: 0, lambda x, y: 2, lambda x, y: 0.5,
+                           lambda x, y: 2.0, lambda x, y: np.float64(0.5),
+                           lambda x, y: np.array(0.5 * np.log(4.0)))
+    for name, value in (("doping", 0.0), ("n_initial", 2.0), ("p_initial", 0.5)):
+        values = getattr(prob, name)
+        assert values.dtype == np.float64 and values.shape == (mesh.n_cells,), name
+        assert np.all(values == value), name
+    for name, value in (("n_dirichlet", 2.0), ("p_dirichlet", 0.5),
+                        ("psi_dirichlet", 0.5 * np.log(4.0))):
+        values = getattr(prob, name)
+        assert values.dtype == np.float64 and values.shape == (mesh.n_dirichlet,), name
+        assert np.all(values == value), name
+    # Each array is the problem's own, not a broadcast view.
+    prob.n_initial[0] = 3.0
+    assert prob.n_initial[1] == 2.0
+
+
+def test_data_callables_get_coordinate_arrays():
+    mesh = build_cartesian(4, 3)
+    calls = []
+
+    def spy(value):
+        def f(x, y):
+            calls.append((np.shape(x), np.shape(y)))
+            return value + 0.0 * x
+        return f
+
+    discretize_data(mesh, PressureLaw.isothermal(), 1.0, spy(0.0), spy(1.0),
+                    spy(1.0), spy(1.0), spy(1.0), spy(0.0))
+    cells, edges = (mesh.n_cells,), (mesh.n_dirichlet,)
+    assert sorted(calls) == sorted([(cells, cells)] * 3 + [(edges, edges)] * 3)
