@@ -241,6 +241,14 @@ def _timed(manifest, phase):
     return _Timer()
 
 
+def _validate_steps(config: StepperConfig, problem: Problem) -> None:
+    """``config.validate``, and at least one step: a command-line run of no
+    step would write only the initial record."""
+    config.validate(problem)
+    if config.n_steps == 0:
+        raise HypothesisError(f"end time {config.t_end:g} gives no time step")
+
+
 def run_scenario(config_path, csv_override=None, vtk_every=0) -> RunManifest:
     cfg = load_config(config_path)
     manifest = RunManifest.for_config(cfg)
@@ -248,7 +256,7 @@ def run_scenario(config_path, csv_override=None, vtk_every=0) -> RunManifest:
         mesh = build_mesh(cfg)
         problem = build_problem(cfg, mesh)
         step_cfg = build_stepper_config(cfg)
-        step_cfg.validate(problem)
+        _validate_steps(step_cfg, problem)
     with _timed(manifest, "equilibrium"):
         eq = solve_equilibrium(
             problem, tol=_get(cfg, "solver", "equilibrium_tol", 1e-10, float))
@@ -313,12 +321,13 @@ def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=1e-2,
         for doping in PRESET_DOPINGS:
             preset = pn_junction_preset(case, doping)
             problem = preset.build(mesh)
-            eq = solve_equilibrium(problem)
             # Degenerate (experimental) cases push densities to machine zero
             # at the empty contacts and converge more slowly per step.
             config = StepperConfig(
                 dt=dt, t_end=t_end, fp_tol=fp_tol,
                 fp_max_iter=2000 if problem.experimental else 200)
+            _validate_steps(config, problem)
+            eq = solve_equilibrium(problem)
             t0 = time.perf_counter()
             _, records = run(problem, config, eq)
             wall = time.perf_counter() - t0

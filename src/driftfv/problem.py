@@ -5,8 +5,9 @@ law, the scaled Debye length, doping, Dirichlet data, initial data and the
 recombination model.  Validation enforces the structural assumptions the
 scheme's bounds and entropy decay rely on: density bounds m <= data <= M,
 boundary compatibility h(N^D) - Psi^D = alpha_N and h(P^D) + Psi^D = alpha_P,
-mass action N^D P^D = 1 whenever recombination is active, and no
-recombination together with a nonlinear pressure law.
+mass action N^D P^D = 1 and finite recombination parameters with R0 >= 0
+whenever recombination is active, and no recombination together with a
+nonlinear pressure law.
 """
 from __future__ import annotations
 
@@ -145,6 +146,7 @@ def _validate(problem: Problem) -> Problem:
             "must be constant on the Dirichlet boundary")
 
     if not problem.recombination.is_none:
+        _validate_recombination(problem.recombination)
         if not law.is_isothermal:
             raise HypothesisError(
                 "recombination requires the isothermal pressure law (R=0 otherwise)")
@@ -155,6 +157,20 @@ def _validate(problem: Problem) -> Problem:
         if abs(problem.alpha_n + problem.alpha_p) > 1e-10:
             raise HypothesisError("alpha_N + alpha_P = 0 required with recombination")
     return problem
+
+
+def _validate_recombination(model: RecombinationModel) -> None:
+    """Finite parameters with R0 >= 0, which the entropy decay needs:
+    tau_c > 0 and every other parameter nonnegative."""
+    for name in ("scale", "tau_n", "tau_p", "tau_c", "c_n", "c_p"):
+        value = getattr(model, name)
+        if name == "tau_c":
+            ok, sign = math.isfinite(value) and value > 0.0, "positive"
+        else:
+            ok, sign = math.isfinite(value) and value >= 0.0, "nonnegative"
+        if not ok:
+            raise HypothesisError(f"recombination parameter {name} must be finite "
+                                  f"and {sign}, got {value!r}")
 
 
 def discretize_data(mesh: Mesh, law: PressureLaw, lambda2: float,

@@ -15,10 +15,12 @@ diagonal dominance) that give entrywise-nonnegative inverses.
 
 Every factorization uses the minimum-degree ordering of A^T + A
 (``MMD_AT_PLUS_A``), which keeps the fill of the two-point stencil's LU
-below that of SuperLU's default COLAMD.  ``solve`` can keep the factor of
-one system in a ``HeldFactor`` and reuse it for the next, nearby system as
-the preconditioner of iterative refinement (at most 5 steps, each of which
-must halve the residual).  It accepts the refined x only at the normwise
+below that of SuperLU's default COLAMD, and the narrowest supernode panels
+(``relax`` and ``panel_size`` 1): the stencil's supernodes are small, so
+wider panels only add work, and the fill is the same.  ``solve`` can keep
+the factor of one system in a ``HeldFactor`` and reuse it for the next,
+nearby system as the preconditioner of iterative refinement (at most 5
+steps, each of which must halve the residual).  It accepts the refined x only at the normwise
 backward error a fresh LU solve delivers,
     ||b - A x||_inf <= min(tol, 16 eps (||A||_inf ||x||_inf + ||b||_inf)),
 and otherwise factors A afresh, so x is still the exact solution of A x = b
@@ -27,12 +29,15 @@ perturbed at rounding level.
 ``correct`` is the inexact inner solve of the transient Picard loop: one
 correction x0 + LU^{-1}(b - A x0) of the current iterate x0 on the held
 factor of each block, from one residual of the stacked iterate, kept for a
-block only if it is nonnegative and at least halves that block's residual.
-It needs only ``A @ x``, so a block reaches its CSC form only when its
-correction is refused.  Such an x is not the solution of an M-matrix
-system; its nonnegativity comes from that test, and when the test fails
-the caller falls back to ``solve`` on that block.  ``check_m_matrix`` can
-still cover every assembled block.
+block only if it is nonnegative and cuts that block's residual to at most a
+fifth.  It needs only ``A @ x``, so a block reaches its CSC form only when
+its correction is refused.  Such an x is not the solution of an M-matrix
+system; its nonnegativity comes from that test.  A refused block drops its
+held factor, and the caller falls back to ``solve`` on that block, which
+then factors it afresh at once: refinement on a factor that contracts the
+residual by less than a fifth per step cannot reach rounding-level backward
+error in ``_REFINE_MAX`` steps.  ``check_m_matrix`` can still cover every
+assembled block.
 """
 from __future__ import annotations
 
@@ -46,14 +51,22 @@ from .mesh import Mesh
 
 # Strictness margin for column diagonal dominance, relative to the diagonal.
 _DOMINANCE_MARGIN = 1e-14
-# Fill-reducing column ordering of every LU factorization.
+# Fill-reducing column ordering of every LU factorization, and SuperLU's
+# supernode relaxation and panel width: the small supernodes of a two-point
+# stencil's factor gain nothing from wide panels, which only slow the
+# factorization (same fill).
 _ORDERING = "MMD_AT_PLUS_A"
+_RELAX = 1
+_PANEL_SIZE = 1
 # Refinement with a held factor: at most this many correction steps, each of
 # which must cut the residual by at least the given factor, and acceptance at
 # this many machine epsilons of normwise backward error.
 _REFINE_MAX = 5
 _REFINE_CONTRACTION = 0.5
 _BACKWARD_ERROR_EPS = 16.0
+# A one-step correction on a held factor is kept only if it cuts the residual
+# to at most this share; a factor that contracts less is refreshed.
+_CORRECT_CONTRACTION = 0.2
 
 
 class SolverError(RuntimeError):
@@ -72,7 +85,8 @@ class HeldFactor:
 def factor(A):
     """LU factor of a square CSC matrix, fill-reduced by minimum degree."""
     try:
-        return spla.splu(A, permc_spec=_ORDERING)
+        return spla.splu(A, permc_spec=_ORDERING, relax=_RELAX,
+                         panel_size=_PANEL_SIZE)
     except RuntimeError as exc:
         raise SolverError(f"direct solve failed: {exc}") from exc
 
@@ -138,9 +152,10 @@ def correct(A, b, x0, held):
     (a ``TpfaOperator``), each correcting its own block: one residual of the
     stacked x0 and one triangular solve per block.  A block's corrected x
     is kept only if it is nonnegative and its residual ||b - A x||_inf is at
-    most ``_REFINE_CONTRACTION`` times that of x0.  Returns the kept x, or
-    with one factor per block a list with the kept x of each block and None
-    where nothing is held or a test fails; None when nothing is kept.
+    most ``_CORRECT_CONTRACTION`` times that of x0; a block whose correction
+    is refused drops its held factor.  Returns the kept x, or with one
+    factor per block a list with the kept x of each block and None where
+    nothing is held or a test fails; None when nothing is kept.
     """
     helds = (held,) if isinstance(held, HeldFactor) else tuple(held)
     if all(h.lu is None for h in helds):
@@ -155,8 +170,11 @@ def correct(A, b, x0, held):
     r = b - A @ x
     kept = ((np.min(x.reshape(-1, m), axis=1) >= 0.0)
             & (np.max(np.abs(r).reshape(-1, m), axis=1)
-               <= _REFINE_CONTRACTION * np.max(np.abs(r0).reshape(-1, m), axis=1))
+               <= _CORRECT_CONTRACTION * np.max(np.abs(r0).reshape(-1, m), axis=1))
             & [h.lu is not None for h in helds])
+    for h, ok in zip(helds, kept):
+        if not ok:
+            h.lu = None
     if not kept.any():
         return None
     if isinstance(held, HeldFactor):

@@ -10,13 +10,17 @@ diagonally dominant M-matrices, whose solutions are nonnegative and, with
 zero doping, inside the data bounds [m, M].
 
 The inner solves are inexact: each species first tries one correction of
-its iterate on the LU factor it holds (``sparse.correct``), kept only if its
-residual halves and the result is nonnegative, and otherwise solves its
-system in full.  So an intermediate iterate may be a one-step correction
-rather than the exact solution of an M-matrix system.  Every assembled
-matrix can still be checked (``check_m_matrices``); a step is accepted
-only when the scheme residual of the converged iterate is at most
-10 fp_tol, and the density bounds are checked on that converged state.
+its iterate on the LU factor it holds (``sparse.correct``), kept only if it
+cuts the residual to at most a fifth and the result is nonnegative.
+Otherwise the species drops its factor and solves its system in full on a
+fresh one, which it then holds: a factor too stale for that cut contracts
+the residual too slowly to keep pace with the Picard contraction, and
+refining on it would only delay the refresh.  So an intermediate iterate
+may be a one-step correction rather than the exact solution of an M-matrix
+system.  Every assembled matrix can still be checked
+(``check_m_matrices``); a step is accepted only when the scheme residual of
+the converged iterate is at most 10 fp_tol, and the density bounds are
+checked on that converged state.
 
 The iterate is kept stacked, u = [N; P], and both density systems are
 assembled in one pass as the two blocks of one matrix-free operator
@@ -116,7 +120,8 @@ class StepReport:
 
 def _correct_or_solve(A, b, u_it, helds) -> np.ndarray:
     """Each block's safeguarded correction of u_it on its held factor, else
-    a full solve of that block; stacked like u_it."""
+    a full solve of that block on a fresh factor (a refused correction drops
+    the held one); stacked like u_it."""
     kept = la.correct(A, b, u_it, helds) or [None] * len(helds)
     m = len(u_it) // len(helds)
     return np.concatenate([

@@ -111,6 +111,38 @@ def test_nonlinear_with_recombination_exits_3(tmp_path, capsys):
     assert "isothermal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("recombination, name", [
+    ("kind = srh\ntau_n = -1\ntau_p = -1", "tau_n"),
+    ("kind = srh\nscale = -5", "scale"),
+    ("kind = srh\nscale = nan", "scale"),
+    ("kind = srh\ntau_c = 0", "tau_c"),
+    ("kind = auger\nc_n = -1", "c_n"),
+    ("kind = auger\nc_n = nan", "c_n"),
+    ("kind = auger\nc_p = inf", "c_p")])
+def test_bad_recombination_parameter_exits_3(tmp_path, capsys, recombination, name):
+    # GOOD_CONFIG's contacts satisfy mass action, so only the parameter is at fault.
+    cfg = GOOD_CONFIG + f"\n[recombination]\n{recombination}\n"
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_HYPOTHESIS
+    err = capsys.readouterr().err
+    assert f"hypothesis violation: recombination parameter {name} must be finite" in err
+
+
+def test_zero_step_run_exits_3(tmp_path, capsys):
+    csv_path = tmp_path / "none.csv"
+    cfg = GOOD_CONFIG.replace("t_end = 0.05", "t_end = 0")
+    assert main(["run", _write(tmp_path, cfg), "--csv", str(csv_path)]) == EXIT_HYPOTHESIS
+    assert "hypothesis violation: end time 0 gives no time step" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_zero_step_reproduce_exits_3(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert main(["reproduce", "--outdir", str(outdir), "--nx", "4",
+                 "--t-end", "0"]) == EXIT_HYPOTHESIS
+    assert "hypothesis violation: end time 0 gives no time step" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
 @pytest.mark.parametrize("good, bad, message", [
     ("dt = 1e-2", "dt = nan", "time step"),
     ("dt = 1e-2", "dt = inf", "time step"),

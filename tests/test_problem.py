@@ -79,6 +79,29 @@ def test_mass_action_violation_rejected():
         _constant_problem(recomb=SRH, n_d=2.0, p_d=3.0)
 
 
+@pytest.mark.parametrize("recomb, name", [
+    (RecombinationModel("srh", tau_n=-1.0, tau_p=-1.0), "tau_n"),
+    (RecombinationModel("srh", tau_p=-1.0), "tau_p"),
+    (RecombinationModel("srh", scale=-5.0), "scale"),
+    (RecombinationModel("srh", scale=np.nan), "scale"),
+    (RecombinationModel("srh", tau_c=0.0), "tau_c"),
+    (RecombinationModel("srh", tau_n=np.inf), "tau_n"),
+    (RecombinationModel("auger", c_n=-1.0), "c_n"),
+    (RecombinationModel("auger", c_n=np.nan), "c_n"),
+    (RecombinationModel("auger", c_p=np.inf), "c_p")])
+def test_bad_recombination_parameter_rejected(recomb, name):
+    # n_d p_d = 1: mass action holds, so only the parameter is at fault.
+    with pytest.raises(HypothesisError, match=f"recombination parameter {name} "):
+        _constant_problem(recomb=recomb, n_d=2.0, p_d=0.5)
+
+
+def test_zero_recombination_parameters_accepted():
+    # R0 = 0 is allowed; only tau_c must be positive.
+    for recomb in (RecombinationModel("srh", scale=0.0, tau_n=0.0, tau_p=0.0),
+                   RecombinationModel("auger", c_n=0.0, c_p=0.0)):
+        assert _constant_problem(recomb=recomb, n_d=2.0, p_d=0.5).recombination is recomb
+
+
 def test_nonlinear_with_recombination_rejected():
     with pytest.raises(HypothesisError, match="isothermal"):
         _constant_problem(law=PressureLaw.power(5.0 / 3.0), recomb=SRH,

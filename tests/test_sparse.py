@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from driftfv.mesh import build_cartesian, import_triangulation
 from driftfv.problem import contact_predicate
@@ -111,6 +112,21 @@ def test_correction_rejected_unless_residual_halves():
     assert correct(A, b, np.zeros(3), _held(sp.identity(3))) is None
     # A held factor of A itself solves exactly: residual 0, accepted.
     assert np.allclose(correct(A, b, np.zeros(3), _held(A)), b / 3.0)
+
+
+def test_correction_kept_only_if_the_residual_falls_five_fold():
+    # Held factor of I for c I x = b from x0 = 0: the correction is x = b,
+    # whose residual (1 - c) b is |1 - c| times that of x0.
+    b = np.array([1.0, 2.0, 3.0])
+    refused = _held(sp.identity(3))
+    assert correct(1.3 * sp.identity(3, format="csc"), b, np.zeros(3), refused) is None
+    # A refused correction drops its factor: the next solve factors afresh.
+    assert refused.lu is None
+    kept = _held(sp.identity(3))
+    first = kept.lu
+    assert np.array_equal(
+        correct(1.1 * sp.identity(3, format="csc"), b, np.zeros(3), kept), b)
+    assert kept.lu is first
 
 
 def test_correction_rejected_with_a_negative_entry():
@@ -283,3 +299,24 @@ def test_operator_product_matches_csc_system(mesh):
         assert np.max(np.abs(solve(A, b) - solve(C, b))) <= 1e-13
         assert check_m_matrix(A).is_m_matrix == check_m_matrix(C).is_m_matrix
 
+
+@pytest.mark.parametrize("mesh", [
+    build_cartesian(24, 24, dirichlet_predicate=contact_predicate), _hexagon_fan()],
+    ids=["cartesian-contacts", "hexagon"])
+def test_narrow_panel_factor_has_default_fill_and_solves_to_tolerance(mesh):
+    rng = np.random.default_rng(23)
+    n_active = len(mesh.active_edges)
+    A, _ = tpfa_operator(mesh, rng.uniform(0.5, 2.0, n_active),
+                         rng.uniform(0.5, 2.0, n_active),
+                         rng.uniform(0.1, 1.0, mesh.n_cells),
+                         np.zeros(mesh.n_dirichlet))
+    A = A.tocsc()
+    lu = factor(A)
+    wide = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+    assert lu.L.nnz + lu.U.nnz <= wide.L.nnz + wide.U.nnz
+    # Nor does it store more entries: wide relaxed supernodes pad with zeros.
+    assert lu.nnz <= wide.nnz
+    for _ in range(3):
+        b = rng.uniform(-1.0, 1.0, mesh.n_cells)
+        tol = max(1e-12, 1e-12 * np.max(np.abs(b)))
+        assert np.max(np.abs(A @ lu.solve(b) - b)) <= tol

@@ -309,6 +309,25 @@ def test_density_factors_reused_across_iterations_and_steps(monkeypatch, splu_ca
         assert got == pytest.approx(want, rel=1e-10, abs=1e-14), name
 
 
+def test_refused_correction_goes_straight_to_a_fresh_factor(monkeypatch, splu_calls):
+    prob = _preset_problem("nonlinear_nondegenerate", "pn", nx=16)
+    eq = solve_equilibrium(prob)
+    refined = []
+    real_refine = la._refine
+
+    def counting_refine(*args):
+        refined.append(args)
+        return real_refine(*args)
+
+    monkeypatch.setattr(la, "_refine", counting_refine)
+    factored_before = len(splu_calls)
+    run(prob, StepperConfig(dt=1e-2, t_end=0.05), eq)
+    # Some corrections are refused (more than the first two factors), and
+    # none of them refines on the stale factor before factoring afresh.
+    assert len(splu_calls) - factored_before > 2
+    assert refined == []
+
+
 def _per_species_systems(stepper, n_it, p_it, psi_cells, n_prev, p_prev, mu):
     """[(A_N, b_N), (A_P, b_P)] assembled one species at a time over every
     edge, as a reference for the stacked block assembly."""
