@@ -55,70 +55,88 @@ def _entropy_density(law, s, s_eq):
             - cst.enthalpy(law, np.maximum(s_eq, _LOG_CLAMP)) * (s - s_eq))
 
 
-def entropy(problem: Problem, state: State, eq: State) -> float:
-    """Relative entropy E of the state with respect to the equilibrium."""
+def _psi_seminorm(problem: Problem, state: State, eq: State) -> float:
+    """|Psi - Psi^eq|_1; both states carry the problem's Dirichlet data, so
+    Psi - Psi^eq is 0 there."""
+    return seminorm_h1(problem.mesh, state.psi - eq.psi, 0.0)
+
+
+def _entropy(problem: Problem, state: State, eq: State, dpsi: float) -> float:
     law = problem.law
     mk = problem.mesh.cell_measures
     cells = (np.sum(mk * _entropy_density(law, state.n, eq.n))
              + np.sum(mk * _entropy_density(law, state.p, eq.p)))
-    # Both states carry the problem's Dirichlet data, so Psi - Psi^eq is 0 there.
-    dpsi = seminorm_h1(problem.mesh, state.psi - eq.psi, 0.0)
     return float(cells + 0.5 * problem.lambda2 * dpsi ** 2)
 
 
-def _edge_dissipation(problem: Problem, dens, dens_dirichlet, psi,
-                      sign: float) -> float:
+def entropy(problem: Problem, state: State, eq: State) -> float:
+    """Relative entropy E of the state with respect to the equilibrium."""
+    return _entropy(problem, state, eq, _psi_seminorm(problem, state, eq))
+
+
+def _log_enthalpy(law, values):
+    return cst.enthalpy(law, np.maximum(values, _LOG_CLAMP))
+
+
+def _edge_dissipation(problem: Problem, values, dpsi, sign: float):
+    """Edge sum of one species from its cell values, then Dirichlet values,
+    and D Psi per edge; also returns h of ``values``."""
     mesh = problem.mesh
-    u_k = dens[mesh.edge_cells[:, 0]]
-    u_s = mesh.edge_other_values(dens, dens_dirichlet)
-    h_k = cst.enthalpy(problem.law, np.maximum(u_k, _LOG_CLAMP))
-    h_s = cst.enthalpy(problem.law, np.maximum(u_s, _LOG_CLAMP))
-    dpsi = mesh.edge_differences(psi, problem.psi_dirichlet)
-    w = (h_s - h_k) - sign * dpsi
-    mins = np.minimum(u_k, u_s)
-    return float(np.sum(mesh.edge_tau * np.where(mins > 0.0, mins * w ** 2, 0.0)))
+    # h once per cell and per Dirichlet value, gathered to both ends of each edge.
+    h = _log_enthalpy(problem.law, values)
+    k, other = mesh.edge_cells[:, 0], mesh.edge_other_index
+    w = (h[other] - h[k]) - sign * dpsi
+    mins = np.minimum(values[k], values[other])
+    return float(np.sum(mesh.edge_tau * np.where(mins > 0.0, mins * w ** 2, 0.0))), h
 
 
 def production(problem: Problem, state: State, eq: State) -> float:
     """Entropy dissipation I of the state."""
-    total = (_edge_dissipation(problem, state.n, problem.n_dirichlet,
-                               state.psi, 1.0)
-             + _edge_dissipation(problem, state.p, problem.p_dirichlet,
-                                 state.psi, -1.0))
+    mesh = problem.mesh
+    dpsi = mesh.edge_differences(state.psi, problem.psi_dirichlet)
+    i_n, h_n = _edge_dissipation(
+        problem, np.concatenate([state.n, problem.n_dirichlet]), dpsi, 1.0)
+    i_p, h_p = _edge_dissipation(
+        problem, np.concatenate([state.p, problem.p_dirichlet]), dpsi, -1.0)
+    total = i_n + i_p
     if not problem.recombination.is_none:
-        law = problem.law
+        law, n = problem.law, mesh.n_cells
         r, _ = evaluate_recombination(problem.recombination, state.n, state.p)
-        dh = (cst.enthalpy(law, np.maximum(state.n, _LOG_CLAMP))
-              + cst.enthalpy(law, np.maximum(state.p, _LOG_CLAMP))
-              - cst.enthalpy(law, np.maximum(eq.n, _LOG_CLAMP))
-              - cst.enthalpy(law, np.maximum(eq.p, _LOG_CLAMP)))
-        total += float(np.sum(problem.mesh.cell_measures * r * dh))
+        dh = (h_n[:n] + h_p[:n]
+              - _log_enthalpy(law, eq.n) - _log_enthalpy(law, eq.p))
+        total += float(np.sum(mesh.cell_measures * r * dh))
     return total
+
+
+def _quadratic_distance(problem: Problem, l2_n: float, l2_p: float,
+                        dpsi: float) -> float:
+    return l2_n ** 2 + l2_p ** 2 + 0.5 * problem.lambda2 * dpsi ** 2
 
 
 def f_functional(problem: Problem, state: State, eq: State) -> float:
     """Quadratic distance F = ||N-N^eq||^2 + ||P-P^eq||^2 + lambda^2/2 |DPsi|^2."""
     mesh = problem.mesh
-    dn = norm_l2(mesh, state.n - eq.n)
-    dp = norm_l2(mesh, state.p - eq.p)
-    dpsi = seminorm_h1(mesh, state.psi - eq.psi, 0.0)
-    return dn ** 2 + dp ** 2 + 0.5 * problem.lambda2 * dpsi ** 2
+    return _quadratic_distance(problem, norm_l2(mesh, state.n - eq.n),
+                               norm_l2(mesh, state.p - eq.p),
+                               _psi_seminorm(problem, state, eq))
 
 
 def make_record(state: State, eq: State, problem: Problem, fp_iters: int,
                 prev_record: Optional[DiagnosticsRecord],
                 dt: float = 0.0) -> DiagnosticsRecord:
-    e = entropy(problem, state, eq)
-    i = production(problem, state, eq) if state.step > 0 else 0.0
     mesh = problem.mesh
+    dpsi = _psi_seminorm(problem, state, eq)
+    l2_n = norm_l2(mesh, state.n - eq.n)
+    l2_p = norm_l2(mesh, state.p - eq.p)
+    e = _entropy(problem, state, eq, dpsi)
+    i = production(problem, state, eq) if state.step > 0 else 0.0
     slack = 0.0
     if prev_record is not None:
         slack = prev_record.entropy - e - dt * i
     return DiagnosticsRecord(
         step=state.step, t=state.time, entropy=e, production=i,
-        f_functional=f_functional(problem, state, eq),
-        l2_n=norm_l2(mesh, state.n - eq.n),
-        l2_p=norm_l2(mesh, state.p - eq.p),
+        f_functional=_quadratic_distance(problem, l2_n, l2_p, dpsi),
+        l2_n=l2_n, l2_p=l2_p,
         l2_psi=norm_l2(mesh, state.psi - eq.psi),
         min_n=float(np.min(state.n)), max_n=float(np.max(state.n)),
         min_p=float(np.min(state.p)), max_p=float(np.max(state.p)),

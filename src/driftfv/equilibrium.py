@@ -6,9 +6,13 @@ with the problem's Dirichlet data, and the equilibrium densities follow as
 N = g(alpha_N + Psi), P = g(alpha_P - Psi).  The solver is a damped
 (semismooth) Newton method; the clipping kink of g has a one-sided zero
 derivative, and the Jacobian stays an M-matrix (stiffness plus nonnegative
-diagonal).  Successive Jacobians differ only in that diagonal, so each is
-solved on the LU factor of an earlier one where iterative refinement reaches
-the backward error of a fresh factorization, and factored afresh otherwise.
+diagonal).  The Jacobian is assembled as a two-point operator
+(``sparse.tpfa_operator`` with weights lambda^2 and that diagonal), so a
+factorization lays it out in the mesh's fill-reducing order without
+re-ordering it.  Successive Jacobians differ only in the diagonal, so each
+is solved on the LU factor of an earlier one where iterative refinement
+reaches the backward error of a fresh factorization, and factored afresh
+otherwise.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import constitutive as cst
 from . import sparse as la
@@ -48,8 +51,8 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
     a_n, a_p = problem.alpha_n, problem.alpha_p
     mk = mesh.cell_measures
 
-    L, g = la.tpfa_operator(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
-    L = L.tocsc()
+    L = mesh.laplacian
+    _, g = la.tpfa_operator(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
     b_dir = lam2 * g
 
     def residual(psi):
@@ -75,7 +78,8 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
                 f"residual history: {['%.3e' % r for r in history[-8:]]}")
         gpn = cst.g_prime(law, a_n + psi)
         gpp = cst.g_prime(law, a_p - psi)
-        J = lam2 * L + sp.diags(mk * (gpn + gpp))
+        J, _ = la.tpfa_operator(mesh, lam2, lam2, mk * (gpn + gpp),
+                                problem.psi_dirichlet)
         delta = la.solve(J, -res, held)
         # Halving line search on the residual inf-norm; g's kink makes
         # undamped steps overshoot occasionally.
@@ -86,8 +90,7 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
             if np.max(np.abs(res_trial)) < history[-1]:
                 break
             step *= 0.5
-        psi = psi + step * delta
-        res = residual(psi)
+        psi, res = trial, res_trial
         history.append(float(np.max(np.abs(res))))
         iterations += 1
 

@@ -13,11 +13,17 @@ operator or a matrix.  ``check_m_matrix`` verifies the structural
 properties (positive diagonal, nonpositive off-diagonal, strict column
 diagonal dominance) that give entrywise-nonnegative inverses.
 
-Every factorization uses the minimum-degree ordering of A^T + A
-(``MMD_AT_PLUS_A``), which keeps the fill of the two-point stencil's LU
-below that of SuperLU's default COLAMD, and the narrowest supernode panels
-(``relax`` and ``panel_size`` 1): the stencil's supernodes are small, so
-wider panels only add work, and the fill is the same.  ``solve`` can keep
+Every factorization is fill-reduced by the minimum-degree ordering of
+A^T + A (``MMD_AT_PLUS_A``), which keeps the fill of the two-point
+stencil's LU below that of SuperLU's default COLAMD, and uses the narrowest
+supernode panels (``relax`` and ``panel_size`` 1): the stencil's supernodes
+are small, so wider panels only add work, and the fill is the same.  Every
+operator on a mesh shares the stencil's sparsity pattern, so minimum degree
+runs once per mesh, on the Laplacian of ``Mesh.laplacian_lu``, and the mesh
+keeps that order (``Mesh.fill_order``).  ``factor`` lays a ``TpfaOperator``
+out permuted into it, in the one gather of ``tocsc(ordered=True)``, and
+factors it in that order as it stands (``NATURAL``); the factor permutes b in
+and x out, so it solves in natural order.  ``solve`` can keep
 the factor of one system in a ``HeldFactor`` and reuse it for the next,
 nearby system as the preconditioner of iterative refinement (at most 5
 steps, each of which must halve the residual).  It accepts the refined x only at the normwise
@@ -30,10 +36,11 @@ perturbed at rounding level.
 correction x0 + LU^{-1}(b - A x0) of the current iterate x0 on the held
 factor of each block, from one residual of the stacked iterate, kept for a
 block only if it is nonnegative and cuts that block's residual to at most a
-fifth.  It needs only ``A @ x``, so a block reaches its CSC form only when
-its correction is refused.  Such an x is not the solution of an M-matrix
-system; its nonnegativity comes from that test.  A refused block drops its
-held factor, and the caller falls back to ``solve`` on that block, which
+fifth, or to the rounding level 16 eps ||b||_inf of that block, which no
+correction can undercut.  It needs only ``A @ x``, so a block reaches its
+CSC form only when its correction is refused.  Such an x is not the
+solution of an M-matrix system; its nonnegativity comes from that test.  A
+refused block drops its held factor, and the caller falls back to ``solve`` on that block, which
 then factors it afresh at once: refinement on a factor that contracts the
 residual by less than a fifth per step cannot reach rounding-level backward
 error in ``_REFINE_MAX`` steps.  ``check_m_matrix`` can still cover every
@@ -51,11 +58,13 @@ from .mesh import Mesh
 
 # Strictness margin for column diagonal dominance, relative to the diagonal.
 _DOMINANCE_MARGIN = 1e-14
-# Fill-reducing column ordering of every LU factorization, and SuperLU's
+# Fill-reducing column ordering of an LU factorization, and SuperLU's
 # supernode relaxation and panel width: the small supernodes of a two-point
 # stencil's factor gain nothing from wide panels, which only slow the
-# factorization (same fill).
+# factorization (same fill).  An operator laid out in its mesh's fill order
+# is factored in the order it comes in.
 _ORDERING = "MMD_AT_PLUS_A"
+_ORDERED = "NATURAL"
 _RELAX = 1
 _PANEL_SIZE = 1
 # Refinement with a held factor: at most this many correction steps, each of
@@ -82,10 +91,37 @@ class HeldFactor:
         self.lu = None
 
 
+class OrderedFactor:
+    """LU factor of a matrix permuted symmetrically into the cell order q;
+    ``solve`` takes and returns vectors in natural order."""
+
+    __slots__ = ("lu", "q", "rank")
+
+    def __init__(self, lu, q, rank):
+        self.lu = lu
+        self.q = q
+        self.rank = rank
+
+    def solve(self, b):
+        return self.lu.solve(b[self.q])[self.rank]
+
+
 def factor(A):
-    """LU factor of a square CSC matrix, fill-reduced by minimum degree."""
+    """LU factor of A, fill-reduced by minimum degree.
+
+    A one-block ``TpfaOperator`` is laid out in its mesh's ``fill_order`` and
+    factored in that order, as an ``OrderedFactor``; any other A, a square
+    matrix, is ordered by minimum degree of its own.
+    """
+    if isinstance(A, TpfaOperator) and A.blocks == 1:
+        q, rank = A.mesh.fill_order
+        return OrderedFactor(_splu(A.tocsc(ordered=True), _ORDERED), q, rank)
+    return _splu(_csc(A), _ORDERING)
+
+
+def _splu(A, ordering):
     try:
-        return spla.splu(A, permc_spec=_ORDERING, relax=_RELAX,
+        return spla.splu(A, permc_spec=ordering, relax=_RELAX,
                          panel_size=_PANEL_SIZE)
     except RuntimeError as exc:
         raise SolverError(f"direct solve failed: {exc}") from exc
@@ -97,9 +133,11 @@ def solve(A, b, held: "HeldFactor | None" = None) -> np.ndarray:
     With a ``held`` factor from an earlier system, x comes from iterative
     refinement on that factor and is accepted only at rounding-level
     backward error; otherwise, or when it is not accepted, A is factored
-    afresh and the new factor is kept in ``held``.
+    afresh and the new factor is kept in ``held``.  An operator is applied
+    without a matrix and laid out only to be factored.
     """
-    A = _csc(A)
+    if not isinstance(A, TpfaOperator):
+        A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
     b_norm = np.max(np.abs(b), initial=0.0)
     tol = max(1e-12, 1e-12 * b_norm)
@@ -129,8 +167,7 @@ def _refine(A, b, b_norm, tol, lu):
     Returns x once its residual meets the backward-error bound, or None when
     the refinement cap is reached or a step fails to contract the residual.
     """
-    a_norm = np.max(np.bincount(A.indices, weights=np.abs(A.data),
-                                minlength=A.shape[0]), initial=0.0)
+    a_norm = np.max(abs(A) @ np.ones(A.shape[1]), initial=0.0)
     eps = _BACKWARD_ERROR_EPS * np.finfo(float).eps
     x = lu.solve(b)
     prev = np.inf
@@ -152,8 +189,9 @@ def correct(A, b, x0, held):
     (a ``TpfaOperator``), each correcting its own block: one residual of the
     stacked x0 and one triangular solve per block.  A block's corrected x
     is kept only if it is nonnegative and its residual ||b - A x||_inf is at
-    most ``_CORRECT_CONTRACTION`` times that of x0; a block whose correction
-    is refused drops its held factor.  Returns the kept x, or with one
+    most ``_CORRECT_CONTRACTION`` times that of x0, or at most the rounding
+    level 16 eps ||b||_inf of the block; a block whose correction is refused
+    drops its held factor.  Returns the kept x, or with one
     factor per block a list with the kept x of each block and None where
     nothing is held or a test fails; None when nothing is kept.
     """
@@ -167,10 +205,12 @@ def correct(A, b, x0, held):
                              else h.lu.solve(r0[s * m:(s + 1) * m])
                              for s, h in enumerate(helds)])
     # A is block-diagonal: the residual of a block depends on that block only.
-    r = b - A @ x
+    r = np.max(np.abs(b - A @ x).reshape(-1, m), axis=1)
+    floor = _BACKWARD_ERROR_EPS * np.finfo(float).eps * np.max(
+        np.abs(b).reshape(-1, m), axis=1)
     kept = ((np.min(x.reshape(-1, m), axis=1) >= 0.0)
-            & (np.max(np.abs(r).reshape(-1, m), axis=1)
-               <= _CORRECT_CONTRACTION * np.max(np.abs(r0).reshape(-1, m), axis=1))
+            & ((r <= _CORRECT_CONTRACTION * np.max(np.abs(r0).reshape(-1, m), axis=1))
+               | (r <= floor))
             & [h.lu is not None for h in helds])
     for h, ok in zip(helds, kept):
         if not ok:
@@ -223,7 +263,8 @@ class TpfaOperator:
     edges in one ``take`` and sums each cell's entries with one ``bincount``;
     ``block(s)``
     is block s as a one-block operator, and ``tocsc()`` lays the entries out
-    in CSC form for a factorization or an M-matrix check.
+    in CSC form for an M-matrix check, or with ``ordered`` permuted into the
+    mesh's ``fill_order`` for a factorization.
     """
 
     __slots__ = ("mesh", "diagonal", "offdiagonal")
@@ -256,11 +297,17 @@ class TpfaOperator:
         return TpfaOperator(self.mesh, self.diagonal[s * n:(s + 1) * n],
                             self.offdiagonal[s * m:(s + 1) * m])
 
-    def tocsc(self):
+    def __abs__(self) -> "TpfaOperator":
+        return TpfaOperator(self.mesh, np.abs(self.diagonal), np.abs(self.offdiagonal))
+
+    def tocsc(self, ordered: bool = False):
+        """The matrix in CSC form; with ``ordered`` (one block only),
+        permuted symmetrically into the mesh's ``fill_order``."""
         if self.blocks != 1:
             return sp.block_diag([self.block(s).tocsc() for s in range(self.blocks)],
                                  format="csc")
-        order, indices, indptr = self.mesh.stencil_csc
+        mesh = self.mesh
+        order, indices, indptr = mesh.ordered_stencil_csc if ordered else mesh.stencil_csc
         data = np.concatenate([self.diagonal, self.offdiagonal])[order]
         return sp.csc_matrix((data, indices, indptr), shape=self.shape)
 

@@ -10,8 +10,9 @@ diagonally dominant M-matrices, whose solutions are nonnegative and, with
 zero doping, inside the data bounds [m, M].
 
 The inner solves are inexact: each species first tries one correction of
-its iterate on the LU factor it holds (``sparse.correct``), kept only if it
-cuts the residual to at most a fifth and the result is nonnegative.
+its iterate on the LU factor it holds (``sparse.correct``), kept only if the
+result is nonnegative and its residual is at most a fifth of the old one or
+at rounding level.
 Otherwise the species drops its factor and solves its system in full on a
 fresh one, which it then holds: a factor too stale for that cut contracts
 the residual too slowly to keep pace with the Picard contraction, and
@@ -144,8 +145,8 @@ class Stepper:
 
         # CSC: the Poisson residual check multiplies by it once per solve,
         # and scipy's CSC product is cheaper than the operator's.
-        L, g = la.tpfa_operator(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
-        self.L = L.tocsc()
+        self.L = mesh.laplacian
+        _, g = la.tpfa_operator(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
         self._poisson_lu = mesh.laplacian_lu
         self._poisson_b_dir = self.lam2 * g
         self._density_dirichlet = np.stack([problem.n_dirichlet, problem.p_dirichlet])
@@ -236,6 +237,9 @@ class Stepper:
         return r[:n], r[n:]
 
     def advance(self, state: State, tracker: BoundsTracker) -> "tuple[State, StepReport]":
+        """One implicit step from ``state``, whose ``psi`` is the Picard
+        loop's first potential: ``initial_state`` and every step leave it at
+        ``solve_poisson`` of the state's densities."""
         cfg = self.config
         pr = self.problem
         n = self.mesh.n_cells
@@ -252,7 +256,7 @@ class Stepper:
         best_inc = np.inf
         inc = np.inf
         calm_streak = 0
-        psi = self.solve_poisson(u[:n], u[n:])
+        psi = state.psi
         iterations = 0
         residual = np.inf
         increments = []

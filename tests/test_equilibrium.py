@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from driftfv.constitutive import PressureLaw, dr_mean, enthalpy
@@ -162,3 +163,29 @@ def test_newton_reuses_its_factor(monkeypatch):
         assert a.iterations == b.iterations
         assert a.residual <= 1e-10
         assert np.max(np.abs(a.psi - b.psi)) <= 1e-13
+
+
+def test_newton_jacobian_is_lambda2_laplacian_plus_diagonal(monkeypatch):
+    from driftfv import constitutive, equilibrium
+    preset = pn_junction_preset("nonlinear_nondegenerate", "pn")
+    mesh = build_cartesian(16, 16, dirichlet_predicate=preset.dirichlet_predicate)
+    prob = preset.build(mesh)
+    derivatives, jacobians = [], []
+    g_prime, solve = constitutive.g_prime, equilibrium.la.solve
+
+    def recording_g_prime(law, s):
+        derivatives.append(g_prime(law, s))
+        return derivatives[-1]
+
+    def recording_solve(A, b, held=None):
+        jacobians.append(A.tocsc())
+        return solve(A, b, held)
+
+    monkeypatch.setattr(constitutive, "g_prime", recording_g_prime)
+    monkeypatch.setattr(equilibrium.la, "solve", recording_solve)
+    eq = solve_equilibrium(prob)
+    assert eq.iterations >= 1
+    assert len(jacobians) == eq.iterations and len(derivatives) == 2 * eq.iterations
+    for J, gpn, gpp in zip(jacobians, derivatives[::2], derivatives[1::2]):
+        ref = prob.lambda2 * mesh.laplacian + sp.diags(mesh.cell_measures * (gpn + gpp))
+        assert abs(J - ref).max() <= 1e-15 * abs(ref).max()

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from driftfv.mesh import build_cartesian, import_triangulation
 from driftfv.problem import contact_predicate
-from driftfv.sparse import (HeldFactor, MMatrixReport, SolverError,
+from driftfv.sparse import (HeldFactor, MMatrixReport, OrderedFactor, SolverError,
                             TpfaOperator, check_m_matrix, correct, factor, solve,
                             tpfa_operator)
 
@@ -127,6 +127,20 @@ def test_correction_kept_only_if_the_residual_falls_five_fold():
     assert np.array_equal(
         correct(1.1 * sp.identity(3, format="csc"), b, np.zeros(3), kept), b)
     assert kept.lu is first
+
+
+def test_correction_at_rounding_level_is_kept():
+    # From x0 = 1 - 4 eps the residual of I x = 1 is 4 eps.  On the factor of
+    # 10 I the correction cuts it to 3.5 eps only, not five-fold, but that is
+    # within the rounding level 16 eps ||b||_inf, which no correction can
+    # undercut: the correction is kept, and so is the factor.
+    eps = np.finfo(float).eps
+    b = np.ones(3)
+    held = _held(10.0 * sp.identity(3))
+    first = held.lu
+    x = correct(sp.identity(3, format="csc"), b, np.full(3, 1.0 - 4.0 * eps), held)
+    assert x is not None and held.lu is first
+    assert 0.2 * 4.0 * eps < np.max(np.abs(b - x)) <= 16.0 * eps
 
 
 def test_correction_rejected_with_a_negative_entry():
@@ -320,3 +334,40 @@ def test_narrow_panel_factor_has_default_fill_and_solves_to_tolerance(mesh):
         b = rng.uniform(-1.0, 1.0, mesh.n_cells)
         tol = max(1e-12, 1e-12 * np.max(np.abs(b)))
         assert np.max(np.abs(A @ lu.solve(b) - b)) <= tol
+
+
+@pytest.mark.parametrize("mesh", [
+    build_cartesian(24, 24, dirichlet_predicate=contact_predicate), _hexagon_fan()],
+    ids=["cartesian-contacts", "hexagon"])
+def test_ordered_factor_has_minimum_degree_fill_and_solves_to_tolerance(mesh):
+    rng = np.random.default_rng(29)
+    n_active = len(mesh.active_edges)
+    A, _ = tpfa_operator(mesh, rng.uniform(0.5, 2.0, n_active),
+                         rng.uniform(0.5, 2.0, n_active),
+                         rng.uniform(0.1, 1.0, mesh.n_cells),
+                         np.zeros(mesh.n_dirichlet))
+    # An operator is laid out in the mesh's order, taken from the Laplacian;
+    # its CSC matrix is ordered by a minimum-degree run of its own.
+    lu, mmd = factor(A), factor(A.tocsc())
+    assert isinstance(lu, OrderedFactor) and not isinstance(mmd, OrderedFactor)
+    assert lu.lu.nnz == mmd.nnz
+    C = A.tocsc()
+    for _ in range(3):
+        b = rng.uniform(-1.0, 1.0, mesh.n_cells)
+        tol = max(1e-12, 1e-12 * np.max(np.abs(b)))
+        x = lu.solve(b)
+        assert np.max(np.abs(C @ x - b)) <= tol
+        assert np.max(np.abs(x - mmd.solve(b))) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_ordered_layout_is_the_matrix_permuted_symmetrically():
+    mesh = build_cartesian(6, 5, dirichlet_predicate=contact_predicate)
+    rng = np.random.default_rng(31)
+    n_active = len(mesh.active_edges)
+    A, _ = tpfa_operator(mesh, rng.random(n_active), rng.random(n_active),
+                         rng.random(mesh.n_cells), np.zeros(mesh.n_dirichlet))
+    q, rank = mesh.fill_order
+    assert np.array_equal(q[rank], np.arange(mesh.n_cells))
+    B = A.tocsc(ordered=True)
+    assert B.has_sorted_indices
+    assert np.array_equal(B.toarray(), A.tocsc().toarray()[np.ix_(q, q)])

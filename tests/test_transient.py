@@ -151,9 +151,9 @@ def test_density_csc_built_only_for_full_solves(monkeypatch):
     built, solved = [], []
     real_tocsc, real_solve = la.TpfaOperator.tocsc, la.solve
 
-    def tocsc(self):
+    def tocsc(self, **kwargs):
         built.append(self.shape)
-        return real_tocsc(self)
+        return real_tocsc(self, **kwargs)
 
     def solve(A, b, held=None):
         solved.append(A.shape)
@@ -269,6 +269,18 @@ def test_laplacian_factored_once_per_mesh(splu_calls):
         return abs(A - scaled).max() <= 1e-15 * abs(scaled).max()
 
     assert sum(is_laplacian(A) for A, _ in splu_calls) == 1
+
+
+def test_minimum_degree_runs_once_per_mesh(splu_calls):
+    # The Laplacian's factor orders its mesh; every later factor on the mesh,
+    # Newton's and the density blocks', comes laid out in that order.
+    for case in ("linear_r0", "nonlinear_nondegenerate"):
+        prob = _preset_problem(case, "pn", nx=8)
+        before = len(splu_calls)
+        run(prob, StepperConfig(dt=1e-2, t_end=0.05), solve_equilibrium(prob))
+        specs = [spec for _, spec in splu_calls[before:]]
+        assert specs[0] == "MMD_AT_PLUS_A"
+        assert len(specs) > 1 and set(specs[1:]) == {"NATURAL"}
 
 
 @pytest.mark.parametrize("max_iter, listed", [(2, 2), (12, 8)])
