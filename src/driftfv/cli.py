@@ -315,7 +315,8 @@ def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=1e-2,
     if mesh_file is not None:
         mesh = read_mesh_file(mesh_file)
     else:
-        mesh = build_cartesian(nx, ny or nx, dirichlet_predicate=contact_predicate)
+        mesh = build_cartesian(nx, nx if ny is None else ny,
+                               dirichlet_predicate=contact_predicate)
     rows = []
     for case in PRESET_CASES:
         for doping in PRESET_DOPINGS:

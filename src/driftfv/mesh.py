@@ -130,13 +130,6 @@ class Mesh:
         return (_read_only(self.edge_cells[self.active_edges, 0]),
                 _read_only(self.edge_other_index[self.active_edges]))
 
-    @cached_property
-    def stencil_cols(self):
-        """Column of each off-diagonal stencil entry: L for each interior
-        edge, then K for each (rows in ``BlockStencil.offdiagonal_rows``)."""
-        k, ell = self.edge_cells[self.interior_edges].T
-        return _read_only(np.concatenate([ell, k]))
-
     def block_stencil(self, blocks: int) -> "BlockStencil":
         """Cell indices of ``blocks`` stacked copies of the stencil, block s
         on cells s*n_cells .. (s+1)*n_cells - 1.  Built once per block count;
@@ -156,8 +149,9 @@ class Mesh:
         """
         n = self.n_cells
         cells = np.arange(n)
-        rows = rank[np.concatenate([cells, self.block_stencil(1).offdiagonal_rows])]
-        cols = rank[np.concatenate([cells, self.stencil_cols])]
+        stencil = self.block_stencil(1)
+        rows = rank[np.concatenate([cells, stencil.offdiagonal_rows])]
+        cols = rank[np.concatenate([cells, stencil.offdiagonal_cols])]
         # Column, then row: one integer key sorts by both.
         order = np.argsort(cols.astype(np.int64) * n + rows)
         indptr = np.zeros(n + 1, dtype=np.int32)
@@ -244,11 +238,11 @@ class BlockStencil:
 
     Block s of each array is block 0 shifted by s*n_cells, so one
     ``bincount`` over all blocks sums each block's entries in the same order
-    as over one.  Gathers need no such copies: they take one block's indices
-    along the last axis of the blocks' values.
+    as over one, and one ``take`` gathers the values of all blocks.
     """
 
-    __slots__ = ("diagonal_cells", "offdiagonal_rows", "dirichlet_cells")
+    __slots__ = ("diagonal_cells", "offdiagonal_rows", "offdiagonal_cols",
+                 "dirichlet_cells")
 
     def __init__(self, mesh: Mesh, blocks: int):
         n = mesh.n_cells
@@ -262,9 +256,10 @@ class BlockStencil:
         # Cell of each diagonal term: every cell, then K and L of each
         # interior edge, then K of each Dirichlet edge.
         self.diagonal_cells = stack(np.arange(n), k, ell, kd)
-        # Row of each off-diagonal entry: (K, L) for each interior edge, then
-        # (L, K) for each; their columns are ``Mesh.stencil_cols``.
+        # Row and column of each off-diagonal entry: (K, L) for each
+        # interior edge, then (L, K) for each.
         self.offdiagonal_rows = stack(k, ell)
+        self.offdiagonal_cols = stack(ell, k)
         self.dirichlet_cells = stack(kd)
 
 

@@ -1,50 +1,18 @@
 """Two-point operators, sparse linear solves, and M-matrix verification.
 
-Every system is the two-point operator of ``tpfa_operator``, the one
-assembly entry point: a block-diagonal ``TpfaOperator`` with one block per
-coefficient row (the Poisson and Newton systems have one block, the
-transient density systems two, N and P), holding the diagonal and the
-off-diagonal edge weights of all blocks stacked.  Its product ``A @ u`` with
-the stacked vector is one gather and one ``bincount`` over index arrays
-cached on the mesh; ``A.block(s)`` is block s as a one-block operator, and
-its CSC form is laid out (``tocsc()``) only when a direct LU factorization
-or ``check_m_matrix`` needs it.  ``solve`` and ``check_m_matrix`` take an
-operator or a matrix.  ``check_m_matrix`` verifies the structural
-properties (positive diagonal, nonpositive off-diagonal, strict column
-diagonal dominance) that give entrywise-nonnegative inverses.
-
-Every factorization is fill-reduced by the minimum-degree ordering of
-A^T + A (``MMD_AT_PLUS_A``), which keeps the fill of the two-point
-stencil's LU below that of SuperLU's default COLAMD, and uses the narrowest
-supernode panels (``relax`` and ``panel_size`` 1): the stencil's supernodes
-are small, so wider panels only add work, and the fill is the same.  Every
-operator on a mesh shares the stencil's sparsity pattern, so minimum degree
-runs once per mesh, on the Laplacian of ``Mesh.laplacian_lu``, and the mesh
-keeps that order (``Mesh.fill_order``).  ``factor`` lays a ``TpfaOperator``
-out permuted into it, in the one gather of ``tocsc(ordered=True)``, and
-factors it in that order as it stands (``NATURAL``); the factor permutes b in
-and x out, so it solves in natural order.  ``solve`` can keep
-the factor of one system in a ``HeldFactor`` and reuse it for the next,
-nearby system as the preconditioner of iterative refinement (at most 5
-steps, each of which must halve the residual).  It accepts the refined x only at the normwise
-backward error a fresh LU solve delivers,
-    ||b - A x||_inf <= min(tol, 16 eps (||A||_inf ||x||_inf + ||b||_inf)),
-and otherwise factors A afresh, so x is still the exact solution of A x = b
-perturbed at rounding level.
-
-``correct`` is the inexact inner solve of the transient Picard loop: one
-correction x0 + LU^{-1}(b - A x0) of the current iterate x0 on the held
-factor of each block, from one residual of the stacked iterate, kept for a
-block only if it is nonnegative and cuts that block's residual to at most a
-fifth, or to the rounding level 16 eps ||b||_inf of that block, which no
-correction can undercut.  It needs only ``A @ x``, so a block reaches its
-CSC form only when its correction is refused.  Such an x is not the
-solution of an M-matrix system; its nonnegativity comes from that test.  A
-refused block drops its held factor, and the caller falls back to ``solve`` on that block, which
-then factors it afresh at once: refinement on a factor that contracts the
-residual by less than a fifth per step cannot reach rounding-level backward
-error in ``_REFINE_MAX`` steps.  ``check_m_matrix`` can still cover every
-assembled block.
+``tpfa_operator`` assembles every system: a block-diagonal ``TpfaOperator``
+with one block per coefficient row (Poisson and Newton have one, the density
+systems two, N and P).  ``A @ u`` is one gather and one ``bincount`` over
+index arrays cached on the mesh; a CSC form is laid out only to factor a
+block or to check it (``check_m_matrix``: positive diagonal, nonpositive
+off-diagonal, strict column diagonal dominance).  ``factor`` lays a block
+out in its mesh's minimum-degree ``fill_order`` and factors it with narrow
+SuperLU panels.  ``solve`` can keep a factor in a ``HeldFactor`` and reuse
+it for a nearby system by iterative refinement, accepted only at the
+backward error of a fresh LU solve, else it factors afresh.  ``correct`` is
+the inner solve of the transient Picard loop: per block, one correction of
+the iterate on the held factor, kept if nonnegative and its residual falls
+five-fold or to rounding level, else a full ``solve`` on a fresh factor.
 """
 from __future__ import annotations
 
@@ -76,6 +44,8 @@ _BACKWARD_ERROR_EPS = 16.0
 # A one-step correction on a held factor is kept only if it cuts the residual
 # to at most this share; a factor that contracts less is refreshed.
 _CORRECT_CONTRACTION = 0.2
+# The backward error of a fresh solve, relative to ||b||_inf.
+_ROUNDING = _BACKWARD_ERROR_EPS * np.finfo(float).eps
 
 
 class SolverError(RuntimeError):
@@ -182,44 +152,37 @@ def _refine(A, b, b_norm, tol, lu):
         prev = res
 
 
-def correct(A, b, x0, held):
-    """One correction x0 + LU^{-1}(b - A x0) of a guess on the held factor.
+def correct(A, b, x0, held) -> np.ndarray:
+    """Solve block-diagonal A x = b inexactly, block by block, from x0.
 
-    ``held`` is a ``HeldFactor``, or one per block of a block-diagonal A
-    (a ``TpfaOperator``), each correcting its own block: one residual of the
-    stacked x0 and one triangular solve per block.  A block's corrected x
-    is kept only if it is nonnegative and its residual ||b - A x||_inf is at
-    most ``_CORRECT_CONTRACTION`` times that of x0, or at most the rounding
-    level 16 eps ||b||_inf of the block; a block whose correction is refused
-    drops its held factor.  Returns the kept x, or with one
-    factor per block a list with the kept x of each block and None where
-    nothing is held or a test fails; None when nothing is kept.
+    b and x0 hold one row per block of A, and ``held`` one ``HeldFactor``
+    per block (A may be any square matrix with one block).  Each block with
+    a held factor takes one correction x0 + LU^{-1}(b - A x0), from one
+    residual of the stacked x0.  It is kept only if it is nonnegative and its
+    residual ||b - A x||_inf is at most ``_CORRECT_CONTRACTION`` times that
+    of x0, or at most the rounding level 16 eps ||b||_inf of the block.
+    Every other block drops its factor and is solved in full by ``solve`` on
+    a fresh one, which it then holds: refinement on a factor that contracts
+    the residual less than five-fold per step could not reach rounding-level
+    backward error in ``_REFINE_MAX`` steps.  Returns x, shaped like x0.
     """
-    helds = (held,) if isinstance(held, HeldFactor) else tuple(held)
-    if all(h.lu is None for h in helds):
-        return None
-    m = len(x0) // len(helds)
-    r0 = b - A @ x0
-    # A block without a factor keeps x0; its test below fails on `held`.
-    x = x0 + np.concatenate([np.zeros(m) if h.lu is None
-                             else h.lu.solve(r0[s * m:(s + 1) * m])
-                             for s, h in enumerate(helds)])
-    # A is block-diagonal: the residual of a block depends on that block only.
-    r = np.max(np.abs(b - A @ x).reshape(-1, m), axis=1)
-    floor = _BACKWARD_ERROR_EPS * np.finfo(float).eps * np.max(
-        np.abs(b).reshape(-1, m), axis=1)
-    kept = ((np.min(x.reshape(-1, m), axis=1) >= 0.0)
-            & ((r <= _CORRECT_CONTRACTION * np.max(np.abs(r0).reshape(-1, m), axis=1))
-               | (r <= floor))
-            & [h.lu is not None for h in helds])
-    for h, ok in zip(helds, kept):
-        if not ok:
+    x = x0.copy()
+    kept = np.array([h.lu is not None for h in held])
+    if kept.any():
+        r0 = b - (A @ x0.ravel()).reshape(x0.shape)
+        for s, h in enumerate(held):
+            if kept[s]:
+                x[s] += h.lu.solve(r0[s])
+        # A is block-diagonal: the residual of a block depends on that block only.
+        r = np.abs(b - (A @ x.ravel()).reshape(x.shape)).max(axis=1)
+        kept &= ((x.min(axis=1) >= 0.0)
+                 & ((r <= _CORRECT_CONTRACTION * np.abs(r0).max(axis=1))
+                    | (r <= _ROUNDING * np.abs(b).max(axis=1))))
+    for s, h in enumerate(held):
+        if not kept[s]:
             h.lu = None
-    if not kept.any():
-        return None
-    if isinstance(held, HeldFactor):
-        return x
-    return [x[s * m:(s + 1) * m] if ok else None for s, ok in enumerate(kept)]
+            x[s] = solve(A if len(held) == 1 else A.block(s), b[s], h)
+    return x
 
 
 @dataclass
@@ -283,11 +246,10 @@ class TpfaOperator:
         return (len(self.diagonal), len(self.diagonal))
 
     def __matmul__(self, x):
-        blocks = self.blocks
-        rows = self.mesh.block_stencil(blocks).offdiagonal_rows
-        gathered = np.take(x.reshape(blocks, -1), self.mesh.stencil_cols, axis=1)
+        stencil = self.mesh.block_stencil(self.blocks)
         return self.diagonal * x + np.bincount(
-            rows, weights=self.offdiagonal * gathered.ravel(),
+            stencil.offdiagonal_rows,
+            weights=self.offdiagonal * x.take(stencil.offdiagonal_cols),
             minlength=len(self.diagonal))
 
     def block(self, s: int) -> "TpfaOperator":

@@ -1,39 +1,18 @@
 """Backward-Euler time stepping with a penalized decoupled fixed point.
 
-Each implicit step is solved by Picard iteration of the map
-(N, P) -> (N^, P^): first the potential is obtained from the linear Poisson
-system with the current iterate, then two decoupled linear density systems
-are solved whose coefficients (edge diffusion means, Bernoulli weights, and
-the recombination factor in the isothermal case) are frozen at the iterate.
-A penalty mu m(K)/(lambda^2 dt) on the diagonal keeps the systems strictly
-diagonally dominant M-matrices, whose solutions are nonnegative and, with
-zero doping, inside the data bounds [m, M].
-
-The inner solves are inexact: each species first tries one correction of
-its iterate on the LU factor it holds (``sparse.correct``), kept only if the
-result is nonnegative and its residual is at most a fifth of the old one or
-at rounding level.
-Otherwise the species drops its factor and solves its system in full on a
-fresh one, which it then holds: a factor too stale for that cut contracts
-the residual too slowly to keep pace with the Picard contraction, and
-refining on it would only delay the refresh.  So an intermediate iterate
-may be a one-step correction rather than the exact solution of an M-matrix
-system.  Every assembled matrix can still be checked
-(``check_m_matrices``); a step is accepted only when the scheme residual of
-the converged iterate is at most 10 fp_tol, and the density bounds are
-checked on that converged state.
-
-The iterate is kept stacked, u = [N; P], and both density systems are
-assembled in one pass as the two blocks of one matrix-free operator
-(``sparse.tpfa_operator``).  The hole flux is the electron flux with -dPsi
-and its own dr: under the isothermal law dr is 1 and the hole coefficients
-are the electron ones swapped; under a power law one ``flux_coefficients``
-call covers the stacked [dPsi; -dPsi] and the per-value dr of both species
-(``constitutive.dr_indexed``).  The correction forms one stacked residual
-and one triangular solve per species, and each species keeps its own
-held factor, acceptance test and fallback to a full solve.  Only ``A @ x``
-is needed, so a CSC matrix is laid out only for a full solve or for
-``check_m_matrices``, block by block.
+``Stepper.advance`` solves each implicit step by Picard iteration on the
+stacked iterate u = [N; P], an array of shape (2, n_cells).  Each iteration
+assembles both linear density systems once, with every coefficient frozen at
+u and a penalty mu m(K)/(lambda^2 dt) on the diagonal that keeps them
+M-matrices (``_density_systems``); takes one inexact solve of both blocks
+(``sparse.correct``: a correction on each block's held factor, or a full
+solve on a fresh one); and updates the potential from the linear Poisson
+system.  The iterate is relaxed only while damping is on (omega < 1).  A
+step is accepted once the increment is at most fp_tol and the scheme
+residual of the converged iterate (``scheme_residuals``) at most 10 fp_tol;
+the density bounds are then checked on that state.  The potential and both
+densities are written in front of their Dirichlet tails in buffers the
+Stepper owns, and ``check_m_matrices`` can verify every assembled block.
 """
 from __future__ import annotations
 
@@ -119,17 +98,6 @@ class StepReport:
     bound_excess: float = 0.0
 
 
-def _correct_or_solve(A, b, u_it, helds) -> np.ndarray:
-    """Each block's safeguarded correction of u_it on its held factor, else
-    a full solve of that block on a fresh factor (a refused correction drops
-    the held one); stacked like u_it."""
-    kept = la.correct(A, b, u_it, helds) or [None] * len(helds)
-    m = len(u_it) // len(helds)
-    return np.concatenate([
-        la.solve(A.block(s), b[s * m:(s + 1) * m], held) if x is None else x
-        for s, (held, x) in enumerate(zip(helds, kept))])
-
-
 class Stepper:
     """Owns the assembled operators for one problem/config pair."""
 
@@ -142,6 +110,7 @@ class Stepper:
         self.law = problem.law
         self.lam2 = problem.lambda2
         self.mk = mesh.cell_measures
+        self._mk_dt = self.mk / config.dt
 
         # CSC: the Poisson residual check multiplies by it once per solve,
         # and scipy's CSC product is cheaper than the operator's.
@@ -149,7 +118,14 @@ class Stepper:
         _, g = la.tpfa_operator(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
         self._poisson_lu = mesh.laplacian_lu
         self._poisson_b_dir = self.lam2 * g
-        self._density_dirichlet = np.stack([problem.n_dirichlet, problem.p_dirichlet])
+        # [cells, Dirichlet tail] of the potential and of N and P: each
+        # assembly writes the cell values in front of the fixed tails.
+        n = mesh.n_cells
+        self._psi_values = np.concatenate([np.zeros(n), problem.psi_dirichlet])
+        self._density_values = np.concatenate(
+            [np.zeros((2, n)), np.stack([problem.n_dirichlet, problem.p_dirichlet])],
+            axis=1)
+        self._density_dirichlet = self._density_values[:, n:]
         # Density factors of N and P, kept across Picard iterations and steps.
         self._held = (la.HeldFactor(), la.HeldFactor())
 
@@ -159,8 +135,8 @@ class Stepper:
         """Potential from the linear Poisson system with given densities."""
         b = self._poisson_b_dir + self.mk * (p_cells - n_cells + self.problem.doping)
         psi = self._poisson_lu.solve(b / self.lam2)
-        res = np.max(np.abs(self.lam2 * (self.L @ psi) - b), initial=0.0)
-        if res > 1e-12 * max(1.0, np.max(np.abs(b), initial=0.0)):
+        res = np.abs(self.lam2 * (self.L @ psi) - b).max(initial=0.0)
+        if res > 1e-12 * max(1.0, np.abs(b).max(initial=0.0)):
             raise la.SolverError(f"Poisson residual {res:.3e} too large")
         return psi
 
@@ -169,10 +145,10 @@ class Stepper:
         n0, p0 = self.problem.initial_state()
         return State(n0, p0, self.solve_poisson(n0, p0))
 
-    def _density_systems(self, u_it, psi_cells, prev, mu):
-        """Block operator A and right-hand side b of both linearized density
-        systems, stacked [N; P] like the iterate u_it and every coefficient
-        frozen at it.
+    def _density_systems(self, u, psi_cells, prev, mu):
+        """Block operator A and right-hand side b, shape (2, n_cells), of both
+        linearized density systems, with every coefficient frozen at the
+        stacked iterate u.
 
         The hole flux is the electron flux with -dPsi and its own dr.  Under
         the isothermal law dr is 1, so the hole coefficients are the electron
@@ -180,10 +156,10 @@ class Stepper:
         coefficients of both species come from one ``flux_coefficients`` call
         on the stacked potential differences and dr.
         """
-        mesh, pr = self.mesh, self.problem
-        n = mesh.n_cells
-        first, other = mesh.active_cells
-        psi_values = np.concatenate([psi_cells, pr.psi_dirichlet])
+        n = self.mesh.n_cells
+        first, other = self.mesh.active_cells
+        psi_values = self._psi_values
+        psi_values[:n] = psi_cells
         dpsi = psi_values[other] - psi_cells[first]
         if self.law.is_isothermal:
             a_fwd, a_bwd = flux_coefficients(dpsi, 1.0)
@@ -192,49 +168,48 @@ class Stepper:
             rows = np.concatenate([a_fwd, a_bwd, a_fwd]).reshape(3, -1)
             a_fwd, a_bwd = rows[:2], rows[1:]
         else:
-            values = np.concatenate([u_it[:n], pr.n_dirichlet, u_it[n:], pr.p_dirichlet])
-            dr = cst.dr_indexed(self.law, values.reshape(2, -1), first, other)
+            values = self._density_values
+            values[:, :n] = u
+            dr = cst.dr_indexed(self.law, values, first, other)
             a_fwd, a_bwd = flux_coefficients(
                 np.concatenate([dpsi, -dpsi]).reshape(2, -1), dr)
-        mk_dt = self.mk / self.config.dt
+        mk_dt = self._mk_dt
         diag = mk_dt * (1.0 + mu / self.lam2)
-        b = mk_dt * (mu / self.lam2 * u_it.reshape(2, n) + prev.reshape(2, n))
-        if not pr.recombination.is_none:
+        b = mk_dt * (mu / self.lam2 * u + prev)
+        recombination = self.problem.recombination
+        if not recombination.is_none:
             # The frozen recombination couples each species to the other.
-            r0 = self.mk * pr.recombination.r0(u_it[:n], u_it[n:])
-            diag = diag + r0 * u_it.reshape(2, n)[::-1]
+            r0 = self.mk * recombination.r0(u[0], u[1])
+            diag = diag + r0 * u[::-1]
             b += r0
-        A, g = la.tpfa_operator(mesh, a_fwd, a_bwd, diag, self._density_dirichlet)
-        return A, b.ravel() + g
+        A, g = la.tpfa_operator(self.mesh, a_fwd, a_bwd, diag, self._density_dirichlet)
+        b += g.reshape(b.shape)
+        return A, b
 
-    def linearized_density_step(self, n_it, p_it, psi_cells, n_prev, p_prev, mu):
-        """One application of the decoupled linear density solves."""
-        u_it = np.concatenate([n_it, p_it])
-        A, b = self._density_systems(u_it, psi_cells, np.concatenate([n_prev, p_prev]), mu)
+    def linearized_density_step(self, u, psi_cells, prev, mu) -> np.ndarray:
+        """One inexact solve of both linearized density systems at u."""
+        A, b = self._density_systems(u, psi_cells, prev, mu)
         if self.config.check_m_matrices:
             for s, name in enumerate(("A_N", "A_P")):
                 rep = la.check_m_matrix(A.block(s))
                 if not rep.is_m_matrix:
                     raise InvariantError(
                         f"{name} is not an M-matrix: {rep.violations[:3]}")
-        u = _correct_or_solve(A, b, u_it, self._held)
-        n = self.mesh.n_cells
-        return u[:n], u[n:]
+        return la.correct(A, b, u, self._held)
 
     # -- nonlinear step ----------------------------------------------------
 
-    def scheme_residuals(self, n_new, p_new, psi_cells, n_prev, p_prev):
-        """Residuals of the implicit balance equations at given values.
+    def scheme_residuals(self, u, psi_cells, prev):
+        """Residuals (of N, of P) of the implicit balance equations at the
+        stacked densities u.
 
-        The density systems assembled at x = (n_new, p_new) and applied to
-        the same x are the implicit balance, so the residual is A x - b; the
-        penalty terms cancel there, and mu = 0 leaves them out altogether.
+        The density systems assembled at u and applied to the same u are the
+        implicit balance, so the residual is A u - b; the penalty terms
+        cancel there, and mu = 0 leaves them out altogether.
         """
-        u = np.concatenate([n_new, p_new])
-        A, b = self._density_systems(u, psi_cells, np.concatenate([n_prev, p_prev]), 0.0)
-        r = A @ u - b
-        n = self.mesh.n_cells
-        return r[:n], r[n:]
+        A, b = self._density_systems(u, psi_cells, prev, 0.0)
+        r = (A @ u.ravel()).reshape(b.shape) - b
+        return r[0], r[1]
 
     def advance(self, state: State, tracker: BoundsTracker) -> "tuple[State, StepReport]":
         """One implicit step from ``state``, whose ``psi`` is the Picard
@@ -242,11 +217,9 @@ class Stepper:
         ``solve_poisson`` of the state's densities."""
         cfg = self.config
         pr = self.problem
-        n = self.mesh.n_cells
-        # The iterate, stacked [N; P]; n_prev and p_prev are views of prev.
-        prev = np.concatenate([state.n, state.p])
-        n_prev, p_prev = prev[:n], prev[n:]
-        u = prev.copy()
+        # The iterate starts at the previous state; no step writes into it.
+        prev = np.stack([state.n, state.p])
+        u = prev
         step_index = state.step + 1
 
         upper_next = tracker.upper(step_index)
@@ -261,10 +234,10 @@ class Stepper:
         residual = np.inf
         increments = []
         for iterations in range(1, cfg.fp_max_iter + 1):
-            u_hat = np.concatenate(self.linearized_density_step(
-                u[:n], u[n:], psi, n_prev, p_prev, mu))
-            u_new = omega * u_hat + (1.0 - omega) * u
-            inc = float(np.max(np.abs(u_new - u), initial=0.0))
+            u_new = self.linearized_density_step(u, psi, prev, mu)
+            if omega != 1.0:
+                u_new = omega * u_new + (1.0 - omega) * u
+            inc = float(np.abs(u_new - u).max(initial=0.0))
             increments.append(inc)
             # Damp only on significant growth (10x over the best increment so
             # far): the increment of a convergent iteration need not be
@@ -280,9 +253,9 @@ class Stepper:
                     calm_streak = 0
             best_inc = min(best_inc, inc)
             u = u_new
-            psi = self.solve_poisson(u[:n], u[n:])
+            psi = self.solve_poisson(u[0], u[1])
             if inc <= cfg.fp_tol:
-                rn, rp = self.scheme_residuals(u[:n], u[n:], psi, n_prev, p_prev)
+                rn, rp = self.scheme_residuals(u, psi, prev)
                 residual = float(max(np.max(np.abs(rn), initial=0.0),
                                      np.max(np.abs(rp), initial=0.0)))
                 if residual <= 10.0 * cfg.fp_tol:
@@ -306,7 +279,7 @@ class Stepper:
         report = StepReport(
             iterations=iterations, increment=inc,
             residual=residual, damping=omega, bound_excess=excess)
-        new_state = State(u[:n], u[n:], psi, step=step_index,
+        new_state = State(u[0], u[1], psi, step=step_index,
                           time=state.time + cfg.dt)
         return new_state, report
 

@@ -331,7 +331,8 @@ def test_scheme_residuals_match_oracle_away_from_convergence():
         for _ in range(5):
             n, p, n_prev, p_prev = rng.uniform(0.2, 3.0, (4, theta))
             psi = rng.uniform(-2.0, 2.0, theta)
-            rn, rp = stepper.scheme_residuals(n, p, psi, n_prev, p_prev)
+            rn, rp = stepper.scheme_residuals(np.stack([n, p]), psi,
+                                              np.stack([n_prev, p_prev]))
             oracle = _oracle_residual(np.concatenate([n, p, psi]), problem,
                                       n_prev, p_prev, dt)
             got = np.concatenate([rn, rp])

@@ -143,6 +143,15 @@ def test_zero_step_reproduce_exits_3(tmp_path, capsys):
     assert not any(outdir.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--nx", "--ny"])
+def test_reproduce_rejects_an_empty_mesh_axis(tmp_path, capsys, flag):
+    outdir = tmp_path / "out"
+    assert main(["reproduce", "--outdir", str(outdir), flag, "0",
+                 "--t-end", "0.01"]) == EXIT_CONFIG
+    assert "configuration error: nx, ny must be >= 1" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
 @pytest.mark.parametrize("good, bad, message", [
     ("dt = 1e-2", "dt = nan", "time step"),
     ("dt = 1e-2", "dt = inf", "time step"),

@@ -85,6 +85,11 @@ def _held(A):
     return held
 
 
+def _correct(A, b, x0, held):
+    """``correct`` of one block: A, b and x0 as one system."""
+    return correct(A, b[None], x0[None], (held,))[0]
+
+
 def test_correction_on_nearby_factor_is_accepted():
     rng = np.random.default_rng(13)
     A1 = _random_m_matrix(rng)
@@ -93,25 +98,37 @@ def test_correction_on_nearby_factor_is_accepted():
     b, x0 = rng.random(A1.shape[0]), rng.random(A1.shape[0])
     held = _held(A1)
     first = held.lu
-    x = correct(A2, b, x0, held)
+    x = _correct(A2, b, x0, held)
     assert held.lu is first
     assert np.all(x >= 0.0)
     assert np.max(np.abs(b - A2 @ x)) <= 0.5 * np.max(np.abs(b - A2 @ x0))
     assert np.allclose(x, x0 + first.solve(b - A2 @ x0), rtol=0.0, atol=1e-15)
 
 
-def test_correction_needs_a_held_factor():
+def test_correction_needs_a_held_factor(splu_calls):
+    # Without a held factor nothing is corrected: the block is solved on a
+    # fresh factor, which it then holds.
     A, b = sp.identity(3, format="csc"), np.ones(3)
-    assert correct(A, b, np.zeros(3), HeldFactor()) is None
+    held = HeldFactor()
+    x = _correct(A, b, np.zeros(3), held)
+    assert len(splu_calls) == 1 and held.lu is not None
+    assert np.array_equal(x, solve(A, b))
 
 
 def test_correction_rejected_unless_residual_halves():
     # Held factor of I for the system 3 I x = b: from x0 = 0 the correction
-    # is x = b >= 0 with residual -2 b, twice the residual b of x0.
+    # is x = b >= 0 with residual -2 b, twice the residual b of x0, so the
+    # block is solved afresh instead.
     A, b = 3.0 * sp.identity(3, format="csc"), np.array([1.0, 2.0, 3.0])
-    assert correct(A, b, np.zeros(3), _held(sp.identity(3))) is None
+    held = _held(sp.identity(3))
+    first = held.lu
+    assert np.allclose(_correct(A, b, np.zeros(3), held), b / 3.0)
+    assert held.lu is not first
     # A held factor of A itself solves exactly: residual 0, accepted.
-    assert np.allclose(correct(A, b, np.zeros(3), _held(A)), b / 3.0)
+    held = _held(A)
+    first = held.lu
+    assert np.allclose(_correct(A, b, np.zeros(3), held), b / 3.0)
+    assert held.lu is first
 
 
 def test_correction_kept_only_if_the_residual_falls_five_fold():
@@ -119,13 +136,15 @@ def test_correction_kept_only_if_the_residual_falls_five_fold():
     # whose residual (1 - c) b is |1 - c| times that of x0.
     b = np.array([1.0, 2.0, 3.0])
     refused = _held(sp.identity(3))
-    assert correct(1.3 * sp.identity(3, format="csc"), b, np.zeros(3), refused) is None
-    # A refused correction drops its factor: the next solve factors afresh.
-    assert refused.lu is None
+    first = refused.lu
+    x = _correct(1.3 * sp.identity(3, format="csc"), b, np.zeros(3), refused)
+    # A refused correction drops its factor, and the block is factored afresh.
+    assert refused.lu is not None and refused.lu is not first
+    assert np.allclose(1.3 * x, b, rtol=0.0, atol=1e-15)
     kept = _held(sp.identity(3))
     first = kept.lu
     assert np.array_equal(
-        correct(1.1 * sp.identity(3, format="csc"), b, np.zeros(3), kept), b)
+        _correct(1.1 * sp.identity(3, format="csc"), b, np.zeros(3), kept), b)
     assert kept.lu is first
 
 
@@ -138,18 +157,25 @@ def test_correction_at_rounding_level_is_kept():
     b = np.ones(3)
     held = _held(10.0 * sp.identity(3))
     first = held.lu
-    x = correct(sp.identity(3, format="csc"), b, np.full(3, 1.0 - 4.0 * eps), held)
-    assert x is not None and held.lu is first
+    x = _correct(sp.identity(3, format="csc"), b, np.full(3, 1.0 - 4.0 * eps), held)
+    assert held.lu is first
     assert 0.2 * 4.0 * eps < np.max(np.abs(b - x)) <= 16.0 * eps
 
 
 def test_correction_rejected_with_a_negative_entry():
     # The exact solution has a negative entry: the residual vanishes, but
-    # the corrected x may not enter the density iteration.
+    # the corrected x may not enter the density iteration, so the block is
+    # solved afresh instead.
     A, b = sp.identity(2, format="csc"), np.array([1.0, -1e-300])
-    assert correct(A, b, np.zeros(2), _held(A)) is None
-    assert np.array_equal(correct(A, np.array([1.0, 0.0]), np.zeros(2), _held(A)),
+    held = _held(A)
+    first = held.lu
+    _correct(A, b, np.zeros(2), held)
+    assert held.lu is not first
+    held = _held(A)
+    first = held.lu
+    assert np.array_equal(_correct(A, np.array([1.0, 0.0]), np.zeros(2), held),
                           [1.0, 0.0])
+    assert held.lu is first
 
 
 def test_block_correction_tests_each_block_on_its_own():
@@ -161,13 +187,22 @@ def test_block_correction_tests_each_block_on_its_own():
     # Block 0 holds its own factor and is solved exactly.  Block 1 holds the
     # factor of I: its correction from 0 is b_1 with residual (I - A_1) b_1,
     # over half of b_1, though under half of the stacked residual's norm.
-    b = np.concatenate([np.ones(n), np.full(n, 0.01)])
+    b = np.stack([np.ones(n), np.full(n, 0.01)])
     held = (_held(A.block(0).tocsc()), _held(sp.identity(n)))
-    kept = correct(A, b, np.zeros(2 * n), held)
-    assert kept[1] is None
-    assert np.allclose(A.block(0) @ kept[0], b[:n], rtol=0.0, atol=1e-14)
-    # Nothing kept in any block: None, as for one block.
-    assert correct(A, b, np.zeros(2 * n), (HeldFactor(), held[1])) is None
+    first = [h.lu for h in held]
+    x = correct(A, b, np.zeros((2, n)), held)
+    assert x.shape == (2, n)
+    assert held[0].lu is first[0]
+    assert np.allclose(A.block(0) @ x[0], b[0], rtol=0.0, atol=1e-14)
+    # Block 1 is refused and solved on a fresh factor.
+    assert held[1].lu is not first[1]
+    assert np.allclose(A.block(1) @ x[1], b[1], rtol=0.0, atol=1e-14)
+    # Nothing kept in any block: each block is factored afresh, as for one.
+    refused = (HeldFactor(), _held(sp.identity(n)))
+    first = refused[1].lu
+    x = correct(A, b, np.zeros((2, n)), refused)
+    assert refused[0].lu is not None and refused[1].lu is not first
+    assert np.allclose(A @ x.ravel(), b.ravel(), rtol=0.0, atol=1e-14)
 
 
 def test_check_m_matrix_examples():

@@ -189,13 +189,12 @@ def test_linearized_step_nonnegative_outputs():
     config = StepperConfig(dt=1e-2)
     stepper = Stepper(prob, config)
     rng = np.random.default_rng(8)
+    prev = np.stack([prob.n_initial, prob.p_initial])
     for _ in range(10):
-        n_it = rng.uniform(0.0, 3.0, prob.mesh.n_cells)
-        p_it = rng.uniform(0.0, 3.0, prob.mesh.n_cells)
-        psi = stepper.solve_poisson(n_it, p_it)
+        u = rng.uniform(0.0, 3.0, (2, prob.mesh.n_cells))
+        psi = stepper.solve_poisson(u[0], u[1])
         mu = config.dt * max(3.0, prob.M)
-        n_hat, p_hat = stepper.linearized_density_step(
-            n_it, p_it, psi, prob.n_initial, prob.p_initial, mu)
+        n_hat, p_hat = stepper.linearized_density_step(u, psi, prev, mu)
         assert np.all(n_hat >= 0.0)
         assert np.all(p_hat >= 0.0)
 
@@ -209,7 +208,7 @@ def test_scheme_residual_small_after_step():
     state, report = stepper.advance(state0, tracker)
     assert report.residual <= 10.0 * config.fp_tol
     rn, rp = stepper.scheme_residuals(
-        state.n, state.p, state.psi, state0.n, state0.p)
+        np.stack([state.n, state.p]), state.psi, np.stack([state0.n, state0.p]))
     assert np.max(np.abs(rn)) <= 10.0 * config.fp_tol
     assert np.max(np.abs(rp)) <= 10.0 * config.fp_tol
 
@@ -312,7 +311,8 @@ def test_density_factors_reused_across_iterations_and_steps(monkeypatch, splu_ca
 
     # Without the one-step correction every density solve goes through
     # sparse.solve: refinement on the held factor, or a fresh factor.
-    monkeypatch.setattr(la, "correct", lambda A, b, x0, held: None)
+    monkeypatch.setattr(la, "correct", lambda A, b, x0, held: np.stack(
+        [la.solve(A.block(s), b[s], h) for s, h in enumerate(held)]))
     factored_before = len(splu_calls)
     _, solved = run(prob, config, eq)
     assert corrected_factors < len(splu_calls) - factored_before
@@ -375,30 +375,28 @@ def test_stacked_density_systems_match_per_species_reference(case, doping):
     prob = _preset_problem(case, doping, nx=8)
     config = StepperConfig(dt=1e-2)
     stepper = Stepper(prob, config)
-    n = prob.mesh.n_cells
-    n_prev, p_prev = prob.initial_state()
-    n_it, p_it = n_prev, p_prev
-    mu = config.dt * max(prob.M, n_it.max(), p_it.max())
+    prev = np.stack(prob.initial_state())
+    n_prev, p_prev = prev
+    u = prev
+    mu = config.dt * max(prob.M, u.max())
     held = (la.HeldFactor(), la.HeldFactor())
     # The first iteration factors both systems; the later ones correct.
     for _ in range(4):
+        n_it, p_it = u
         psi = stepper.solve_poisson(n_it, p_it)
         reference = _per_species_systems(stepper, n_it, p_it, psi, n_prev, p_prev, mu)
-        A, b = stepper._density_systems(np.concatenate([n_it, p_it]), psi,
-                                        np.concatenate([n_prev, p_prev]), mu)
+        A, b = stepper._density_systems(u, psi, prev, mu)
         want = []
-        for s, ((A_ref, b_ref), x_it) in enumerate(zip(reference, (n_it, p_it))):
+        for s, ((A_ref, b_ref), x_it) in enumerate(zip(reference, u)):
             assert np.array_equal(A.block(s).diagonal, A_ref.diagonal)
             assert np.array_equal(A.block(s).offdiagonal, A_ref.offdiagonal)
-            assert np.array_equal(b[s * n:(s + 1) * n], b_ref)
-            x = la.correct(A_ref, b_ref, x_it, held[s])
-            want.append(la.solve(A_ref, b_ref, held[s]) if x is None else x)
-        got = stepper.linearized_density_step(n_it, p_it, psi, n_prev, p_prev, mu)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        n_it, p_it = got
-        reference = _per_species_systems(stepper, n_it, p_it, psi, n_prev, p_prev, 0.0)
-        residuals = stepper.scheme_residuals(n_it, p_it, psi, n_prev, p_prev)
-        for r, x, (A_ref, b_ref) in zip(residuals, (n_it, p_it), reference):
+            assert np.array_equal(b[s], b_ref)
+            want.append(la.correct(A_ref, b_ref[None], x_it[None], (held[s],))[0])
+        u = stepper.linearized_density_step(u, psi, prev, mu)
+        assert all(np.array_equal(g, w) for g, w in zip(u, want))
+        reference = _per_species_systems(stepper, *u, psi, n_prev, p_prev, 0.0)
+        residuals = stepper.scheme_residuals(u, psi, prev)
+        for r, x, (A_ref, b_ref) in zip(residuals, u, reference):
             assert np.array_equal(r, A_ref @ x - b_ref)
 
 
@@ -418,3 +416,81 @@ def test_m_matrix_check_names_the_hole_block(monkeypatch):
     stepper = Stepper(prob, config)
     with pytest.raises(InvariantError, match="A_P is not an M-matrix"):
         stepper.advance(stepper.initial_state(), BoundsTracker(prob, config.dt))
+
+
+def test_each_picard_iteration_assembles_corrects_and_updates_psi_once(monkeypatch):
+    prob = _preset_problem("nonlinear_nondegenerate", "pn", nx=16)
+    config = StepperConfig(dt=1e-2, t_end=0.05)
+    calls = {"assembly": 0, "correct": 0, "poisson": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Stepper, "_density_systems",
+                        counted("assembly", Stepper._density_systems))
+    monkeypatch.setattr(Stepper, "solve_poisson",
+                        counted("poisson", Stepper.solve_poisson))
+    monkeypatch.setattr(la, "correct", counted("correct", la.correct))
+    stepper = Stepper(prob, config)
+    tracker = BoundsTracker(prob, config.dt)
+    state = stepper.initial_state()
+    iterations = 0
+    for _ in range(config.n_steps):
+        state, report = stepper.advance(state, tracker)
+        iterations += report.iterations
+    assert iterations > 2 * config.n_steps
+    # One assembly per iteration, plus the accepted residual check of each step.
+    assert calls == {"assembly": iterations + config.n_steps,
+                     "correct": iterations, "poisson": iterations + 1}
+
+
+@pytest.mark.parametrize("case, doping", [
+    ("linear_srh", "pn"), ("nonlinear_nondegenerate", "pn"),
+    ("nonlinear_degenerate", "zero")])
+def test_stacked_residuals_are_the_block_residuals(case, doping):
+    prob = _preset_problem(case, doping, nx=8)
+    stepper = Stepper(prob, StepperConfig(dt=1e-2))
+    rng = np.random.default_rng(5)
+    prev = np.stack(prob.initial_state())
+    u = prev * rng.uniform(0.5, 1.5, prev.shape)
+    psi = stepper.solve_poisson(u[0], u[1])
+    A, b = stepper._density_systems(u, psi, prev, 0.0)
+    residuals = stepper.scheme_residuals(u, psi, prev)
+    assert len(residuals) == 2
+    for s, r in enumerate(residuals):
+        want = A.block(s) @ u[s] - b[s]
+        assert np.max(np.abs(want)) > 0.0
+        assert np.array_equal(r, want)
+
+
+def test_iterate_is_relaxed_only_while_damped(monkeypatch):
+    prob = _preset_problem("linear_r0", "zero", nx=4)
+    config = StepperConfig(dt=1e-2)
+    stepper = Stepper(prob, config)
+    real = Stepper.linearized_density_step
+    seen = []  # (iterate in, solve out) of each Picard iteration
+
+    class Stop(Exception):
+        pass
+
+    def step(self, u, psi, prev, mu):
+        if len(seen) == 5:
+            raise Stop
+        out = real(self, u, psi, prev, mu)
+        if len(seen) == 2:
+            out = out + 100.0  # the increment grows ten-fold: omega halves
+        seen.append((u, out))
+        return out
+
+    monkeypatch.setattr(Stepper, "linearized_density_step", step)
+    with pytest.raises(Stop):
+        stepper.advance(stepper.initial_state(), BoundsTracker(prob, config.dt))
+    # Undamped, the solve's output is the next iterate as it stands.
+    assert seen[1][0] is seen[0][1]
+    assert seen[3][0] is seen[2][1]
+    # Damped, the next iterate is relaxed toward the current one.
+    u, out = seen[3]
+    assert np.array_equal(seen[4][0], 0.5 * out + 0.5 * u)
