@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import json
 import os
@@ -21,9 +22,9 @@ from . import diagnostics as diag
 from .constitutive import PressureLaw
 from .equilibrium import solve_equilibrium
 from .mesh import Mesh, MeshError, build_cartesian, read_mesh_file
-from .problem import (NO_RECOMBINATION, PRESET_CASES, PRESET_DOPINGS, Problem,
-                      HypothesisError, RecombinationModel, contact_predicate,
-                      diode_inputs, pn_junction_preset)
+from .problem import (PRESET_CASES, PRESET_DOPINGS, Problem, HypothesisError,
+                      RecombinationModel, contact_predicate, diode_inputs,
+                      pn_junction_preset)
 from .sparse import SolverError
 from .transient import InvariantError, StepperConfig, run
 
@@ -129,21 +130,14 @@ def build_problem(cfg, mesh: Mesh) -> Problem:
     n0, n1, p0, p1 = (_get(cfg, "boundary", key, cast=float)
                       for key in ("n_bottom", "n_top", "p_bottom", "p_top"))
 
-    rec_kind = _get(cfg, "recombination", "kind", "none")
-    if rec_kind == "none":
-        recomb = NO_RECOMBINATION
-    elif rec_kind == "srh":
+    # The model's own defaults stand for every parameter the config leaves out.
+    params = {key: _get(cfg, "recombination", key, cast=float)
+              for key in cfg.get("recombination", {}) if key != "kind"}
+    try:
         recomb = RecombinationModel(
-            "srh", scale=_get(cfg, "recombination", "scale", 10.0, float),
-            tau_n=_get(cfg, "recombination", "tau_n", 1.0, float),
-            tau_p=_get(cfg, "recombination", "tau_p", 1.0, float),
-            tau_c=_get(cfg, "recombination", "tau_c", 1.0, float))
-    elif rec_kind == "auger":
-        recomb = RecombinationModel(
-            "auger", c_n=_get(cfg, "recombination", "c_n", 0.1, float),
-            c_p=_get(cfg, "recombination", "c_p", 0.1, float))
-    else:
-        raise ConfigError(f"unknown recombination kind {rec_kind!r}")
+            _get(cfg, "recombination", "kind", "none"), **params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     # The diode's own data, then the config-only variants on top of it.
     dop_kind = _get(cfg, "doping", "kind", "zero")
@@ -230,15 +224,11 @@ class RunManifest:
 
 # -- commands --------------------------------------------------------------
 
+@contextlib.contextmanager
 def _timed(manifest, phase):
-    class _Timer:
-        def __enter__(self):
-            self.t0 = time.perf_counter()
-
-        def __exit__(self, *exc):
-            manifest.timings[phase] = time.perf_counter() - self.t0
-
-    return _Timer()
+    t0 = time.perf_counter()
+    yield
+    manifest.timings[phase] = time.perf_counter() - t0
 
 
 def _validate_steps(config: StepperConfig, problem: Problem) -> None:

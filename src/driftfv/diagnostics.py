@@ -50,9 +50,13 @@ class DiagnosticsRecord:
     slack: float          # E^{n-1} - E^n - dt I^n (0 at n = 0)
 
 
+def _log_enthalpy(law, values):
+    return cst.enthalpy(law, np.maximum(values, _LOG_CLAMP))
+
+
 def _entropy_density(law, s, s_eq):
     return (cst.big_h(law, s) - cst.big_h(law, s_eq)
-            - cst.enthalpy(law, np.maximum(s_eq, _LOG_CLAMP)) * (s - s_eq))
+            - _log_enthalpy(law, s_eq) * (s - s_eq))
 
 
 def _psi_seminorm(problem: Problem, state: State, eq: State) -> float:
@@ -72,10 +76,6 @@ def _entropy(problem: Problem, state: State, eq: State, dpsi: float) -> float:
 def entropy(problem: Problem, state: State, eq: State) -> float:
     """Relative entropy E of the state with respect to the equilibrium."""
     return _entropy(problem, state, eq, _psi_seminorm(problem, state, eq))
-
-
-def _log_enthalpy(law, values):
-    return cst.enthalpy(law, np.maximum(values, _LOG_CLAMP))
 
 
 def _edge_dissipation(problem: Problem, values, dpsi, sign: float):
@@ -177,7 +177,7 @@ def fit_decay_rate(records, floor: Optional[float] = None) -> DecayFit:
     ts = np.array([r.t for r in records])
     es = np.array([r.entropy for r in records])
     if floor is None:
-        floor = 1e-12 * es[0] if es[0] > 0.0 else 0.0
+        floor = 1e-12 * es[0] if es.size and es[0] > 0.0 else 0.0
     keep = es > max(floor, 0.0)
     ts, es = ts[keep], es[keep]
     if len(ts) < 10:

@@ -6,18 +6,14 @@ with the problem's Dirichlet data, and the equilibrium densities follow as
 N = g(alpha_N + Psi), P = g(alpha_P - Psi).  The solver is a damped
 (semismooth) Newton method; the clipping kink of g has a one-sided zero
 derivative, and the Jacobian stays an M-matrix (stiffness plus nonnegative
-diagonal).  The Jacobian is assembled as a two-point operator
-(``sparse.tpfa_operator`` with weights lambda^2 and that diagonal), so a
-factorization lays it out in the mesh's fill-reducing order without
-re-ordering it.  Successive Jacobians differ only in the diagonal, so each
-is solved on the LU factor of an earlier one where iterative refinement
-reaches the backward error of a fresh factorization, and factored afresh
-otherwise.
+diagonal).  Each Jacobian is a two-point operator (``sparse.tpfa_operator``);
+successive ones differ only in the diagonal and share one held LU factor
+(``sparse.solve``).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +28,12 @@ _MAX_HALVINGS = 30
 class EquilibriumState(State):
     """The equilibrium as a time-zero state, with the Newton solve's record."""
     iterations: int
-    residual: float
-    residual_history: list = field(default_factory=list)
+    residual_history: list
+
+    @property
+    def residual(self) -> float:
+        """The final residual inf-norm."""
+        return self.residual_history[-1]
 
 
 def solve_equilibrium(problem: Problem, tol: float = 1e-10,
@@ -52,8 +52,7 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
     mk = mesh.cell_measures
 
     L = mesh.laplacian
-    _, g = la.tpfa_operator(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
-    b_dir = lam2 * g
+    b_dir = problem.poisson_dirichlet
 
     def residual(psi):
         gn = cst.g_inverse(law, a_n + psi)
@@ -96,5 +95,4 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
 
     return EquilibriumState(
         n=cst.g_inverse(law, a_n + psi), p=cst.g_inverse(law, a_p - psi),
-        psi=psi, iterations=iterations, residual=history[-1],
-        residual_history=history)
+        psi=psi, iterations=iterations, residual_history=history)

@@ -421,6 +421,9 @@ def import_triangulation(nodes, triangles, boundary_labels) -> Mesh:
 
 # -- validation ------------------------------------------------------------
 
+_ANGLE_TOL = 1e-8  # largest admissible orthogonality defect, radians
+
+
 @dataclass
 class ValidationReport:
     ok: bool
@@ -437,7 +440,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(mesh: Mesh, angle_tol: float = 1e-8) -> ValidationReport:
+def validate(mesh: Mesh) -> ValidationReport:
     """Check admissibility: orthogonality, positive distances, Dirichlet part."""
     e = mesh.interior_edges
     k, ell = mesh.edge_cells[e].T
@@ -454,7 +457,7 @@ def validate(mesh: Mesh, angle_tol: float = 1e-8) -> ValidationReport:
     v2 = mesh.cell_centers[ell] - mesh.edge_p1[e]
     c1 = tan[:, 0] * v1[:, 1] - tan[:, 1] * v1[:, 0]
     c2 = tan[:, 0] * v2[:, 1] - tan[:, 1] * v2[:, 0]
-    skew = defect > angle_tol
+    skew = defect > _ANGLE_TOL
     same_side = c1 * c2 >= 0.0
     bad = []
     for i in np.nonzero(skew | same_side)[0]:

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import constitutive as cst
+from . import sparse as la
 from .constitutive import PressureLaw
 from .mesh import Mesh
 
@@ -71,8 +73,11 @@ def evaluate_recombination(model: RecombinationModel, n, p):
     return r0 * (np.asarray(n) * np.asarray(p) - 1.0), r0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
+    """The data of one simulation.  The data bounds m, M, the quasi-Fermi
+    constants alpha_N, alpha_P and the Poisson Dirichlet term are derived
+    from it, so they hold for any instance (``dataclasses.replace`` too)."""
     mesh: Mesh
     law: PressureLaw
     lambda2: float
@@ -83,10 +88,31 @@ class Problem:
     n_initial: np.ndarray           # per cell
     p_initial: np.ndarray
     recombination: RecombinationModel = NO_RECOMBINATION
-    m: float = 0.0                  # data bounds, derived at build time
-    M: float = 0.0
-    alpha_n: float = 0.0            # quasi-Fermi constants from compatibility
-    alpha_p: float = 0.0
+
+    @cached_property
+    def _bounds(self) -> "tuple[float, float]":
+        data = np.concatenate([self.n_initial, self.p_initial,
+                               self.n_dirichlet, self.p_dirichlet])
+        return float(np.min(data)), float(np.max(data))
+
+    @cached_property
+    def _fermi_levels(self) -> np.ndarray:
+        """Rows h(N^D) - Psi^D and h(P^D) + Psi^D per Dirichlet edge, whose
+        first entries are alpha_N, alpha_P; ``_validate`` checks each is constant."""
+        return np.stack([cst.enthalpy(self.law, self.n_dirichlet) - self.psi_dirichlet,
+                         cst.enthalpy(self.law, self.p_dirichlet) + self.psi_dirichlet])
+
+    m = property(lambda self: self._bounds[0])
+    M = property(lambda self: self._bounds[1])
+    alpha_n = property(lambda self: float(self._fermi_levels[0, 0]))
+    alpha_p = property(lambda self: float(self._fermi_levels[1, 0]))
+
+    @cached_property
+    def poisson_dirichlet(self) -> np.ndarray:
+        """lambda^2 g, the Dirichlet potential's term in the Poisson
+        right-hand side."""
+        _, g = la.tpfa_operator(self.mesh, 1.0, 1.0, 0.0, self.psi_dirichlet)
+        return self.lambda2 * g
 
     @property
     def experimental(self) -> bool:
@@ -119,35 +145,25 @@ def _validate(problem: Problem) -> Problem:
     if not (math.isfinite(problem.lambda2) and problem.lambda2 > 0.0):
         raise HypothesisError(
             f"lambda^2 must be finite and positive, got {problem.lambda2!r}")
-    law = problem.law
-    data = np.concatenate([problem.n_initial, problem.p_initial,
-                           problem.n_dirichlet, problem.p_dirichlet])
-    for name, values in (("density data", data), ("doping", problem.doping),
+    if not (math.isfinite(problem.m) and math.isfinite(problem.M)):
+        raise HypothesisError("density data must be finite")
+    for name, values in (("doping", problem.doping),
                          ("Dirichlet potential", problem.psi_dirichlet)):
         if not np.all(np.isfinite(values)):
             raise HypothesisError(f"{name} must be finite")
-    if np.any(data < 0.0):
+    if problem.m < 0.0:
         raise HypothesisError("density data must be nonnegative (m >= 0)")
-    problem.m = float(np.min(data))
-    problem.M = float(np.max(data))
-
-    hn = cst.enthalpy(law, problem.n_dirichlet)
-    hp = cst.enthalpy(law, problem.p_dirichlet)
-    a_n = hn - problem.psi_dirichlet
-    a_p = hp + problem.psi_dirichlet
-    if len(a_n) == 0:
+    levels = problem._fermi_levels
+    if levels.shape[1] == 0:
         raise HypothesisError("no Dirichlet edges: boundary compatibility undefined")
-    problem.alpha_n = float(a_n[0])
-    problem.alpha_p = float(a_p[0])
-    if (np.max(np.abs(a_n - problem.alpha_n)) > _COMPAT_TOL
-            or np.max(np.abs(a_p - problem.alpha_p)) > _COMPAT_TOL):
+    if np.max(np.abs(levels - levels[:, :1])) > _COMPAT_TOL:
         raise HypothesisError(
             "boundary compatibility violated: h(N^D)-Psi^D and h(P^D)+Psi^D "
             "must be constant on the Dirichlet boundary")
 
     if not problem.recombination.is_none:
         _validate_recombination(problem.recombination)
-        if not law.is_isothermal:
+        if not problem.law.is_isothermal:
             raise HypothesisError(
                 "recombination requires the isothermal pressure law (R=0 otherwise)")
         mass_action = problem.n_dirichlet * problem.p_dirichlet

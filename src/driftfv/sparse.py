@@ -1,18 +1,13 @@
 """Two-point operators, sparse linear solves, and M-matrix verification.
 
-``tpfa_operator`` assembles every system: a block-diagonal ``TpfaOperator``
-with one block per coefficient row (Poisson and Newton have one, the density
-systems two, N and P).  ``A @ u`` is one gather and one ``bincount`` over
-index arrays cached on the mesh; a CSC form is laid out only to factor a
-block or to check it (``check_m_matrix``: positive diagonal, nonpositive
-off-diagonal, strict column diagonal dominance).  ``factor`` lays a block
-out in its mesh's minimum-degree ``fill_order`` and factors it with narrow
-SuperLU panels.  ``solve`` can keep a factor in a ``HeldFactor`` and reuse
-it for a nearby system by iterative refinement, accepted only at the
-backward error of a fresh LU solve, else it factors afresh.  ``correct`` is
-the inner solve of the transient Picard loop: per block, one correction of
-the iterate on the held factor, kept if nonnegative and its residual falls
-five-fold or to rounding level, else a full ``solve`` on a fresh factor.
+``tpfa_operator`` assembles every system as a block-diagonal
+``TpfaOperator`` (one block for Poisson and Newton, two for the densities N
+and P), applied without a matrix and laid out in CSC only to be factored or
+checked (``check_m_matrix``).  ``factor`` factors a block in its mesh's
+minimum-degree ``fill_order``.  ``solve`` can hold a factor and reuse it for
+a nearby system by iterative refinement; ``correct``, the Picard loop's
+inexact inner solve, takes one correction per block on its held factor, or
+a full ``solve``.
 """
 from __future__ import annotations
 
@@ -138,13 +133,12 @@ def _refine(A, b, b_norm, tol, lu):
     the refinement cap is reached or a step fails to contract the residual.
     """
     a_norm = np.max(abs(A) @ np.ones(A.shape[1]), initial=0.0)
-    eps = _BACKWARD_ERROR_EPS * np.finfo(float).eps
     x = lu.solve(b)
     prev = np.inf
     for step in range(_REFINE_MAX + 1):
         r = b - A @ x
         res = np.max(np.abs(r), initial=0.0)
-        if res <= min(tol, eps * (a_norm * np.max(np.abs(x), initial=0.0) + b_norm)):
+        if res <= min(tol, _ROUNDING * (a_norm * np.max(np.abs(x), initial=0.0) + b_norm)):
             return x
         if step == _REFINE_MAX or res > _REFINE_CONTRACTION * prev:
             return None
@@ -224,10 +218,9 @@ class TpfaOperator:
     of every block in the mesh's stencil order, (K, L) and then (L, K) for
     each interior edge.  ``A @ u`` gathers each block of u across the interior
     edges in one ``take`` and sums each cell's entries with one ``bincount``;
-    ``block(s)``
-    is block s as a one-block operator, and ``tocsc()`` lays the entries out
-    in CSC form for an M-matrix check, or with ``ordered`` permuted into the
-    mesh's ``fill_order`` for a factorization.
+    ``block(s)`` is block s as a one-block operator, and ``tocsc()`` lays
+    the entries out in CSC form for an M-matrix check, or with ``ordered``
+    permuted into the mesh's ``fill_order`` for a factorization.
     """
 
     __slots__ = ("mesh", "diagonal", "offdiagonal")

@@ -9,10 +9,9 @@ M-matrices (``_density_systems``); takes one inexact solve of both blocks
 solve on a fresh one); and updates the potential from the linear Poisson
 system.  The iterate is relaxed only while damping is on (omega < 1).  A
 step is accepted once the increment is at most fp_tol and the scheme
-residual of the converged iterate (``scheme_residuals``) at most 10 fp_tol;
-the density bounds are then checked on that state.  The potential and both
-densities are written in front of their Dirichlet tails in buffers the
-Stepper owns, and ``check_m_matrices`` can verify every assembled block.
+residual of the converged iterate (``scheme_residuals``) at most 10 fp_tol,
+and then checked against the density bounds m^n, M^n the Stepper tracks.
+``check_m_matrices`` can verify every assembled block.
 """
 from __future__ import annotations
 
@@ -99,7 +98,8 @@ class StepReport:
 
 
 class Stepper:
-    """Owns the assembled operators for one problem/config pair."""
+    """Owns the assembled operators and the density bounds for one
+    problem/config pair."""
 
     def __init__(self, problem: Problem, config: StepperConfig):
         config.validate(problem)
@@ -111,13 +111,12 @@ class Stepper:
         self.lam2 = problem.lambda2
         self.mk = mesh.cell_measures
         self._mk_dt = self.mk / config.dt
+        self.bounds = BoundsTracker(problem, config.dt)
 
         # CSC: the Poisson residual check multiplies by it once per solve,
         # and scipy's CSC product is cheaper than the operator's.
         self.L = mesh.laplacian
-        _, g = la.tpfa_operator(mesh, 1.0, 1.0, 0.0, problem.psi_dirichlet)
         self._poisson_lu = mesh.laplacian_lu
-        self._poisson_b_dir = self.lam2 * g
         # [cells, Dirichlet tail] of the potential and of N and P: each
         # assembly writes the cell values in front of the fixed tails.
         n = mesh.n_cells
@@ -133,7 +132,8 @@ class Stepper:
 
     def solve_poisson(self, n_cells, p_cells) -> np.ndarray:
         """Potential from the linear Poisson system with given densities."""
-        b = self._poisson_b_dir + self.mk * (p_cells - n_cells + self.problem.doping)
+        pr = self.problem
+        b = pr.poisson_dirichlet + self.mk * (p_cells - n_cells + pr.doping)
         psi = self._poisson_lu.solve(b / self.lam2)
         res = np.abs(self.lam2 * (self.L @ psi) - b).max(initial=0.0)
         if res > 1e-12 * max(1.0, np.abs(b).max(initial=0.0)):
@@ -211,7 +211,7 @@ class Stepper:
         r = (A @ u.ravel()).reshape(b.shape) - b
         return r[0], r[1]
 
-    def advance(self, state: State, tracker: BoundsTracker) -> "tuple[State, StepReport]":
+    def advance(self, state: State) -> "tuple[State, StepReport]":
         """One implicit step from ``state``, whose ``psi`` is the Picard
         loop's first potential: ``initial_state`` and every step leave it at
         ``solve_poisson`` of the state's densities."""
@@ -222,7 +222,7 @@ class Stepper:
         u = prev
         step_index = state.step + 1
 
-        upper_next = tracker.upper(step_index)
+        upper_next = self.bounds.upper(step_index)
         mu = cfg.dt * max(upper_next, float(np.max(u, initial=0.0)))
 
         omega = 1.0
@@ -266,8 +266,8 @@ class Stepper:
                 f"(last increment {inc:.3e}, residual {residual:.3e}); "
                 f"increment history: {['%.3e' % d for d in increments[-8:]]}")
 
-        lo = tracker.lower(step_index) - cfg.fp_tol
-        hi = tracker.upper(step_index) + cfg.fp_tol
+        lo = self.bounds.lower(step_index) - cfg.fp_tol
+        hi = self.bounds.upper(step_index) + cfg.fp_tol
         excess = max(float(lo - u.min()), float(u.max() - hi), 0.0)
         if excess > 0.0:
             msg = (f"density bounds [{lo:.6g}, {hi:.6g}] violated by {excess:.3e} "
@@ -297,7 +297,6 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state: State,
 
     eq = equilibrium_state
     stepper = Stepper(problem, config)
-    tracker = BoundsTracker(problem, config.dt)
     state = stepper.initial_state()
 
     records = []
@@ -312,7 +311,7 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state: State,
         state_sink(state)
     for _ in range(config.n_steps):
         try:
-            state, report = stepper.advance(state, tracker)
+            state, report = stepper.advance(state)
         except (la.SolverError, InvariantError) as exc:
             raise type(exc)(f"step {state.step + 1}: {exc}") from exc
         emit(diag.make_record(state, eq, problem,

@@ -184,11 +184,10 @@ def test_criterion_07_equilibrium_preservation():
         eq = solve_equilibrium(problem)
         config = StepperConfig(dt=DT, fp_tol=FP_TOL)
         stepper = Stepper(problem, config)
-        tracker = BoundsTracker(problem, DT)
         state = eq
         drift = 0.0
         for _ in range(100):
-            state, _ = stepper.advance(state, tracker)
+            state, _ = stepper.advance(state)
             drift = max(drift,
                         float(np.max(np.abs(state.n - eq.n))),
                         float(np.max(np.abs(state.p - eq.p))))
@@ -298,11 +297,10 @@ def test_criterion_09_tiny_instance_oracle():
             problem = _tiny_problem(nx, ny, law, recomb)
             config = StepperConfig(dt=dt, fp_tol=1e-13)
             stepper = Stepper(problem, config)
-            tracker = BoundsTracker(problem, dt)
             psi0 = stepper.solve_poisson(problem.n_initial, problem.p_initial)
             from driftfv.problem import State
             state0 = State(problem.n_initial, problem.p_initial, psi0)
-            state, _ = stepper.advance(state0, tracker)
+            state, _ = stepper.advance(state0)
 
             z0 = np.concatenate([problem.n_initial, problem.p_initial, psi0])
             sol = scipy.optimize.root(

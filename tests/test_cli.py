@@ -7,8 +7,8 @@ from driftfv.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, ConfigError,
                          main, reproduce_paper, write_vtk)
 from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
-from driftfv.problem import (PRESET_CASES, PRESET_DOPINGS, State,
-                             pn_junction_preset)
+from driftfv.problem import (NO_RECOMBINATION, PRESET_CASES, PRESET_DOPINGS,
+                             RecombinationModel, State, pn_junction_preset)
 
 GOOD_CONFIG = """
 [mesh]
@@ -118,7 +118,10 @@ def test_nonlinear_with_recombination_exits_3(tmp_path, capsys):
     ("kind = srh\ntau_c = 0", "tau_c"),
     ("kind = auger\nc_n = -1", "c_n"),
     ("kind = auger\nc_n = nan", "c_n"),
-    ("kind = auger\nc_p = inf", "c_p")])
+    ("kind = auger\nc_p = inf", "c_p"),
+    # The other model's parameters are checked too.
+    ("kind = srh\nc_n = -1", "c_n"),
+    ("kind = auger\ntau_c = 0", "tau_c")])
 def test_bad_recombination_parameter_exits_3(tmp_path, capsys, recombination, name):
     # GOOD_CONFIG's contacts satisfy mass action, so only the parameter is at fault.
     cfg = GOOD_CONFIG + f"\n[recombination]\n{recombination}\n"
@@ -221,6 +224,23 @@ def _preset_config(preset):
         "[recombination]", f"kind = {rec.kind}", f"scale = {rec.scale!r}",
         f"tau_n = {rec.tau_n!r}", f"tau_p = {rec.tau_p!r}",
         f"tau_c = {rec.tau_c!r}", f"c_n = {rec.c_n!r}", f"c_p = {rec.c_p!r}", ""])
+
+
+@pytest.mark.parametrize("section, model", [
+    ("", NO_RECOMBINATION),
+    ("[recombination]\nkind = srh\n", RecombinationModel("srh")),
+    ("[recombination]\nkind = auger\n", RecombinationModel("auger")),
+    ("[recombination]\nkind = auger\nc_p = 0.5\n",
+     RecombinationModel("auger", c_p=0.5))])
+def test_recombination_defaults_are_the_models_own(tmp_path, section, model):
+    cfg = load_config(_write(tmp_path, GOOD_CONFIG + section))
+    assert build_problem(cfg, build_mesh(cfg)).recombination == model
+
+
+def test_unknown_recombination_kind_exits_2(tmp_path, capsys):
+    cfg = GOOD_CONFIG + "[recombination]\nkind = shockley\n"
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "unknown recombination model 'shockley'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doping", PRESET_DOPINGS)

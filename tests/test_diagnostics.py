@@ -127,6 +127,11 @@ def test_fit_decay_floor_and_window():
         fit_decay_rate(_records_from_entropy(ts[:5], es[:5]), floor=2.0)
 
 
+def test_fit_decay_without_records_is_too_few_points():
+    with pytest.raises(ValueError, match="only 0 entropy values"):
+        fit_decay_rate([])
+
+
 def test_check_entropy_chain():
     ts = np.linspace(0.0, 1.0, 20)
     good = _records_from_entropy(ts, np.exp(-ts))

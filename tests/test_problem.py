@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from driftfv import sparse
 from driftfv.constitutive import PressureLaw, enthalpy
+from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
 from driftfv.problem import (NO_RECOMBINATION, PRESET_CASES, PRESET_DOPINGS,
-                             HypothesisError, RecombinationModel,
+                             HypothesisError, Problem, RecombinationModel,
                              discretize_data, evaluate_recombination,
                              pn_junction_preset)
+from driftfv.transient import Stepper, StepperConfig
 
 SRH = RecombinationModel("srh", scale=10.0, tau_n=1.0, tau_p=1.0, tau_c=1.0)
 AUGER = RecombinationModel("auger", c_n=0.1, c_p=0.1)
@@ -72,6 +77,58 @@ def test_discretize_compatibility_constants():
     prob = _constant_problem(n_d=np.e, p_d=1.0 / np.e)
     assert prob.alpha_n == pytest.approx(0.0, abs=1e-14)
     assert prob.alpha_p == pytest.approx(0.0, abs=1e-14)
+
+
+_DATA = ("mesh", "law", "lambda2", "doping", "n_dirichlet", "p_dirichlet",
+         "psi_dirichlet", "n_initial", "p_initial", "recombination")
+_DERIVED = ("m", "M", "alpha_n", "alpha_p", "experimental")
+
+
+@pytest.mark.parametrize("case, doping", [
+    ("linear_srh", "pn"), ("nonlinear_nondegenerate", "zero"),
+    ("nonlinear_degenerate", "pn")])
+def test_directly_built_problem_derives_what_discretize_data_gives(case, doping):
+    preset = pn_junction_preset(case, doping)
+    built = preset.build(build_cartesian(
+        6, 6, dirichlet_predicate=preset.dirichlet_predicate))
+    direct = Problem(**{name: getattr(built, name) for name in _DATA})
+    for name in _DERIVED:
+        assert getattr(direct, name) == getattr(built, name), name
+    assert np.array_equal(direct.poisson_dirichlet, built.poisson_dirichlet)
+
+
+def test_derived_data_follows_replaced_fields():
+    prob = _constant_problem()
+    assert prob.m == 0.5 and not prob.experimental
+    lower = dataclasses.replace(prob, n_initial=np.full_like(prob.n_initial, 0.25))
+    assert lower.m == 0.25 and lower.M == 2.0
+    degenerate = dataclasses.replace(prob, p_initial=np.zeros_like(prob.p_initial))
+    assert degenerate.m == 0.0 and degenerate.experimental
+    assert Stepper(degenerate, StepperConfig()).bounds.lower(1) == 0.0
+
+
+def test_derived_data_is_read_only():
+    prob = _constant_problem()
+    for name in _DERIVED + ("poisson_dirichlet",):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(prob, name, 1.0)
+
+
+def test_poisson_dirichlet_term_assembled_once(monkeypatch):
+    preset = pn_junction_preset("linear_r0", "pn")
+    prob = preset.build(build_cartesian(
+        6, 6, dirichlet_predicate=preset.dirichlet_predicate))
+    real, assembled = sparse.tpfa_operator, []
+
+    def counting(mesh, a_fwd, a_bwd, diag, u_dirichlet):
+        if u_dirichlet is prob.psi_dirichlet and np.isscalar(diag):
+            assembled.append(diag)
+        return real(mesh, a_fwd, a_bwd, diag, u_dirichlet)
+
+    monkeypatch.setattr(sparse, "tpfa_operator", counting)
+    solve_equilibrium(prob)
+    Stepper(prob, StepperConfig()).initial_state()
+    assert assembled == [0.0]
 
 
 def test_mass_action_violation_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -109,8 +110,7 @@ def test_advance_preserves_equilibrium():
     eq = solve_equilibrium(prob)
     config = StepperConfig(dt=1e-2)
     stepper = Stepper(prob, config)
-    tracker = BoundsTracker(prob, config.dt)
-    state, report = stepper.advance(eq, tracker)
+    state, report = stepper.advance(eq)
     assert report.iterations == 1
     assert np.max(np.abs(state.n - eq.n)) <= config.fp_tol
     assert np.max(np.abs(state.p - eq.p)) <= config.fp_tol
@@ -120,8 +120,7 @@ def test_advance_reports_m_matrices():
     prob = _preset_problem("linear_srh", "zero", nx=4)
     config = StepperConfig(dt=1e-2, check_m_matrices=True)
     stepper = Stepper(prob, config)
-    tracker = BoundsTracker(prob, config.dt)
-    state, report = stepper.advance(stepper.initial_state(), tracker)
+    state, report = stepper.advance(stepper.initial_state())
     assert state.step == 1
     assert state.time == pytest.approx(config.dt)
 
@@ -147,7 +146,6 @@ def test_density_csc_built_only_for_full_solves(monkeypatch):
     prob = _preset_problem("nonlinear_nondegenerate", "pn", nx=6)
     config = StepperConfig(dt=1e-2)
     stepper = Stepper(prob, config)
-    tracker = BoundsTracker(prob, config.dt)
     built, solved = [], []
     real_tocsc, real_solve = la.TpfaOperator.tocsc, la.solve
 
@@ -163,7 +161,7 @@ def test_density_csc_built_only_for_full_solves(monkeypatch):
     monkeypatch.setattr(la, "solve", solve)
     state, iterations = stepper.initial_state(), 0
     for _ in range(3):
-        state, report = stepper.advance(state, tracker)
+        state, report = stepper.advance(state)
         iterations += report.iterations
     # Corrections and residual checks apply the operators without a matrix.
     assert len(built) == len(solved) < 2 * iterations
@@ -181,7 +179,7 @@ def test_m_matrix_check_rejects_positive_offdiagonal(monkeypatch):
     config = StepperConfig(dt=1e-2, check_m_matrices=True)
     stepper = Stepper(prob, config)
     with pytest.raises(InvariantError, match="A_N is not an M-matrix"):
-        stepper.advance(stepper.initial_state(), BoundsTracker(prob, config.dt))
+        stepper.advance(stepper.initial_state())
 
 
 def test_linearized_step_nonnegative_outputs():
@@ -203,9 +201,8 @@ def test_scheme_residual_small_after_step():
     prob = _preset_problem("linear_auger", "zero", nx=4)
     config = StepperConfig(dt=1e-2)
     stepper = Stepper(prob, config)
-    tracker = BoundsTracker(prob, config.dt)
     state0 = stepper.initial_state()
-    state, report = stepper.advance(state0, tracker)
+    state, report = stepper.advance(state0)
     assert report.residual <= 10.0 * config.fp_tol
     rn, rp = stepper.scheme_residuals(
         np.stack([state.n, state.p]), state.psi, np.stack([state0.n, state0.p]))
@@ -239,8 +236,7 @@ def test_run_equilibrium_start_stays_flat():
     scale = 1e-10 * (1.0 + records[0].entropy)
     # The run starts from the interpolated profile, not equilibrium; redo
     # from equilibrium initial data by swapping the initial fields.
-    prob.n_initial = eq.n.copy()
-    prob.p_initial = eq.p.copy()
+    prob = dataclasses.replace(prob, n_initial=eq.n.copy(), p_initial=eq.p.copy())
     _, records = run(prob, StepperConfig(dt=1e-2, t_end=0.1), eq)
     assert all(r.entropy <= 1e-8 for r in records)
 
@@ -288,7 +284,7 @@ def test_picard_failure_reports_increment_history(max_iter, listed):
     config = StepperConfig(dt=1e-2, fp_tol=0.0, fp_max_iter=max_iter)
     stepper = Stepper(prob, config)
     with pytest.raises(la.SolverError) as info:
-        stepper.advance(stepper.initial_state(), BoundsTracker(prob, config.dt))
+        stepper.advance(stepper.initial_state())
     message = str(info.value)
     assert f"did not converge in {max_iter} iterations" in message
     found = re.search(r"last increment (\S+),.*increment history: \[(.*)\]", message)
@@ -415,7 +411,7 @@ def test_m_matrix_check_names_the_hole_block(monkeypatch):
     config = StepperConfig(dt=1e-2, check_m_matrices=True)
     stepper = Stepper(prob, config)
     with pytest.raises(InvariantError, match="A_P is not an M-matrix"):
-        stepper.advance(stepper.initial_state(), BoundsTracker(prob, config.dt))
+        stepper.advance(stepper.initial_state())
 
 
 def test_each_picard_iteration_assembles_corrects_and_updates_psi_once(monkeypatch):
@@ -435,11 +431,10 @@ def test_each_picard_iteration_assembles_corrects_and_updates_psi_once(monkeypat
                         counted("poisson", Stepper.solve_poisson))
     monkeypatch.setattr(la, "correct", counted("correct", la.correct))
     stepper = Stepper(prob, config)
-    tracker = BoundsTracker(prob, config.dt)
     state = stepper.initial_state()
     iterations = 0
     for _ in range(config.n_steps):
-        state, report = stepper.advance(state, tracker)
+        state, report = stepper.advance(state)
         iterations += report.iterations
     assert iterations > 2 * config.n_steps
     # One assembly per iteration, plus the accepted residual check of each step.
@@ -487,7 +482,7 @@ def test_iterate_is_relaxed_only_while_damped(monkeypatch):
 
     monkeypatch.setattr(Stepper, "linearized_density_step", step)
     with pytest.raises(Stop):
-        stepper.advance(stepper.initial_state(), BoundsTracker(prob, config.dt))
+        stepper.advance(stepper.initial_state())
     # Undamped, the solve's output is the next iterate as it stands.
     assert seen[1][0] is seen[0][1]
     assert seen[3][0] is seen[2][1]
