@@ -4,7 +4,7 @@ A mesh is admissible when, for every interior edge, the segment joining the
 two neighboring cell centers is orthogonal to the edge.  Cartesian grids with
 centroid centers and Delaunay triangulations with circumcenter centers both
 qualify.  Each edge carries a transmissibility tau = m(sigma)/d_sigma, and the
-mesh stores the regularity parameter xi = min d(x_K, sigma)/d_sigma over all
+mesh gives the regularity parameter xi = min d(x_K, sigma)/d_sigma over all
 cell-edge incidences.
 """
 from __future__ import annotations
@@ -98,14 +98,19 @@ class Mesh:
         self.dirichlet_index = np.full(self.n_edges, -1, dtype=np.int64)
         self.dirichlet_index[self.dirichlet_edges] = np.arange(len(self.dirichlet_edges))
         self.n_dirichlet = len(self.dirichlet_edges)
+        self._block_stencils = {}
 
-        # xi = min d(x_K, sigma)/d_sigma over every cell-edge incidence.
+    @cached_property
+    def xi(self) -> float:
+        """Regularity xi = min d(x_K, sigma)/d_sigma over every cell-edge
+        incidence, computed on first read: no solve needs it, only
+        ``validate``."""
+        k, ell = self.edge_cells.T
         cells = np.concatenate([k, ell[self.interior_edges]])
         edges = np.concatenate([np.arange(self.n_edges), self.interior_edges])
-        self.xi = float(np.min(
+        return float(np.min(
             _point_line_distance(self.cell_centers[cells], self.edge_p1[edges],
-                                 self.edge_p2[edges]) / d[edges]))
-        self._block_stencils = {}
+                                 self.edge_p2[edges]) / self.edge_d[edges]))
 
     # -- two-point stencil ------------------------------------------------
     #

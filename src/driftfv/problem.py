@@ -5,9 +5,9 @@ law, the scaled Debye length, doping, Dirichlet data, initial data and the
 recombination model.  Validation enforces the structural assumptions the
 scheme's bounds and entropy decay rely on: density bounds m <= data <= M,
 boundary compatibility h(N^D) - Psi^D = alpha_N and h(P^D) + Psi^D = alpha_P,
-mass action N^D P^D = 1 and finite recombination parameters with R0 >= 0
-whenever recombination is active, and no recombination together with a
-nonlinear pressure law.
+finite recombination parameters with R0 >= 0 (for every model, the none
+model included), mass action N^D P^D = 1 whenever recombination is active,
+and no recombination together with a nonlinear pressure law.
 """
 from __future__ import annotations
 
@@ -161,8 +161,9 @@ def _validate(problem: Problem) -> Problem:
             "boundary compatibility violated: h(N^D)-Psi^D and h(P^D)+Psi^D "
             "must be constant on the Dirichlet boundary")
 
+    # Parameters given with the none model go unused but must still be valid.
+    _validate_recombination(problem.recombination)
     if not problem.recombination.is_none:
-        _validate_recombination(problem.recombination)
         if not problem.law.is_isothermal:
             raise HypothesisError(
                 "recombination requires the isothermal pressure law (R=0 otherwise)")

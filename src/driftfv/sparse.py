@@ -5,9 +5,11 @@
 and P), applied without a matrix and laid out in CSC only to be factored or
 checked (``check_m_matrix``).  ``factor`` factors a block in its mesh's
 minimum-degree ``fill_order``.  ``solve`` can hold a factor and reuse it for
-a nearby system by iterative refinement; ``correct``, the Picard loop's
-inexact inner solve, takes one correction per block on its held factor, or
-a full ``solve``.
+a nearby system by iterative refinement, which goes on while the residual's
+observed contraction per step, kept up over the steps left, would still
+reach rounding-level backward error, and gives way to a fresh factorization
+as soon as it would not; ``correct``, the Picard loop's inexact inner solve,
+takes one correction per block on its held factor, or a full ``solve``.
 """
 from __future__ import annotations
 
@@ -30,11 +32,13 @@ _ORDERING = "MMD_AT_PLUS_A"
 _ORDERED = "NATURAL"
 _RELAX = 1
 _PANEL_SIZE = 1
-# Refinement with a held factor: at most this many correction steps, each of
-# which must cut the residual by at least the given factor, and acceptance at
-# this many machine epsilons of normwise backward error.
-_REFINE_MAX = 5
-_REFINE_CONTRACTION = 0.5
+# Refinement with a held factor: at most this many correction steps, and
+# acceptance at this many machine epsilons of normwise backward error.  One
+# step is a triangular solve and an operator product; a fresh factorization
+# of a Newton Jacobian costs about 8 steps at 16x16, 12 at 32x32 and 15 at
+# 64x64, so an accepted refinement costs at most about as much as the
+# factorization it saves.
+_REFINE_MAX = 8
 _BACKWARD_ERROR_EPS = 16.0
 # A one-step correction on a held factor is kept only if it cuts the residual
 # to at most this share; a factor that contracts less is refreshed.
@@ -96,9 +100,11 @@ def solve(A, b, held: "HeldFactor | None" = None) -> np.ndarray:
     """Solve A x = b to residual ||Ax-b||_inf <= max(1e-12, 1e-12 ||b||_inf).
 
     With a ``held`` factor from an earlier system, x comes from iterative
-    refinement on that factor and is accepted only at rounding-level
-    backward error; otherwise, or when it is not accepted, A is factored
-    afresh and the new factor is kept in ``held``.  An operator is applied
+    refinement on that factor (``_refine``) and is accepted only at
+    rounding-level backward error.  Refinement stops as soon as the
+    residual's contraction per step, kept up over the steps left, could not
+    reach that bound; then, or without a held factor, A is factored afresh
+    and the new factor is kept in ``held``.  An operator is applied
     without a matrix and laid out only to be factored.
     """
     if not isinstance(A, TpfaOperator):
@@ -129,8 +135,11 @@ def solve(A, b, held: "HeldFactor | None" = None) -> np.ndarray:
 def _refine(A, b, b_norm, tol, lu):
     """Iterative refinement of A x = b on the factor of a nearby matrix.
 
-    Returns x once its residual meets the backward-error bound, or None when
-    the refinement cap is reached or a step fails to contract the residual.
+    Such refinement contracts the residual at a steady rate (Higham, IMA J.
+    Numer. Anal. 17, 1997), taken after each correction as the ratio of the
+    last two residuals.  Returns x once its residual meets the backward-error
+    bound, or None as soon as that rate, kept up over the steps left before
+    ``_REFINE_MAX``, could not bring it there.
     """
     a_norm = np.max(abs(A) @ np.ones(A.shape[1]), initial=0.0)
     x = lu.solve(b)
@@ -138,9 +147,13 @@ def _refine(A, b, b_norm, tol, lu):
     for step in range(_REFINE_MAX + 1):
         r = b - A @ x
         res = np.max(np.abs(r), initial=0.0)
-        if res <= min(tol, _ROUNDING * (a_norm * np.max(np.abs(x), initial=0.0) + b_norm)):
+        bound = min(tol, _ROUNDING * (a_norm * np.max(np.abs(x), initial=0.0) + b_norm))
+        if res <= bound:
             return x
-        if step == _REFINE_MAX or res > _REFINE_CONTRACTION * prev:
+        # Before the first correction prev is inf and the rate 0; a NaN
+        # residual fails the test, and at the cap no step is left.
+        rate = res / prev
+        if not (rate < 1.0 and res * rate ** (_REFINE_MAX - step) <= bound):
             return None
         x = x + lu.solve(r)
         prev = res
@@ -156,9 +169,7 @@ def correct(A, b, x0, held) -> np.ndarray:
     residual ||b - A x||_inf is at most ``_CORRECT_CONTRACTION`` times that
     of x0, or at most the rounding level 16 eps ||b||_inf of the block.
     Every other block drops its factor and is solved in full by ``solve`` on
-    a fresh one, which it then holds: refinement on a factor that contracts
-    the residual less than five-fold per step could not reach rounding-level
-    backward error in ``_REFINE_MAX`` steps.  Returns x, shaped like x0.
+    a fresh one, which it then holds.  Returns x, shaped like x0.
     """
     x = x0.copy()
     kept = np.array([h.lu is not None for h in held])

@@ -119,9 +119,13 @@ def test_nonlinear_with_recombination_exits_3(tmp_path, capsys):
     ("kind = auger\nc_n = -1", "c_n"),
     ("kind = auger\nc_n = nan", "c_n"),
     ("kind = auger\nc_p = inf", "c_p"),
-    # The other model's parameters are checked too.
+    # The other model's parameters are checked too, and so are those given
+    # with no recombination at all.
     ("kind = srh\nc_n = -1", "c_n"),
-    ("kind = auger\ntau_c = 0", "tau_c")])
+    ("kind = auger\ntau_c = 0", "tau_c"),
+    ("kind = auger\nscale = -5", "scale"),
+    ("kind = none\nscale = -5", "scale"),
+    ("kind = none\ntau_c = 0", "tau_c")])
 def test_bad_recombination_parameter_exits_3(tmp_path, capsys, recombination, name):
     # GOOD_CONFIG's contacts satisfy mass action, so only the parameter is at fault.
     cfg = GOOD_CONFIG + f"\n[recombination]\n{recombination}\n"

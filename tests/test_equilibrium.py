@@ -128,8 +128,8 @@ def test_residual_history_monotone_tail():
     assert eq.residual_history[-1] < eq.residual_history[0]
 
 
-def _equilibria(monkeypatch, reuse):
-    """Equilibria of all ten presets at 16x16, and the Newton factorizations."""
+def _equilibria(monkeypatch, reuse, n=16):
+    """Equilibria of all ten presets at nxn, and the Newton factorizations."""
     from driftfv import equilibrium, sparse
     from driftfv.problem import PRESET_CASES, PRESET_DOPINGS
 
@@ -143,7 +143,7 @@ def _equilibria(monkeypatch, reuse):
     for case in PRESET_CASES:
         for doping in PRESET_DOPINGS:
             preset = pn_junction_preset(case, doping)
-            mesh = build_cartesian(16, 16, dirichlet_predicate=preset.dirichlet_predicate)
+            mesh = build_cartesian(n, n, dirichlet_predicate=preset.dirichlet_predicate)
             prob = preset.build(mesh)
             mesh.laplacian_lu  # the initial guess's factor, outside the count
             before = len(counts)
@@ -163,6 +163,17 @@ def test_newton_reuses_its_factor(monkeypatch):
         assert a.iterations == b.iterations
         assert a.residual <= 1e-10
         assert np.max(np.abs(a.psi - b.psi)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_newton_factors_one_jacobian_per_equilibrium(monkeypatch, n):
+    # Every preset takes at least one Newton step, so one factorization per
+    # preset in all means exactly one each: later Jacobians are solved by
+    # refinement on the first one's factor, in as many Newton steps as ever.
+    eqs, factors = _equilibria(monkeypatch, reuse=True, n=n)
+    assert [eq.iterations for eq in eqs] == [3] * 6 + [2] * 4
+    assert factors == len(eqs) == 10
+    assert all(eq.residual <= 1e-10 for eq in eqs)
 
 
 def test_newton_jacobian_is_lambda2_laplacian_plus_diagonal(monkeypatch):

@@ -79,6 +79,23 @@ def test_xi_matches_per_incidence_reference():
     assert 0.0 < triangulation.xi < 0.5
 
 
+def test_xi_is_computed_on_first_read():
+    mesh = build_cartesian(5, 3, domain=(0.0, 2.0, 0.0, 0.7),
+                           dirichlet_predicate=lambda x, y: y < 1e-12)
+    assert "xi" not in mesh.__dict__
+    assert validate(mesh).xi == _xi_per_incidence(mesh)
+    assert mesh.__dict__["xi"] == mesh.xi == _xi_per_incidence(mesh)
+    # Bad geometry still fails at construction, before xi is ever read.
+    args = _mesh_args(mesh)
+    args["cell_centers"][0] = np.inf
+    with pytest.raises(MeshError, match="non-finite cell centers"):
+        Mesh(**args)
+    args = _mesh_args(mesh)
+    args["cell_centers"][1] = args["cell_centers"][0]
+    with pytest.raises(MeshError, match="zero center distance"):
+        Mesh(**args)
+
+
 def test_cell_measures_sum_to_domain():
     mesh = build_cartesian(7, 5, domain=(0.0, 2.0, -1.0, 1.0))
     assert np.sum(mesh.cell_measures) == pytest.approx(4.0, rel=1e-12)

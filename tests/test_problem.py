@@ -145,7 +145,10 @@ def test_mass_action_violation_rejected():
     (RecombinationModel("srh", tau_n=np.inf), "tau_n"),
     (RecombinationModel("auger", c_n=-1.0), "c_n"),
     (RecombinationModel("auger", c_n=np.nan), "c_n"),
-    (RecombinationModel("auger", c_p=np.inf), "c_p")])
+    (RecombinationModel("auger", c_p=np.inf), "c_p"),
+    # Unused parameters of the none model are checked like any other.
+    (RecombinationModel("none", scale=-5.0), "scale"),
+    (RecombinationModel("none", c_n=np.nan), "c_n")])
 def test_bad_recombination_parameter_rejected(recomb, name):
     # n_d p_d = 1: mass action holds, so only the parameter is at fault.
     with pytest.raises(HypothesisError, match=f"recombination parameter {name} "):

@@ -69,6 +69,50 @@ def test_held_factor_of_unrelated_matrix_is_replaced(splu_calls):
     assert np.allclose(x, np.linalg.solve(A2.toarray(), b), rtol=0.0, atol=1e-12)
 
 
+class _CountingFactor:
+    """The factor of A, counting its triangular solves."""
+
+    def __init__(self, A):
+        self.lu, self.solves = factor(sp.csc_matrix(A)), 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+@pytest.mark.parametrize("diagonal, b, solves", [
+    # Unrelated: the first correction doubles the residual.
+    ([3.0, 3.0], [1.0, 1.0], 2),
+    # Too distant: halving the residual per step cannot reach rounding level
+    # in the 7 steps left after the first correction.
+    ([1.5, 1.5], [1.0, 1.0], 2),
+    # 100-fold per step while the first entry dominates the residual, then
+    # 16-fold, which cannot reach rounding level in the 5 steps left.
+    ([1.01, 1.5], [1.0, 1e-6], 4)])
+def test_refinement_gives_up_at_the_first_rate_that_cannot_reach_rounding(
+        splu_calls, diagonal, b, solves):
+    # Refinement of diag(c) x = b on the factor of I contracts each entry of
+    # the residual by |1 - c| per step.
+    held = HeldFactor()
+    held.lu = counting = _CountingFactor(sp.identity(2))
+    x = solve(sp.diags(diagonal), np.array(b), held)
+    assert counting.solves == solves
+    assert len(splu_calls) == 2 and held.lu is not counting
+    assert np.allclose(x, np.divide(b, diagonal), rtol=1e-15, atol=0.0)
+
+
+def test_refinement_runs_on_while_its_rate_reaches_rounding(splu_calls):
+    # A 100-fold cut per step reaches rounding level after 7 corrections,
+    # within _REFINE_MAX: the held factor is kept and nothing more is factored.
+    held = HeldFactor()
+    held.lu = counting = _CountingFactor(sp.identity(2))
+    A, b = sp.diags([1.01, 1.01]), np.ones(2)
+    x = solve(A, b, held)
+    assert counting.solves == 8
+    assert len(splu_calls) == 1 and held.lu is counting
+    assert np.max(np.abs(b - A @ x)) <= _backward_error_bound(A, x, b)
+
+
 def test_singular_matrix_with_held_factor_raises_and_drops_it():
     held = HeldFactor()
     solve(sp.identity(2, format="csc"), np.array([1.0, 2.0]), held)
