@@ -49,7 +49,7 @@ _SECTIONS = {
     "recombination": {"kind", "scale", "tau_n", "tau_p", "tau_c", "c_n", "c_p"},
     "time": {"dt", "t_end"},
     "solver": {"fp_tol", "fp_max_iter", "check_m_matrices", "equilibrium_tol"},
-    "output": {"csv", "vtk", "vtk_every", "manifest"},
+    "output": {"csv", "vtk", "manifest"},
 }
 
 

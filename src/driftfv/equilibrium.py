@@ -51,7 +51,8 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
     a_n, a_p = problem.alpha_n, problem.alpha_p
     mk = mesh.cell_measures
 
-    L = mesh.laplacian
+    shared = la.algebra(mesh)
+    L = shared.laplacian
     b_dir = problem.poisson_dirichlet
 
     def residual(psi):
@@ -63,7 +64,7 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
     # boundary-data averages.
     n_bar = float(np.mean(problem.n_dirichlet))
     p_bar = float(np.mean(problem.p_dirichlet))
-    psi = mesh.laplacian_lu.solve(
+    psi = shared.laplacian_lu.solve(
         (b_dir + mk * (p_bar - n_bar + problem.doping)) / lam2)
 
     res = residual(psi)

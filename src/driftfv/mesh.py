@@ -48,7 +48,9 @@ def _read_only(arr):
 
 
 class Mesh:
-    """Two-point-flux finite-volume mesh (2D); geometry in flat numpy arrays."""
+    """Two-point-flux finite-volume mesh (2D): geometry in flat numpy arrays
+    and the cell indices of its stencil.  The linear algebra on the mesh is
+    ``sparse.algebra``'s."""
 
     def __init__(self, points, cell_nodes, cell_centers, cell_measures,
                  edge_kind, edge_cells, edge_p1, edge_p2):
@@ -143,70 +145,6 @@ class Mesh:
         if stencil is None:
             stencil = self._block_stencils[blocks] = BlockStencil(self, blocks)
         return stencil
-
-    def _stencil_layout(self, rank):
-        """CSC layout of the one-block stencil permuted symmetrically, cell i
-        to row and column ``rank[i]``: (order, indices, indptr).
-
-        The stencil's entries are listed as the diagonal, then (K, L) and
-        then (L, K) for each interior edge; ``values[order]`` is that list
-        in CSC order (by column, rows sorted within a column).
-        """
-        n = self.n_cells
-        cells = np.arange(n)
-        stencil = self.block_stencil(1)
-        rows = rank[np.concatenate([cells, stencil.offdiagonal_rows])]
-        cols = rank[np.concatenate([cells, stencil.offdiagonal_cols])]
-        # Column, then row: one integer key sorts by both.
-        order = np.argsort(cols.astype(np.int64) * n + rows)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        # Every assembled matrix shares these arrays; none may edit them.
-        return (_read_only(order), _read_only(rows[order].astype(np.int32)),
-                _read_only(indptr))
-
-    @cached_property
-    def stencil_csc(self):
-        """CSC layout of the one-block two-point stencil (``_stencil_layout``)."""
-        return self._stencil_layout(np.arange(self.n_cells))
-
-    @cached_property
-    def fill_order(self):
-        """(q, rank): the cells in the column order of ``laplacian_lu``'s
-        minimum-degree factor, and the place of each cell in that order.
-
-        The order depends only on the sparsity pattern, which every
-        two-point operator on the mesh shares, so it serves them all.
-        """
-        # Index arrays of the platform's intp gather fastest.
-        rank = self.laplacian_lu.perm_c.astype(np.intp)
-        return _read_only(np.argsort(rank)), _read_only(rank)
-
-    @cached_property
-    def ordered_stencil_csc(self):
-        """CSC layout of the stencil permuted symmetrically into ``fill_order``."""
-        return self._stencil_layout(self.fill_order[1])
-
-    @cached_property
-    def laplacian(self):
-        """The unit-weight two-point Laplacian, CSC, read-only.
-
-        Every Poisson system on the mesh is lambda^2 times this matrix, with
-        Dirichlet data only in the right-hand side.
-        """
-        # Imported here because sparse imports this module.
-        from .sparse import tpfa_operator
-        L, _ = tpfa_operator(self, 1.0, 1.0, 0.0, np.zeros(self.n_dirichlet))
-        L = L.tocsc()
-        _read_only(L.data)
-        return L
-
-    @cached_property
-    def laplacian_lu(self):
-        """LU factor of ``laplacian``, shared by every Poisson system on the
-        mesh; its minimum-degree ordering is the mesh's ``fill_order``."""
-        from .sparse import factor
-        return factor(self.laplacian)
 
     # -- edge values of cell functions ------------------------------------
 

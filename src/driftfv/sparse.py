@@ -2,37 +2,40 @@
 
 ``tpfa_operator`` assembles every system as a block-diagonal
 ``TpfaOperator`` (one block for Poisson and Newton, two for the densities N
-and P), applied without a matrix and laid out in CSC only to be factored or
-checked (``check_m_matrix``).  ``factor`` factors a block in its mesh's
-minimum-degree ``fill_order``.  ``solve`` can hold a factor and reuse it for
-a nearby system by iterative refinement, which goes on while the residual's
-observed contraction per step, kept up over the steps left, would still
-reach rounding-level backward error, and gives way to a fresh factorization
-as soon as it would not; ``correct``, the Picard loop's inexact inner solve,
+and P), applied without a matrix and laid out in CSC only to be factored.
+``check_m_matrix`` reads its entries as they are.  ``algebra`` holds what
+every operator on one mesh shares: the unit Laplacian, its minimum-degree
+LU factor, and that factor's fill order, in which ``factor`` lays out and
+factors every block.  ``solve`` can hold a factor and reuse it for a nearby
+system by iterative refinement, which goes on while the residual's observed
+contraction per step, kept up over the steps left, would still reach
+rounding-level backward error, and gives way to a fresh factorization as
+soon as it would not; ``correct``, the Picard loop's inexact inner solve,
 takes one correction per block on its held factor, or a full ``solve``.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh
+from .mesh import Mesh, _read_only
 
 # Strictness margin for column diagonal dominance, relative to the diagonal.
 _DOMINANCE_MARGIN = 1e-14
-# Fill-reducing column ordering of an LU factorization, and SuperLU's
-# supernode relaxation and panel width: the small supernodes of a two-point
-# stencil's factor gain nothing from wide panels, which only slow the
-# factorization (same fill).  An operator laid out in its mesh's fill order
-# is factored in the order it comes in.
+# Fill-reducing column ordering of the Laplacian's LU factor, which orders
+# its mesh; an operator laid out in that fill order is factored in the order
+# it comes in.  SuperLU's supernode relaxation and panel width: the small
+# supernodes of a two-point stencil's factor gain nothing from wide panels,
+# which only slow the factorization (same fill).
 _ORDERING = "MMD_AT_PLUS_A"
 _ORDERED = "NATURAL"
 _RELAX = 1
 _PANEL_SIZE = 1
-# Refinement with a held factor: at most this many correction steps, and
+# Refinement on a factor: at most this many correction steps, and
 # acceptance at this many machine epsilons of normwise backward error.  One
 # step is a triangular solve and an operator product; a fresh factorization
 # of a Newton Jacobian costs about 8 steps at 16x16, 12 at 32x32 and 15 at
@@ -75,17 +78,11 @@ class OrderedFactor:
         return self.lu.solve(b[self.q])[self.rank]
 
 
-def factor(A):
-    """LU factor of A, fill-reduced by minimum degree.
-
-    A one-block ``TpfaOperator`` is laid out in its mesh's ``fill_order`` and
-    factored in that order, as an ``OrderedFactor``; any other A, a square
-    matrix, is ordered by minimum degree of its own.
-    """
-    if isinstance(A, TpfaOperator) and A.blocks == 1:
-        q, rank = A.mesh.fill_order
-        return OrderedFactor(_splu(A.tocsc(ordered=True), _ORDERED), q, rank)
-    return _splu(_csc(A), _ORDERING)
+def factor(A: "TpfaOperator") -> OrderedFactor:
+    """LU factor of the one-block operator A, laid out in its mesh's fill
+    order (``algebra``) and factored in that order."""
+    shared = algebra(A.mesh)
+    return OrderedFactor(_splu(A.tocsc(ordered=True), _ORDERED), shared.q, shared.rank)
 
 
 def _splu(A, ordering):
@@ -96,19 +93,21 @@ def _splu(A, ordering):
         raise SolverError(f"direct solve failed: {exc}") from exc
 
 
-def solve(A, b, held: "HeldFactor | None" = None) -> np.ndarray:
-    """Solve A x = b to residual ||Ax-b||_inf <= max(1e-12, 1e-12 ||b||_inf).
+def solve(A: "TpfaOperator", b, held: "HeldFactor | None" = None) -> np.ndarray:
+    """Solve the one-block operator system A x = b to rounding-level
+    backward error, and to residual ||Ax-b||_inf <= max(1e-12, 1e-12 ||b||_inf).
 
     With a ``held`` factor from an earlier system, x comes from iterative
-    refinement on that factor (``_refine``) and is accepted only at
-    rounding-level backward error.  Refinement stops as soon as the
-    residual's contraction per step, kept up over the steps left, could not
-    reach that bound; then, or without a held factor, A is factored afresh
-    and the new factor is kept in ``held``.  An operator is applied
-    without a matrix and laid out only to be factored.
+    refinement on that factor (``_refine``).  Refinement stops as soon as
+    the residual's contraction per step, kept up over the steps left, could
+    not reach its bound; then, or without a held factor, A is factored
+    afresh, refined alike on the new factor, and the new factor is kept in
+    ``held``.  A is applied without a matrix and laid out only to be
+    factored.
     """
-    if not isinstance(A, TpfaOperator):
-        A = sp.csc_matrix(A)
+    _require_operator("solve", A)
+    if A.blocks != 1:
+        raise ValueError(f"solve takes a one-block operator, not {A.blocks} blocks")
     b = np.asarray(b, dtype=float)
     b_norm = np.max(np.abs(b), initial=0.0)
     tol = max(1e-12, 1e-12 * b_norm)
@@ -119,21 +118,23 @@ def solve(A, b, held: "HeldFactor | None" = None) -> np.ndarray:
         # Drop the old factor before the new one exists: never hold both.
         held.lu = None
     lu = factor(A)
-    x = lu.solve(b)
-    res = np.max(np.abs(A @ x - b), initial=0.0)
-    if res > tol:
-        # One step of iterative refinement before giving up.
-        x = x + lu.solve(b - A @ x)
-        res = np.max(np.abs(A @ x - b), initial=0.0)
-        if res > tol:
-            raise SolverError(f"solve residual {res:.3e} exceeds tolerance {tol:.3e}")
+    x = _refine(A, b, b_norm, tol, lu)
+    if x is None:
+        raise SolverError("solve on a fresh factor did not reach rounding-level "
+                          "backward error")
     if held is not None:
         held.lu = lu
     return x
 
 
+def _require_operator(name, A):
+    if not isinstance(A, TpfaOperator):
+        raise TypeError(f"{name} takes a TpfaOperator, not {type(A).__name__}")
+
+
 def _refine(A, b, b_norm, tol, lu):
-    """Iterative refinement of A x = b on the factor of a nearby matrix.
+    """Iterative refinement of A x = b on the factor of A or of a nearby
+    matrix.
 
     Such refinement contracts the residual at a steady rate (Higham, IMA J.
     Numer. Anal. 17, 1997), taken after each correction as the ratio of the
@@ -163,13 +164,13 @@ def correct(A, b, x0, held) -> np.ndarray:
     """Solve block-diagonal A x = b inexactly, block by block, from x0.
 
     b and x0 hold one row per block of A, and ``held`` one ``HeldFactor``
-    per block (A may be any square matrix with one block).  Each block with
-    a held factor takes one correction x0 + LU^{-1}(b - A x0), from one
-    residual of the stacked x0.  It is kept only if it is nonnegative and its
-    residual ||b - A x||_inf is at most ``_CORRECT_CONTRACTION`` times that
-    of x0, or at most the rounding level 16 eps ||b||_inf of the block.
-    Every other block drops its factor and is solved in full by ``solve`` on
-    a fresh one, which it then holds.  Returns x, shaped like x0.
+    per block.  Each block with a held factor takes one correction
+    x0 + LU^{-1}(b - A x0), from one residual of the stacked x0.  It is kept
+    only if it is nonnegative and its residual ||b - A x||_inf is at most
+    ``_CORRECT_CONTRACTION`` times that of x0, or at most the rounding level
+    16 eps ||b||_inf of the block.  Every other block drops its factor and
+    is solved in full by ``solve`` on a fresh one, which it then holds.
+    Returns x, shaped like x0.
     """
     x = x0.copy()
     kept = np.array([h.lu is not None for h in held])
@@ -186,7 +187,7 @@ def correct(A, b, x0, held) -> np.ndarray:
     for s, h in enumerate(held):
         if not kept[s]:
             h.lu = None
-            x[s] = solve(A if len(held) == 1 else A.block(s), b[s], h)
+            x[s] = solve(A.block(s), b[s], h)
     return x
 
 
@@ -199,21 +200,17 @@ class MMatrixReport:
         return self.is_m_matrix
 
 
-def check_m_matrix(A) -> MMatrixReport:
-    """Structural M-matrix check: diag > 0, offdiag <= 0, strict column dominance."""
-    A = _csc(A)
-    diag = A.diagonal()
-    violations = []
-    for i in np.nonzero(diag <= 0.0)[0][:10]:
-        violations.append(f"nonpositive diagonal at {i}: {diag[i]:g}")
-
-    coo = A.tocoo()
-    off = coo.row != coo.col
-    pos_off = off & (coo.data > 0.0)
-    for j in np.unique(coo.col[pos_off])[:10]:
+def check_m_matrix(A: "TpfaOperator") -> MMatrixReport:
+    """Structural M-matrix check: diag > 0, offdiag <= 0, strict column
+    dominance; each kind of violation names up to 10 cells."""
+    _require_operator("check_m_matrix", A)
+    diag, off = A.diagonal, A.offdiagonal
+    cols = A.mesh.block_stencil(A.blocks).offdiagonal_cols
+    violations = [f"nonpositive diagonal at {i}: {diag[i]:g}"
+                  for i in np.nonzero(diag <= 0.0)[0][:10]]
+    for j in np.unique(cols[off > 0.0])[:10]:
         violations.append(f"positive off-diagonal in column {j}")
-    offsum = np.bincount(coo.col[off], weights=np.abs(coo.data[off]),
-                         minlength=A.shape[1])
+    offsum = np.bincount(cols, weights=np.abs(off), minlength=len(diag))
     weak = np.nonzero(diag - offsum < _DOMINANCE_MARGIN * np.abs(diag))[0]
     for j in weak[:10]:
         violations.append(
@@ -230,8 +227,8 @@ class TpfaOperator:
     each interior edge.  ``A @ u`` gathers each block of u across the interior
     edges in one ``take`` and sums each cell's entries with one ``bincount``;
     ``block(s)`` is block s as a one-block operator, and ``tocsc()`` lays
-    the entries out in CSC form for an M-matrix check, or with ``ordered``
-    permuted into the mesh's ``fill_order`` for a factorization.
+    the entries out in CSC form, with ``ordered`` permuted into the mesh's
+    fill order (``algebra``) for a factorization.
     """
 
     __slots__ = ("mesh", "diagonal", "offdiagonal")
@@ -268,19 +265,16 @@ class TpfaOperator:
 
     def tocsc(self, ordered: bool = False):
         """The matrix in CSC form; with ``ordered`` (one block only),
-        permuted symmetrically into the mesh's ``fill_order``."""
-        if self.blocks != 1:
-            return sp.block_diag([self.block(s).tocsc() for s in range(self.blocks)],
-                                 format="csc")
-        mesh = self.mesh
-        order, indices, indptr = mesh.ordered_stencil_csc if ordered else mesh.stencil_csc
-        data = np.concatenate([self.diagonal, self.offdiagonal])[order]
-        return sp.csc_matrix((data, indices, indptr), shape=self.shape)
-
-
-def _csc(A):
-    """A as a CSC matrix; an operator lays out its entries."""
-    return A.tocsc() if isinstance(A, TpfaOperator) else sp.csc_matrix(A)
+        permuted symmetrically into the mesh's fill order."""
+        values = np.concatenate([self.diagonal, self.offdiagonal])
+        if ordered:
+            order, indices, indptr = algebra(self.mesh).layout
+            return sp.csc_matrix((values[order], indices, indptr), shape=self.shape)
+        stencil = self.mesh.block_stencil(self.blocks)
+        cells = np.arange(len(self.diagonal))
+        return sp.csc_matrix((values, (np.concatenate([cells, stencil.offdiagonal_rows]),
+                                       np.concatenate([cells, stencil.offdiagonal_cols]))),
+                             shape=self.shape)
 
 
 def tpfa_operator(mesh: Mesh, a_fwd, a_bwd, diag, u_dirichlet):
@@ -319,3 +313,63 @@ def tpfa_operator(mesh: Mesh, a_fwd, a_bwd, diag, u_dirichlet):
     g = np.bincount(stencil.dirichlet_cells, weights=(t_bwd[..., ni:] * u_dir).ravel(),
                     minlength=blocks * n)
     return TpfaOperator(mesh, diagonal, offdiagonal.ravel()), g
+
+
+class MeshAlgebra:
+    """The linear algebra that every two-point operator on one mesh shares.
+
+    ``laplacian`` is the unit-weight two-point Laplacian in CSC, read-only:
+    every Poisson system on the mesh is lambda^2 times it, with Dirichlet
+    data only in the right-hand side.  ``laplacian_lu`` is its LU factor,
+    ordered by minimum degree; ``q`` lists the cells in that factor's column
+    order and ``rank`` gives the place of each cell in it.  The order depends
+    only on the sparsity pattern, which every two-point operator on the mesh
+    shares, so it serves them all: ``layout`` is the CSC layout of the
+    stencil permuted symmetrically into it (``_stencil_layout``).
+    """
+
+    __slots__ = ("laplacian", "laplacian_lu", "q", "rank", "layout")
+
+    def __init__(self, mesh: Mesh):
+        L, _ = tpfa_operator(mesh, 1.0, 1.0, 0.0, np.zeros(mesh.n_dirichlet))
+        self.laplacian = L.tocsc()
+        _read_only(self.laplacian.data)
+        self.laplacian_lu = _splu(self.laplacian, _ORDERING)
+        # Index arrays of the platform's intp gather fastest.
+        self.rank = _read_only(self.laplacian_lu.perm_c.astype(np.intp))
+        self.q = _read_only(np.argsort(self.rank))
+        self.layout = _stencil_layout(mesh, self.rank)
+
+
+# Built on first use and dropped with its mesh; no entry refers to its mesh.
+_ALGEBRA: "weakref.WeakKeyDictionary[Mesh, MeshAlgebra]" = weakref.WeakKeyDictionary()
+
+
+def algebra(mesh: Mesh) -> MeshAlgebra:
+    """The mesh's ``MeshAlgebra``, built once per mesh."""
+    shared = _ALGEBRA.get(mesh)
+    if shared is None:
+        shared = _ALGEBRA[mesh] = MeshAlgebra(mesh)
+    return shared
+
+
+def _stencil_layout(mesh: Mesh, rank):
+    """CSC layout of the one-block stencil permuted symmetrically, cell i to
+    row and column ``rank[i]``: (order, indices, indptr).
+
+    The stencil's entries are listed as the diagonal, then (K, L) and then
+    (L, K) for each interior edge; ``values[order]`` is that list in CSC
+    order (by column, rows sorted within a column).
+    """
+    n = mesh.n_cells
+    cells = np.arange(n)
+    stencil = mesh.block_stencil(1)
+    rows = rank[np.concatenate([cells, stencil.offdiagonal_rows])]
+    cols = rank[np.concatenate([cells, stencil.offdiagonal_cols])]
+    # Column, then row: one integer key sorts by both.
+    order = np.argsort(cols.astype(np.int64) * n + rows)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    # Every assembled matrix shares these arrays; none may edit them.
+    return (_read_only(order), _read_only(rows[order].astype(np.int32)),
+            _read_only(indptr))

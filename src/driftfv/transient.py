@@ -115,8 +115,9 @@ class Stepper:
 
         # CSC: the Poisson residual check multiplies by it once per solve,
         # and scipy's CSC product is cheaper than the operator's.
-        self.L = mesh.laplacian
-        self._poisson_lu = mesh.laplacian_lu
+        shared = la.algebra(mesh)
+        self.L = shared.laplacian
+        self._poisson_lu = shared.laplacian_lu
         # [cells, Dirichlet tail] of the potential and of N and P: each
         # assembly writes the cell values in front of the fixed tails.
         n = mesh.n_cells

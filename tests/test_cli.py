@@ -363,3 +363,12 @@ def test_vtk_every_snapshots(tmp_path):
     assert main(["run", _write(tmp_path, cfg), "--vtk-every", "2"]) == 0
     snaps = sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".vtk")
     assert snaps == ["snap_000000.vtk", "snap_000002.vtk", "snap_000004.vtk"]
+
+
+def test_vtk_every_in_the_config_exits_2(tmp_path, capsys):
+    # Snapshots are asked for on the command line only (--vtk-every); a
+    # config key for them would be silently ignored, so it is refused.
+    cfg = GOOD_CONFIG + f"\n[output]\nvtk = {tmp_path}/snap.vtk\nvtk_every = 2\n"
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "unknown key 'vtk_every' in section [output]" in capsys.readouterr().err
+    assert not any(p.suffix == ".vtk" for p in tmp_path.iterdir())

@@ -1,5 +1,10 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
+
+import driftfv.mesh
 
 from driftfv.mesh import (DIRICHLET, INTERIOR, NEUMANN, Mesh, MeshError,
                           ValidationReport, build_cartesian,
@@ -474,3 +479,19 @@ def test_validate_same_side_lists_both_defects_in_edge_order():
     assert not report.ok
     assert [e for e, _ in report.bad_edges] == [1, 2, 2]
     assert report.bad_edges[-1][1] == "cell centers on the same side of the edge"
+
+
+def test_mesh_module_imports_nothing_from_sparse():
+    # sparse builds on mesh: the Laplacian, its factor and the CSC layouts
+    # belong to sparse.algebra, so mesh must not reach back, not even in a
+    # function body, nor import scipy.sparse.
+    tree = ast.parse(pathlib.Path(driftfv.mesh.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{'.' * node.level}{node.module or ''}.{alias.name}"
+                         for alias in node.names]
+    assert imported and "numpy" in imported
+    assert not [name for name in imported if "sparse" in name.split(".")]

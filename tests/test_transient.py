@@ -320,20 +320,26 @@ def test_density_factors_reused_across_iterations_and_steps(monkeypatch, splu_ca
 def test_refused_correction_goes_straight_to_a_fresh_factor(monkeypatch, splu_calls):
     prob = _preset_problem("nonlinear_nondegenerate", "pn", nx=16)
     eq = solve_equilibrium(prob)
-    refined = []
-    real_refine = la._refine
+    refined, fresh = [], []
+    real_refine, real_factor = la._refine, la.factor
 
-    def counting_refine(*args):
-        refined.append(args)
+    def recording_refine(*args):
+        refined.append(args[-1])
         return real_refine(*args)
 
-    monkeypatch.setattr(la, "_refine", counting_refine)
+    def recording_factor(A):
+        fresh.append(real_factor(A))
+        return fresh[-1]
+
+    monkeypatch.setattr(la, "_refine", recording_refine)
+    monkeypatch.setattr(la, "factor", recording_factor)
     factored_before = len(splu_calls)
     run(prob, StepperConfig(dt=1e-2, t_end=0.05), eq)
     # Some corrections are refused (more than the first two factors), and
-    # none of them refines on the stale factor before factoring afresh.
+    # none of them refines on the stale factor before factoring afresh:
+    # refinement runs only on each fresh factor, once.
     assert len(splu_calls) - factored_before > 2
-    assert refined == []
+    assert len(refined) == len(fresh) and all(r is f for r, f in zip(refined, fresh))
 
 
 def _per_species_systems(stepper, n_it, p_it, psi_cells, n_prev, p_prev, mu):
