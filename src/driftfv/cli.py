@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -60,7 +61,7 @@ def load_config(path) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     cfg = {}
     for section in parser.sections():
@@ -162,12 +163,19 @@ def build_problem(cfg, mesh: Mesh) -> Problem:
 
 
 def build_stepper_config(cfg) -> StepperConfig:
-    return StepperConfig(
-        dt=_get(cfg, "time", "dt", 1e-2, float),
-        t_end=_get(cfg, "time", "t_end", 10.0, float),
-        fp_tol=_get(cfg, "solver", "fp_tol", 1e-10, float),
-        fp_max_iter=_get(cfg, "solver", "fp_max_iter", 200, int),
-        check_m_matrices=_get(cfg, "solver", "check_m_matrices", False, bool))
+    # StepperConfig's own defaults stand for every setting the config leaves out.
+    cast = {f.name: type(f.default) for f in dataclasses.fields(StepperConfig)}
+    return StepperConfig(**{key: _get(cfg, section, key, cast=cast[key])
+                            for section in ("time", "solver")
+                            for key in cfg.get(section, {}) if key in cast})
+
+
+def _solve_equilibrium(cfg, problem: Problem):
+    """``solve_equilibrium``, whose own tolerance stands unless the config
+    sets ``equilibrium_tol``."""
+    if "equilibrium_tol" not in cfg.get("solver", {}):
+        return solve_equilibrium(problem)
+    return solve_equilibrium(problem, tol=_get(cfg, "solver", "equilibrium_tol", cast=float))
 
 
 # -- outputs ---------------------------------------------------------------
@@ -248,8 +256,7 @@ def run_scenario(config_path, csv_override=None, vtk_every=0) -> RunManifest:
         step_cfg = build_stepper_config(cfg)
         _validate_steps(step_cfg, problem)
     with _timed(manifest, "equilibrium"):
-        eq = solve_equilibrium(
-            problem, tol=_get(cfg, "solver", "equilibrium_tol", 1e-10, float))
+        eq = _solve_equilibrium(cfg, problem)
 
     vtk_base = cfg.get("output", {}).get("vtk")
 
@@ -283,8 +290,7 @@ def run_equilibrium(config_path, vtk_path=None) -> RunManifest:
         mesh = build_mesh(cfg)
         problem = build_problem(cfg, mesh)
     with _timed(manifest, "equilibrium"):
-        eq = solve_equilibrium(
-            problem, tol=_get(cfg, "solver", "equilibrium_tol", 1e-10, float))
+        eq = _solve_equilibrium(cfg, problem)
     print(f"equilibrium: {eq.iterations} Newton iterations, "
           f"residual {eq.residual:.3e}")
     vtk_path = vtk_path or cfg.get("output", {}).get("vtk")
@@ -297,8 +303,8 @@ def run_equilibrium(config_path, vtk_path=None) -> RunManifest:
     return manifest
 
 
-def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=1e-2,
-                    t_end=10.0, fp_tol=1e-10) -> list:
+def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=StepperConfig.dt,
+                    t_end=StepperConfig.t_end, fp_tol=StepperConfig.fp_tol) -> list:
     """Run all ten PN-junction preset cases and write CSVs plus a summary."""
     os.makedirs(outdir, exist_ok=True)
     # Every preset has the diode's contacts, so they all share one mesh.
@@ -314,9 +320,9 @@ def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=1e-2,
             problem = preset.build(mesh)
             # Degenerate (experimental) cases push densities to machine zero
             # at the empty contacts and converge more slowly per step.
-            config = StepperConfig(
-                dt=dt, t_end=t_end, fp_tol=fp_tol,
-                fp_max_iter=2000 if problem.experimental else 200)
+            config = StepperConfig(dt=dt, t_end=t_end, fp_tol=fp_tol)
+            if problem.experimental:
+                config.fp_max_iter = 2000
             _validate_steps(config, problem)
             eq = solve_equilibrium(problem)
             t0 = time.perf_counter()
@@ -375,8 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--mesh", default=None, help="external triangulation file")
     p_rep.add_argument("--nx", type=int, default=32)
     p_rep.add_argument("--ny", type=int, default=None)
-    p_rep.add_argument("--dt", type=float, default=1e-2)
-    p_rep.add_argument("--t-end", type=float, default=10.0)
+    p_rep.add_argument("--dt", type=float, default=StepperConfig.dt)
+    p_rep.add_argument("--t-end", type=float, default=StepperConfig.t_end)
 
     p_eq = sub.add_parser("equilibrium", help="solve the equilibrium only")
     p_eq.add_argument("config")

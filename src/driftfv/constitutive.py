@@ -45,13 +45,6 @@ class PressureLaw:
     def is_isothermal(self) -> bool:
         return self.alpha == 1.0
 
-    @property
-    def h_at_zero(self) -> float:
-        """h(0+): -inf isothermal, -alpha/(alpha-1) for the power law."""
-        if self.is_isothermal:
-            return -np.inf
-        return -self.alpha / (self.alpha - 1.0)
-
     def __str__(self):
         return "isothermal" if self.is_isothermal else f"power(alpha={self.alpha:g})"
 

@@ -8,9 +8,12 @@ The relative entropy of a state (N, P, Psi) with respect to the equilibrium
 
 and the associated dissipation is
 
-    I = sum_edges tau [min(N_K, N_Ks) (D(h(N)-Psi))^2
+    I = sum_sigma tau [min(N_K, N_Ks) (D(h(N)-Psi))^2
                        + min(P_K, P_Ks) (D(h(P)+Psi))^2]
         + sum_K m(K) R(N,P) [h(N)+h(P)-h(N^eq)-h(P^eq)].
+
+Every edge sum, here and in the seminorm |.|_{1,M}, runs over the edges
+that carry flux, the mesh's active edges; a Neumann edge adds nothing.
 
 The implicit scheme satisfies E^{n+1} + dt I^{n+1} <= E^n up to the fixed
 point tolerance, and E decays exponentially to zero.
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import constitutive as cst
 from .mesh import norm_l2, seminorm_h1
-from .problem import Problem, State, evaluate_recombination
+from .problem import Problem, State
 
 # Densities are clamped to this value before taking logarithms; edge terms
 # multiplied by a vanishing minimum density are exactly zero regardless.
@@ -80,20 +83,22 @@ def entropy(problem: Problem, state: State, eq: State) -> float:
 
 def _edge_dissipation(problem: Problem, values, dpsi, sign: float):
     """Edge sum of one species from its cell values, then Dirichlet values,
-    and D Psi per edge; also returns h of ``values``."""
+    and D Psi per active edge; also returns h of ``values``."""
     mesh = problem.mesh
     # h once per cell and per Dirichlet value, gathered to both ends of each edge.
     h = _log_enthalpy(problem.law, values)
-    k, other = mesh.edge_cells[:, 0], mesh.edge_other_index
-    w = (h[other] - h[k]) - sign * dpsi
-    mins = np.minimum(values[k], values[other])
-    return float(np.sum(mesh.edge_tau * np.where(mins > 0.0, mins * w ** 2, 0.0))), h
+    first, other = mesh.active_cells
+    w = (h[other] - h[first]) - sign * dpsi
+    mins = np.minimum(values[first], values[other])
+    return float(np.sum(mesh.active_tau * np.where(mins > 0.0, mins * w ** 2, 0.0))), h
 
 
 def production(problem: Problem, state: State, eq: State) -> float:
     """Entropy dissipation I of the state."""
     mesh = problem.mesh
-    dpsi = mesh.edge_differences(state.psi, problem.psi_dirichlet)
+    first, other = mesh.active_cells
+    psi = np.concatenate([state.psi, problem.psi_dirichlet])
+    dpsi = psi[other] - psi[first]
     i_n, h_n = _edge_dissipation(
         problem, np.concatenate([state.n, problem.n_dirichlet]), dpsi, 1.0)
     i_p, h_p = _edge_dissipation(
@@ -101,7 +106,7 @@ def production(problem: Problem, state: State, eq: State) -> float:
     total = i_n + i_p
     if not problem.recombination.is_none:
         law, n = problem.law, mesh.n_cells
-        r, _ = evaluate_recombination(problem.recombination, state.n, state.p)
+        r = problem.recombination.rate(state.n, state.p)
         dh = (h_n[:n] + h_p[:n]
               - _log_enthalpy(law, eq.n) - _log_enthalpy(law, eq.p))
         total += float(np.sum(mesh.cell_measures * r * dh))

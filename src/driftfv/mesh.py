@@ -93,12 +93,10 @@ class Mesh:
         self.edge_d = d
         self.edge_tau = _require_finite("transmissibilities", self.edge_measures / d)
 
-        # Dirichlet edge numbering (order of appearance in the edge list).
+        # Dirichlet edge j is the j-th Dirichlet edge in the edge list.
         self.dirichlet_edges = np.nonzero(self.edge_kind == DIRICHLET)[0]
         self.neumann_edges = np.nonzero(self.edge_kind == NEUMANN)[0]
         self.interior_edges = np.nonzero(interior)[0]
-        self.dirichlet_index = np.full(self.n_edges, -1, dtype=np.int64)
-        self.dirichlet_index[self.dirichlet_edges] = np.arange(len(self.dirichlet_edges))
         self.n_dirichlet = len(self.dirichlet_edges)
         self._block_stencils = {}
 
@@ -117,7 +115,9 @@ class Mesh:
     # -- two-point stencil ------------------------------------------------
     #
     # The active edges are those that carry flux: the interior edges, then
-    # the Dirichlet edges.  Neumann edges carry none and get no coefficients.
+    # the Dirichlet edges.  Neumann edges carry none, so they get no
+    # coefficients and add nothing to any edge sum: every edge sum of the
+    # library gathers with ``active_cells`` and weighs with ``active_tau``.
 
     @cached_property
     def active_edges(self):
@@ -135,7 +135,8 @@ class Mesh:
         index of u_{K,sigma} in [cell values, Dirichlet values] (the second
         cell of an interior edge, n_cells + j for Dirichlet edge j)."""
         return (_read_only(self.edge_cells[self.active_edges, 0]),
-                _read_only(self.edge_other_index[self.active_edges]))
+                _read_only(np.concatenate([self.edge_cells[self.interior_edges, 1],
+                                           self.n_cells + np.arange(self.n_dirichlet)])))
 
     def block_stencil(self, blocks: int) -> "BlockStencil":
         """Cell indices of ``blocks`` stacked copies of the stencil, block s
@@ -145,34 +146,6 @@ class Mesh:
         if stencil is None:
             stencil = self._block_stencils[blocks] = BlockStencil(self, blocks)
         return stencil
-
-    # -- edge values of cell functions ------------------------------------
-
-    @cached_property
-    def edge_other_index(self):
-        """Per edge, the index of u_{K,sigma} in [cell values, Dirichlet values]."""
-        idx = self.edge_cells[:, 0].copy()
-        it = self.interior_edges
-        idx[it] = self.edge_cells[it, 1]
-        idx[self.dirichlet_edges] = self.n_cells + np.arange(self.n_dirichlet)
-        return _read_only(idx)
-
-    def edge_other_values(self, cell_values, dirichlet_values) -> np.ndarray:
-        """u_{K,sigma} per edge with K the first incident cell.
-
-        Interior: opposite cell value; Dirichlet: edge value; Neumann: own
-        cell value (zero-flux mirror).
-        """
-        n = self.n_cells
-        ext = np.empty(n + self.n_dirichlet)
-        ext[:n] = cell_values
-        ext[n:] = dirichlet_values
-        return ext[self.edge_other_index]
-
-    def edge_differences(self, cell_values, dirichlet_values) -> np.ndarray:
-        """Du_{K,sigma} = u_{K,sigma} - u_K per edge (K = first cell)."""
-        return (self.edge_other_values(cell_values, dirichlet_values)
-                - cell_values[self.edge_cells[:, 0]])
 
 
 class BlockStencil:
@@ -188,9 +161,9 @@ class BlockStencil:
                  "dirichlet_cells")
 
     def __init__(self, mesh: Mesh, blocks: int):
-        n = mesh.n_cells
-        k, ell = mesh.edge_cells[mesh.interior_edges].T
-        kd = mesh.edge_cells[mesh.dirichlet_edges, 0]
+        n, ni = mesh.n_cells, len(mesh.interior_edges)
+        first, other = mesh.active_cells
+        k, ell, kd = first[:ni], other[:ni], first[ni:]
 
         def stack(*parts):
             one = np.concatenate(parts)
@@ -212,9 +185,13 @@ def norm_l2(mesh: Mesh, cell_values: np.ndarray) -> float:
 
 
 def seminorm_h1(mesh: Mesh, cell_values, dirichlet_values) -> float:
-    """Discrete H1 seminorm: sqrt(sum_sigma tau_sigma (D_sigma u)^2)."""
-    du = mesh.edge_differences(cell_values, dirichlet_values)
-    return float(np.sqrt(np.sum(mesh.edge_tau * du ** 2)))
+    """Discrete H1 seminorm: sqrt(sum_sigma tau_sigma (D_sigma u)^2) over the
+    active edges; ``dirichlet_values`` is one value per Dirichlet edge or one
+    for all of them."""
+    first, other = mesh.active_cells
+    u = np.empty(mesh.n_cells + mesh.n_dirichlet)
+    u[:mesh.n_cells], u[mesh.n_cells:] = cell_values, dirichlet_values
+    return float(np.sqrt(np.sum(mesh.active_tau * (u[other] - u[first]) ** 2)))
 
 
 # -- construction ----------------------------------------------------------
@@ -429,8 +406,11 @@ def read_mesh_file(path) -> Mesh:
     ``i j k`` lines (0-based node indices), ``boundary K`` then K
     ``i j dirichlet|neumann`` lines.
     """
-    with open(path, encoding="utf-8") as f:
-        tokens = f.read().split()
+    try:
+        with open(path, encoding="utf-8") as f:
+            tokens = f.read().split()
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"mesh file: not UTF-8 text: {exc}") from None
     pos = 0
 
     def take(count, cast, what):

@@ -63,14 +63,12 @@ class RecombinationModel:
             return self.scale / (self.tau_p * n + self.tau_n * p + self.tau_c)
         return self.c_n * n + self.c_p * p
 
+    def rate(self, n, p):
+        """R(n, p) = R0(n, p) (np - 1)."""
+        return self.r0(n, p) * (np.asarray(n) * np.asarray(p) - 1.0)
+
 
 NO_RECOMBINATION = RecombinationModel("none")
-
-
-def evaluate_recombination(model: RecombinationModel, n, p):
-    """Return (R, R0) at the given densities."""
-    r0 = model.r0(n, p)
-    return r0 * (np.asarray(n) * np.asarray(p) - 1.0), r0
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,7 @@ def _oracle_residual(z, problem, n_prev, p_prev, dt):
     res_n = mesh.cell_measures * (n - n_prev) / dt
     res_p = mesh.cell_measures * (p - p_prev) / dt
     res_psi = np.zeros(theta)
+    dirichlet_index = {e: j for j, e in enumerate(mesh.dirichlet_edges)}
     for e in range(mesh.n_edges):
         kind = mesh.edge_kind[e]
         k = mesh.edge_cells[e, 0]
@@ -242,7 +243,7 @@ def _oracle_residual(z, problem, n_prev, p_prev, dt):
             ell = mesh.edge_cells[e, 1]
             n_s, p_s, psi_s = n[ell], p[ell], psi[ell]
         else:
-            j = mesh.dirichlet_index[e]
+            j = dirichlet_index[e]
             n_s = problem.n_dirichlet[j]
             p_s = problem.p_dirichlet[j]
             psi_s = problem.psi_dirichlet[j]

@@ -3,12 +3,14 @@ import pytest
 
 from driftfv import cli
 from driftfv.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, ConfigError,
-                         RunManifest, build_mesh, build_problem, load_config,
-                         main, reproduce_paper, write_vtk)
+                         RunManifest, build_mesh, build_problem,
+                         build_stepper_config, load_config, main,
+                         reproduce_paper, write_vtk)
 from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
 from driftfv.problem import (NO_RECOMBINATION, PRESET_CASES, PRESET_DOPINGS,
                              RecombinationModel, State, pn_junction_preset)
+from driftfv.transient import StepperConfig
 
 GOOD_CONFIG = """
 [mesh]
@@ -86,6 +88,24 @@ def test_malformed_mesh_file_exits_2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: mesh file")
     assert "Traceback" not in err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(("# r\u00e9sum\u00e9\n" + GOOD_CONFIG).encode("latin-1"))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot parse {path}: 'utf-8' codec")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_non_utf8_mesh_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.mesh"
+    path.write_bytes(b"nodes 3\n0 0\n1 0\n0 1\xff\n")
+    assert main(["reproduce", "--mesh", str(path), "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: mesh file: not UTF-8 text: 'utf-8' codec")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -207,6 +227,28 @@ def test_stepper_settings_checked_before_equilibrium(tmp_path, monkeypatch, caps
     cfg = GOOD_CONFIG.replace("fp_tol = 1e-10", "fp_tol = nan")
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_HYPOTHESIS
     assert "hypothesis violation: fixed-point tolerance" in capsys.readouterr().err
+
+
+def test_stepper_defaults_are_stepper_configs_own(tmp_path):
+    text = GOOD_CONFIG.split("[time]")[0]
+    assert build_stepper_config(load_config(_write(tmp_path, text))) == StepperConfig()
+    cfg = load_config(_write(tmp_path, text + "[solver]\nfp_max_iter = 7\n"
+                                        "check_m_matrices = yes\n"))
+    assert build_stepper_config(cfg) == StepperConfig(fp_max_iter=7, check_m_matrices=True)
+
+
+def test_equilibrium_tolerance_is_the_solvers_own_unless_set(tmp_path, monkeypatch):
+    tolerances = []
+
+    def recording(problem, **kwargs):
+        tolerances.append(kwargs.get("tol"))
+        return solve_equilibrium(problem, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_equilibrium", recording)
+    assert main(["equilibrium", _write(tmp_path, GOOD_CONFIG)]) == 0
+    cfg = GOOD_CONFIG.replace("fp_tol = 1e-10", "equilibrium_tol = 1e-9")
+    assert main(["equilibrium", _write(tmp_path, cfg)]) == 0
+    assert tolerances == [None, 1e-9]
 
 
 def _preset_config(preset):

@@ -34,9 +34,10 @@ def test_enthalpy_values():
     assert enthalpy(ISO, 1.0) == 0.0
     assert enthalpy(ISO, np.e) == pytest.approx(1.0)
     assert enthalpy(POW53, 8.0) == pytest.approx(7.5)
-    assert enthalpy(POW53, 0.0) == pytest.approx(POW53.h_at_zero)
-    assert POW53.h_at_zero == pytest.approx(-2.5)
-    assert ISO.h_at_zero == -np.inf
+    # h(0+) = -alpha/(alpha-1) for the power law, -inf isothermal.
+    assert enthalpy(POW53, 0.0) == pytest.approx(-2.5)
+    assert enthalpy(POW2, 0.0) == pytest.approx(-2.0)
+    assert enthalpy(ISO, 0.0) == -np.inf
 
 
 def test_big_h_values():

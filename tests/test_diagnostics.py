@@ -3,14 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from driftfv.constitutive import PressureLaw
+from driftfv.constitutive import PressureLaw, big_h, enthalpy
 from driftfv.diagnostics import (DiagnosticsRecord, check_entropy_chain,
                                  entropy, entropy_slack_tolerance,
-                                 f_functional, fit_decay_rate, production,
-                                 read_csv, write_csv)
+                                 f_functional, fit_decay_rate, make_record,
+                                 production, read_csv, write_csv)
 from driftfv.equilibrium import solve_equilibrium
-from driftfv.mesh import build_cartesian
-from driftfv.problem import State, discretize_data, pn_junction_preset
+from driftfv.mesh import (INTERIOR, NEUMANN, build_cartesian,
+                          import_triangulation, seminorm_h1)
+from driftfv.problem import (State, contact_predicate, discretize_data,
+                             pn_junction_preset)
 from driftfv.transient import StepperConfig, run
 
 
@@ -172,3 +174,82 @@ def test_record_fields_populated():
     assert last.production > 0.0
     assert last.fp_iters >= 1
     assert last.min_n > 0.0 and last.max_p < prob.M + 1e-9
+
+
+def _fan_in_unit_square():
+    """Fan of six acute triangles inside the unit square, with a Dirichlet
+    edge above y = 0.5 and one below it; the other four are Neumann."""
+    angles = np.arange(6) * np.pi / 3.0 + 0.07
+    radii = 0.45 * np.array([1.0, 0.93, 1.05, 0.97, 1.02, 0.95])
+    nodes = [(0.52, 0.49)] + list(zip(0.5 + radii * np.cos(angles),
+                                      0.5 + radii * np.sin(angles)))
+    triangles = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
+    labels = {(1 + i, 1 + (i + 1) % 6): "dirichlet" if i in (0, 3) else "neumann"
+              for i in range(6)}
+    return import_triangulation(nodes, triangles, labels)
+
+
+def _per_edge_diagnostics(problem, state, eq):
+    """(I, |Psi|_1, |Psi - Psi^eq|_1, E, F) summed one edge and one cell at
+    a time, skipping the Neumann edges."""
+    mesh, law = problem.mesh, problem.law
+
+    def h(s):
+        return float(enthalpy(law, max(s, 1e-300)))
+
+    i_sum = psi_sq = dpsi_sq = 0.0
+    j = 0  # Dirichlet edge j is the j-th Dirichlet edge in the edge list
+    for e in range(mesh.n_edges):
+        if mesh.edge_kind[e] == NEUMANN:
+            continue
+        k, ell = mesh.edge_cells[e]
+        tau = mesh.edge_tau[e]
+        if mesh.edge_kind[e] == INTERIOR:
+            n_s, p_s, psi_s, eq_psi_s = state.n[ell], state.p[ell], state.psi[ell], eq.psi[ell]
+        else:
+            n_s, p_s = problem.n_dirichlet[j], problem.p_dirichlet[j]
+            psi_s = eq_psi_s = problem.psi_dirichlet[j]
+            j += 1
+        dpsi = psi_s - state.psi[k]
+        for s_k, s_s, sign in ((state.n[k], n_s, 1.0), (state.p[k], p_s, -1.0)):
+            least = min(s_k, s_s)
+            if least > 0.0:
+                i_sum += tau * least * (h(s_s) - h(s_k) - sign * dpsi) ** 2
+        psi_sq += tau * dpsi ** 2
+        dpsi_sq += tau * (psi_s - eq_psi_s - state.psi[k] + eq.psi[k]) ** 2
+    e_sum = f_sum = 0.0
+    for c in range(mesh.n_cells):
+        mk = mesh.cell_measures[c]
+        n, p, n_eq, p_eq = state.n[c], state.p[c], eq.n[c], eq.p[c]
+        if not problem.recombination.is_none:
+            i_sum += (mk * problem.recombination.rate(n, p)
+                      * (h(n) + h(p) - h(n_eq) - h(p_eq)))
+        for s, s_eq in ((n, n_eq), (p, p_eq)):
+            e_sum += mk * (big_h(law, s) - big_h(law, s_eq) - h(s_eq) * (s - s_eq))
+            f_sum += mk * (s - s_eq) ** 2
+    half = 0.5 * problem.lambda2 * dpsi_sq
+    return i_sum, np.sqrt(psi_sq), np.sqrt(dpsi_sq), e_sum + half, f_sum + half
+
+
+@pytest.mark.parametrize("case", ["linear_srh", "nonlinear_nondegenerate"])
+@pytest.mark.parametrize("make_mesh", [
+    lambda: build_cartesian(8, 8, dirichlet_predicate=contact_predicate),
+    _fan_in_unit_square], ids=["contacts-8x8", "fan"])
+def test_diagnostics_match_per_edge_oracle(make_mesh, case):
+    mesh = make_mesh()
+    assert len(mesh.neumann_edges) and mesh.n_dirichlet
+    prob = pn_junction_preset(case, "pn").build(mesh)
+    eq = solve_equilibrium(prob)
+    rng = np.random.default_rng(11)
+    state = State(prob.n_initial * np.exp(rng.uniform(-0.3, 0.3, mesh.n_cells)),
+                  prob.p_initial * np.exp(rng.uniform(-0.3, 0.3, mesh.n_cells)),
+                  eq.psi + rng.uniform(-0.3, 0.3, mesh.n_cells), step=1, time=0.01)
+    i_want, psi_want, dpsi_want, e_want, f_want = _per_edge_diagnostics(prob, state, eq)
+    record = make_record(state, eq, prob, 3, None)
+    assert production(prob, state, eq) == pytest.approx(i_want, rel=1e-13)
+    assert record.production == pytest.approx(i_want, rel=1e-13)
+    assert seminorm_h1(mesh, state.psi, prob.psi_dirichlet) == pytest.approx(
+        psi_want, rel=1e-13)
+    assert seminorm_h1(mesh, state.psi - eq.psi, 0.0) == pytest.approx(dpsi_want, rel=1e-13)
+    assert record.entropy == pytest.approx(e_want, rel=1e-13)
+    assert record.f_functional == pytest.approx(f_want, rel=1e-13)

@@ -57,25 +57,27 @@ def test_equilibrium_fluxes_vanish(case):
     mesh = build_cartesian(12, 12, dirichlet_predicate=preset.dirichlet_predicate)
     prob = preset.build(mesh)
     eq = solve_equilibrium(prob)
-    n = eq.n
-    p = eq.p
-    n_k = n[mesh.edge_cells[:, 0]]
-    n_s = mesh.edge_other_values(n, prob.n_dirichlet)
-    p_k = p[mesh.edge_cells[:, 0]]
-    p_s = mesh.edge_other_values(p, prob.p_dirichlet)
-    dpsi = mesh.edge_differences(eq.psi, prob.psi_dirichlet)
+    # Cell values, then Dirichlet values, gathered to both ends of each
+    # active edge (interior edges first); Neumann edges carry no flux.
+    first, other = mesh.active_cells
+    n = np.concatenate([eq.n, prob.n_dirichlet])
+    p = np.concatenate([eq.p, prob.p_dirichlet])
+    psi = np.concatenate([eq.psi, prob.psi_dirichlet])
+    n_k, n_s = n[first], n[other]
+    p_k, p_s = p[first], p[other]
+    dpsi = psi[other] - psi[first]
     drn = dr_mean(prob.law, n_k, n_s)
     drp = dr_mean(prob.law, p_k, p_s)
-    f = sg_flux(mesh.edge_tau, n_k, n_s, dpsi, drn)
-    g = sg_flux(mesh.edge_tau, p_k, p_s, -dpsi, drp)
-    scale = mesh.edge_tau * max(prob.M, 1.0)
+    f = sg_flux(mesh.active_tau, n_k, n_s, dpsi, drn)
+    g = sg_flux(mesh.active_tau, p_k, p_s, -dpsi, drp)
+    scale = mesh.active_tau * max(prob.M, 1.0)
     if case == "nonlinear_degenerate":
         # Zero boundary densities clip g, so the enthalpy identity (and with
         # it exact flux cancellation) fails on those Dirichlet edges; the
         # interior fluxes still vanish.
-        edges = mesh.interior_edges
+        edges = slice(len(mesh.interior_edges))
     else:
-        edges = np.arange(mesh.n_edges)
+        edges = slice(None)
     assert np.max(np.abs(f[edges]) / scale[edges]) <= 1e-10
     assert np.max(np.abs(g[edges]) / scale[edges]) <= 1e-10
 

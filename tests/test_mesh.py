@@ -124,33 +124,37 @@ def test_discrete_function_edge_values():
     mesh = build_cartesian(2, 1)
     u = np.array([1.0, 3.0])
     u_dirichlet = np.full(mesh.n_dirichlet, 5.0)
-    other = mesh.edge_other_values(u, u_dirichlet)
-    du = mesh.edge_differences(u, u_dirichlet)
-    e = mesh.interior_edges[0]
-    k, ell = mesh.edge_cells[e]
-    assert other[e] == u[ell]
-    assert du[e] == u[ell] - u[k]
-    for e in mesh.dirichlet_edges:
-        assert other[e] == 5.0
+    first, other = mesh.active_cells
+    values = np.concatenate([u, u_dirichlet])
+    # The one interior edge comes first, then the Dirichlet edges.
+    k, ell = mesh.edge_cells[mesh.interior_edges[0]]
+    assert values[other[0]] == u[ell]
+    assert values[other[0]] - values[first[0]] == u[ell] - u[k]
+    for j in range(mesh.n_dirichlet):
+        assert values[other[1 + j]] == 5.0
 
 
-def test_edge_other_values_match_per_edge_loop():
+def test_active_cells_match_per_edge_loop():
     pred = lambda x, y: y < 1e-12 or (y > 1.0 - 1e-12 and x < 0.5)
     mesh = build_cartesian(4, 3, dirichlet_predicate=pred)
     assert len(mesh.neumann_edges) and mesh.n_dirichlet
     rng = np.random.default_rng(3)
     u, u_dir = rng.random(mesh.n_cells), rng.random(mesh.n_dirichlet)
-    want = []
+    # (K, u_{K,sigma}, tau) per flux-carrying edge, interior edges first;
+    # Dirichlet edge j is the j-th Dirichlet edge of the edge list.
+    interior, dirichlet = [], []
     for e, (k, ell) in enumerate(mesh.edge_cells):
-        if e in mesh.interior_edges:
-            want.append(u[ell])
-        elif e in mesh.dirichlet_edges:
-            want.append(u_dir[mesh.dirichlet_index[e]])
-        else:
-            want.append(u[k])
-    assert np.array_equal(mesh.edge_other_values(u, u_dir), want)
-    assert np.array_equal(mesh.edge_other_values(u, 0.5)[mesh.dirichlet_edges],
-                          np.full(mesh.n_dirichlet, 0.5))
+        if mesh.edge_kind[e] == INTERIOR:
+            interior.append((k, u[ell], mesh.edge_tau[e]))
+        elif mesh.edge_kind[e] == DIRICHLET:
+            dirichlet.append((k, u_dir[len(dirichlet)], mesh.edge_tau[e]))
+    want = np.array(interior + dirichlet)
+    first, other = mesh.active_cells
+    assert np.array_equal(first, want[:, 0])
+    assert np.array_equal(np.concatenate([u, u_dir])[other], want[:, 1])
+    assert np.array_equal(mesh.active_tau, want[:, 2])
+    # One Dirichlet value serves every Dirichlet edge.
+    assert seminorm_h1(mesh, u, 0.5) == seminorm_h1(mesh, u, np.full(mesh.n_dirichlet, 0.5))
 
 
 def test_seminorm_zero_iff_constant():
@@ -308,7 +312,7 @@ def _loop_cartesian(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), dirichlet_predicate=Non
 _MESH_ARRAYS = ("points", "cell_nodes", "cell_centers", "cell_measures",
                 "edge_kind", "edge_cells", "edge_p1", "edge_p2", "edge_measures",
                 "edge_d", "edge_tau", "dirichlet_edges", "neumann_edges",
-                "interior_edges", "dirichlet_index")
+                "interior_edges", "active_edges", "active_tau")
 
 
 def _bottom_only(domain):
@@ -331,6 +335,8 @@ def test_cartesian_matches_loop_builder(nx, ny, domain, predicate):
         assert got.dtype == ref.dtype, name
         assert got.shape == ref.shape, name
         assert np.array_equal(got, ref), name
+    for got, ref in zip(mesh.active_cells, want.active_cells):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert mesh.cell_nodes.shape == (nx * ny, 4)
     assert (mesh.n_cells, mesh.n_edges, mesh.n_dirichlet) == (
         want.n_cells, want.n_edges, want.n_dirichlet)

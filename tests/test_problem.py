@@ -9,8 +9,7 @@ from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
 from driftfv.problem import (NO_RECOMBINATION, PRESET_CASES, PRESET_DOPINGS,
                              HypothesisError, Problem, RecombinationModel,
-                             discretize_data, evaluate_recombination,
-                             pn_junction_preset)
+                             discretize_data, pn_junction_preset)
 from driftfv.transient import Stepper, StepperConfig
 
 SRH = RecombinationModel("srh", scale=10.0, tau_n=1.0, tau_p=1.0, tau_c=1.0)
@@ -18,15 +17,12 @@ AUGER = RecombinationModel("auger", c_n=0.1, c_p=0.1)
 
 
 def test_recombination_values():
-    r, r0 = evaluate_recombination(SRH, 1.0, 1.0)
-    assert r == 0.0
-    r, r0 = evaluate_recombination(SRH, 2.0, 2.0)
-    assert r == pytest.approx(6.0)  # 10 * (4-1) / 5
-    assert r0 == pytest.approx(2.0)
-    r, _ = evaluate_recombination(AUGER, 2.0, 0.5)
-    assert r == 0.0
-    r, r0 = evaluate_recombination(NO_RECOMBINATION, 3.0, 3.0)
-    assert r == 0.0 and r0 == 0.0
+    assert SRH.rate(1.0, 1.0) == 0.0
+    assert SRH.rate(2.0, 2.0) == pytest.approx(6.0)  # 10 * (4-1) / 5
+    assert SRH.r0(2.0, 2.0) == pytest.approx(2.0)
+    assert AUGER.rate(2.0, 0.5) == 0.0
+    assert NO_RECOMBINATION.rate(3.0, 3.0) == 0.0
+    assert NO_RECOMBINATION.r0(3.0, 3.0) == 0.0
 
 
 def test_recombination_r0_nonnegative():
@@ -48,7 +44,7 @@ def test_recombination_entropy_sign():
     n = rng.uniform(0.01, 10.0, 2000)
     p = rng.uniform(0.01, 10.0, 2000)
     for model in (SRH, AUGER):
-        r, _ = evaluate_recombination(model, n, p)
+        r = model.rate(n, p)
         assert np.all(r * np.log(n * p) >= -1e-14)
 
 

@@ -442,9 +442,9 @@ def _reference_laplacian(mesh):
         rows += [k[e], k[e], ell[e], ell[e]]
         cols += [k[e], ell[e], ell[e], k[e]]
         vals += [tau[e], -tau[e], tau[e], -tau[e]]
-    for e in mesh.dirichlet_edges:
+    for j, e in enumerate(mesh.dirichlet_edges):
         rows.append(k[e]); cols.append(k[e]); vals.append(tau[e])
-        drows.append(k[e]); dcols.append(mesh.dirichlet_index[e]); dvals.append(tau[e])
+        drows.append(k[e]); dcols.append(j); dvals.append(tau[e])
     n = mesh.n_cells
     L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     D = sp.csr_matrix((dvals, (drows, dcols)), shape=(n, max(mesh.n_dirichlet, 1)))

@@ -343,11 +343,13 @@ def test_refused_correction_goes_straight_to_a_fresh_factor(monkeypatch, splu_ca
 
 
 def _per_species_systems(stepper, n_it, p_it, psi_cells, n_prev, p_prev, mu):
-    """[(A_N, b_N), (A_P, b_P)] assembled one species at a time over every
-    edge, as a reference for the stacked block assembly."""
+    """[(A_N, b_N), (A_P, b_P)] assembled one species at a time over the
+    active edges, as a reference for the stacked block assembly."""
     mesh, pr, law = stepper.mesh, stepper.problem, stepper.law
     mk, dt, lam2 = mesh.cell_measures, stepper.config.dt, stepper.lam2
-    dpsi = mesh.edge_differences(psi_cells, pr.psi_dirichlet)
+    first, other = mesh.active_cells
+    psi = np.concatenate([psi_cells, pr.psi_dirichlet])
+    dpsi = psi[other] - psi[first]
     if pr.recombination.is_none:
         r0 = np.zeros(mesh.n_cells)
     else:
@@ -359,12 +361,11 @@ def _per_species_systems(stepper, n_it, p_it, psi_cells, n_prev, p_prev, mu):
         if law.is_isothermal:
             dr = 1.0
         else:
-            dr = dr_mean(law, dens[mesh.edge_cells[:, 0]],
-                         mesh.edge_other_values(dens, dens_dir))
+            ext = np.concatenate([dens, dens_dir])
+            dr = dr_mean(law, ext[first], ext[other])
         a_fwd, a_bwd = flux_coefficients(dpsi_s, dr)
         pen = mk / dt * (1.0 + mu / lam2)
-        A, g = la.tpfa_operator(mesh, a_fwd[mesh.active_edges], a_bwd[mesh.active_edges],
-                                pen + mk * r0 * partner, dens_dir)
+        A, g = la.tpfa_operator(mesh, a_fwd, a_bwd, pen + mk * r0 * partner, dens_dir)
         b = mk / dt * (mu / lam2 * dens + prev) + mk * r0
         systems.append((A, b + g))
     return systems
