@@ -171,18 +171,19 @@ class DecayFit:
     n_points: int
     t_start: float
     t_end: float
+    floor: float          # E below it was left out
 
 
 def fit_decay_rate(records, floor: Optional[float] = None) -> DecayFit:
     """Least-squares fit of log E^n against t on the resolved window.
 
-    Points with E below ``floor`` (default 1e-12 E^0) are excluded: once the
+    Points with E below ``floor`` (default 1e-10 E^0) are excluded: once the
     entropy reaches the fixed-point noise level its logarithm is meaningless.
     """
     ts = np.array([r.t for r in records])
     es = np.array([r.entropy for r in records])
     if floor is None:
-        floor = 1e-12 * es[0] if es.size and es[0] > 0.0 else 0.0
+        floor = 1e-10 * es[0] if es.size and es[0] > 0.0 else 0.0
     keep = es > max(floor, 0.0)
     ts, es = ts[keep], es[keep]
     if len(ts) < 10:
@@ -190,13 +191,13 @@ def fit_decay_rate(records, floor: Optional[float] = None) -> DecayFit:
                          "cannot fit a decay rate")
     y = np.log(es)
     if np.ptp(y) == 0.0:
-        return DecayFit(0.0, 1.0, len(ts), float(ts[0]), float(ts[-1]))
+        return DecayFit(0.0, 1.0, len(ts), float(ts[0]), float(ts[-1]), floor)
     slope, intercept = np.polyfit(ts, y, 1)
     fit = slope * ts + intercept
     ss_res = float(np.sum((y - fit) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return DecayFit(-float(slope), r2, len(ts), float(ts[0]), float(ts[-1]))
+    return DecayFit(-float(slope), r2, len(ts), float(ts[0]), float(ts[-1]), floor)
 
 
 _CSV_HEADER = ("step,t,E,I,F,l2_N,l2_P,l2_Psi,"

@@ -95,7 +95,6 @@ class Mesh:
 
         # Dirichlet edge j is the j-th Dirichlet edge in the edge list.
         self.dirichlet_edges = np.nonzero(self.edge_kind == DIRICHLET)[0]
-        self.neumann_edges = np.nonzero(self.edge_kind == NEUMANN)[0]
         self.interior_edges = np.nonzero(interior)[0]
         self.n_dirichlet = len(self.dirichlet_edges)
         self._block_stencils = {}

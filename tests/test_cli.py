@@ -1,3 +1,7 @@
+import json
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from driftfv.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, ConfigError,
                          RunManifest, build_mesh, build_problem,
                          build_stepper_config, load_config, main,
                          reproduce_paper, write_vtk)
+from driftfv.diagnostics import read_csv
 from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
 from driftfv.problem import (NO_RECOMBINATION, PRESET_CASES, PRESET_DOPINGS,
@@ -59,6 +64,16 @@ def test_load_config_rejects_unknown_key(tmp_path):
 def test_missing_config_exits_2(capsys):
     assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "equilibrium"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command):
+    # A directory cannot be read as a config: the read failure is reported,
+    # not a missing key of an empty config.
+    assert main([command, str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Is a directory" in err
+    assert "missing required key" not in err
 
 
 def test_missing_mesh_file_exits_2(tmp_path, capsys):
@@ -237,6 +252,14 @@ def test_stepper_defaults_are_stepper_configs_own(tmp_path):
     assert build_stepper_config(cfg) == StepperConfig(fp_max_iter=7, check_m_matrices=True)
 
 
+@pytest.mark.parametrize("value", ["x", "7.5"])
+def test_bad_fp_max_iter_exits_2(tmp_path, capsys, value):
+    cfg = GOOD_CONFIG + f"fp_max_iter = {value}\n"
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error: bad value for [solver] fp_max_iter: '{value}'\n"
+
+
 def test_equilibrium_tolerance_is_the_solvers_own_unless_set(tmp_path, monkeypatch):
     tolerances = []
 
@@ -332,7 +355,6 @@ def test_equilibrium_command(tmp_path, capsys):
 def test_manifest(tmp_path):
     cfg = GOOD_CONFIG + f"\n[output]\ncsv = {tmp_path}/m.csv\nmanifest = {tmp_path}/m.json\n"
     assert main(["run", _write(tmp_path, cfg)]) == 0
-    import json
     with open(tmp_path / "m.json") as f:
         manifest = json.load(f)
     assert manifest["run_id"]
@@ -407,6 +429,15 @@ def test_vtk_every_snapshots(tmp_path):
     assert snaps == ["snap_000000.vtk", "snap_000002.vtk", "snap_000004.vtk"]
 
 
+def test_negative_vtk_every_exits_2(tmp_path, capsys):
+    cfg = GOOD_CONFIG + f"\n[output]\nvtk = {tmp_path}/snap.vtk\n"
+    with pytest.raises(SystemExit) as info:
+        main(["run", _write(tmp_path, cfg), "--vtk-every", "-3"])
+    assert info.value.code == EXIT_CONFIG
+    assert "argument --vtk-every: must be >= 0, got -3" in capsys.readouterr().err
+    assert not any(p.suffix == ".vtk" for p in tmp_path.iterdir())
+
+
 def test_vtk_every_in_the_config_exits_2(tmp_path, capsys):
     # Snapshots are asked for on the command line only (--vtk-every); a
     # config key for them would be silently ignored, so it is refused.
@@ -414,3 +445,58 @@ def test_vtk_every_in_the_config_exits_2(tmp_path, capsys):
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
     assert "unknown key 'vtk_every' in section [output]" in capsys.readouterr().err
     assert not any(p.suffix == ".vtk" for p in tmp_path.iterdir())
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    text = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                     re.S).group(1)
+    shrunk = {"nx = 32": "nx = 8", "ny = 32": "ny = 8", "t_end = 10.0": "t_end = 0.03",
+              "csv = diagnostics.csv": f"csv = {tmp_path}/diagnostics.csv",
+              "vtk = final.vtk": f"vtk = {tmp_path}/final.vtk",
+              "manifest = run.json": f"manifest = {tmp_path}/run.json"}
+    for old, new in shrunk.items():
+        assert old in text
+        text = text.replace(old, new)
+    assert main(["run", _write(tmp_path, text)]) == 0
+    assert len((tmp_path / "diagnostics.csv").read_text().splitlines()) == 5
+    assert (tmp_path / "final.vtk").exists()
+    with open(tmp_path / "run.json") as f:
+        assert len(json.load(f)["outputs"]) == 3
+
+
+DEGENERATE_CONFIG = """
+[mesh]
+nx = 16
+dirichlet = contacts
+
+[physics]
+law = power
+alpha = 1.6666666666666667
+
+[boundary]
+n_bottom = 1.0
+n_top = 0.0
+p_bottom = 0.0
+p_top = 1.0
+
+[doping]
+kind = pn
+
+[time]
+dt = 0.01
+t_end = 0.35
+"""
+
+
+def test_degenerate_run_takes_the_experimental_budget(tmp_path):
+    # No [solver] section: the Stepper sizes the Picard budget from the
+    # problem, as for ``driftfv reproduce``.  Step 34 needs more than the
+    # theory-backed budget of 200 iterations.
+    csv_path = tmp_path / "run.csv"
+    assert main(["run", _write(tmp_path, DEGENERATE_CONFIG), "--csv", str(csv_path)]) == 0
+    outdir = tmp_path / "rep"
+    assert main(["reproduce", "--outdir", str(outdir), "--nx", "16",
+                 "--t-end", "0.35"]) == 0
+    assert csv_path.read_bytes() == (outdir / "nonlinear_degenerate_pn.csv").read_bytes()
+    assert max(rec.fp_iters for rec in read_csv(csv_path)) > 200

@@ -123,10 +123,20 @@ def test_fit_decay_floor_and_window():
     ts = np.linspace(0.0, 10.0, 100)
     es = np.where(ts < 5.0, np.exp(-3.0 * ts), 1e-16)
     fit = fit_decay_rate(_records_from_entropy(ts, es), floor=1e-6)
+    assert fit.floor == 1e-6
     assert fit.rate == pytest.approx(3.0, rel=1e-6)
     assert fit.t_end < 5.0
     with pytest.raises(ValueError, match="floor"):
         fit_decay_rate(_records_from_entropy(ts[:5], es[:5]), floor=2.0)
+
+
+def test_fit_decay_default_floor():
+    ts = np.linspace(0.0, 10.0, 101)
+    es = 2.0 * np.exp(-3.0 * ts)
+    fit = fit_decay_rate(_records_from_entropy(ts, es))
+    assert fit.floor == 1e-10 * es[0]
+    assert fit.n_points == np.count_nonzero(es > 1e-10 * es[0]) == 77
+    assert fit.rate == pytest.approx(3.0, rel=1e-9)
 
 
 def test_fit_decay_without_records_is_too_few_points():
@@ -237,7 +247,7 @@ def _per_edge_diagnostics(problem, state, eq):
     _fan_in_unit_square], ids=["contacts-8x8", "fan"])
 def test_diagnostics_match_per_edge_oracle(make_mesh, case):
     mesh = make_mesh()
-    assert len(mesh.neumann_edges) and mesh.n_dirichlet
+    assert len(np.nonzero(mesh.edge_kind == NEUMANN)[0]) and mesh.n_dirichlet
     prob = pn_junction_preset(case, "pn").build(mesh)
     eq = solve_equilibrium(prob)
     rng = np.random.default_rng(11)

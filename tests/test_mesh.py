@@ -137,7 +137,7 @@ def test_discrete_function_edge_values():
 def test_active_cells_match_per_edge_loop():
     pred = lambda x, y: y < 1e-12 or (y > 1.0 - 1e-12 and x < 0.5)
     mesh = build_cartesian(4, 3, dirichlet_predicate=pred)
-    assert len(mesh.neumann_edges) and mesh.n_dirichlet
+    assert len(np.nonzero(mesh.edge_kind == NEUMANN)[0]) and mesh.n_dirichlet
     rng = np.random.default_rng(3)
     u, u_dir = rng.random(mesh.n_cells), rng.random(mesh.n_dirichlet)
     # (K, u_{K,sigma}, tau) per flux-carrying edge, interior edges first;
@@ -252,7 +252,7 @@ def test_edge_kinds_partition():
     kinds = mesh.edge_kind
     assert set(np.unique(kinds)) <= {INTERIOR, DIRICHLET, NEUMANN}
     assert (len(mesh.interior_edges) + len(mesh.dirichlet_edges)
-            + len(mesh.neumann_edges)) == mesh.n_edges
+            + len(np.nonzero(mesh.edge_kind == NEUMANN)[0])) == mesh.n_edges
     assert mesh.n_dirichlet == 4
 
 
@@ -311,8 +311,8 @@ def _loop_cartesian(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), dirichlet_predicate=Non
 
 _MESH_ARRAYS = ("points", "cell_nodes", "cell_centers", "cell_measures",
                 "edge_kind", "edge_cells", "edge_p1", "edge_p2", "edge_measures",
-                "edge_d", "edge_tau", "dirichlet_edges", "neumann_edges",
-                "interior_edges", "active_edges", "active_tau")
+                "edge_d", "edge_tau", "dirichlet_edges", "interior_edges",
+                "active_edges", "active_tau")
 
 
 def _bottom_only(domain):
@@ -337,6 +337,8 @@ def test_cartesian_matches_loop_builder(nx, ny, domain, predicate):
         assert np.array_equal(got, ref), name
     for got, ref in zip(mesh.active_cells, want.active_cells):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    got, ref = (np.nonzero(m.edge_kind == NEUMANN)[0] for m in (mesh, want))
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert mesh.cell_nodes.shape == (nx * ny, 4)
     assert (mesh.n_cells, mesh.n_edges, mesh.n_dirichlet) == (
         want.n_cells, want.n_edges, want.n_dirichlet)

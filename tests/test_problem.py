@@ -6,7 +6,7 @@ import pytest
 from driftfv import sparse
 from driftfv.constitutive import PressureLaw, enthalpy
 from driftfv.equilibrium import solve_equilibrium
-from driftfv.mesh import build_cartesian
+from driftfv.mesh import NEUMANN, build_cartesian
 from driftfv.problem import (NO_RECOMBINATION, PRESET_CASES, PRESET_DOPINGS,
                              HypothesisError, Problem, RecombinationModel,
                              discretize_data, pn_junction_preset)
@@ -241,7 +241,7 @@ def test_preset_dirichlet_geometry():
     mesh = build_cartesian(8, 8, dirichlet_predicate=preset.dirichlet_predicate)
     # Bottom boundary (8 edges) plus the left quarter of the top (2 edges).
     assert mesh.n_dirichlet == 10
-    assert len(mesh.neumann_edges) == 8 + 8 + 6
+    assert len(np.nonzero(mesh.edge_kind == NEUMANN)[0]) == 8 + 8 + 6
 
 
 def test_unknown_preset():

@@ -287,11 +287,20 @@ def test_picard_failure_reports_increment_history(max_iter, listed):
         stepper.advance(stepper.initial_state())
     message = str(info.value)
     assert f"did not converge in {max_iter} iterations" in message
+    # fp_tol = 0 is never reached, so no residual check ran.
+    assert "residual not checked" in message
     found = re.search(r"last increment (\S+),.*increment history: \[(.*)\]", message)
     history = re.findall(r"'([^']+)'", found.group(2))
     assert len(history) == listed
     assert all(float(inc) > 0.0 for inc in history)
     assert history[-1] == found.group(1)
+
+
+def test_picard_budget_is_the_problems_unless_set():
+    for case, budget in (("linear_r0", 200), ("nonlinear_degenerate", 2000)):
+        prob = _preset_problem(case, nx=4)
+        assert Stepper(prob, StepperConfig()).fp_max_iter == budget
+        assert Stepper(prob, StepperConfig(fp_max_iter=7)).fp_max_iter == 7
 
 
 def test_density_factors_reused_across_iterations_and_steps(monkeypatch, splu_calls):
