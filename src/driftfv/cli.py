@@ -1,8 +1,8 @@
 """Command-line front end: config-driven runs and the built-in test suite.
 
-Configs are INI files (see README for the schema).  Exit codes: 0 success,
-2 configuration error, 3 violated structural hypothesis, 4 solver failure,
-5 violated discrete invariant.
+Configs are INI files; ``_SCHEMA`` is their format and README documents it.
+Exit codes: 0 success, 2 configuration error, 3 violated structural
+hypothesis, 4 solver failure, 5 violated discrete invariant.
 """
 from __future__ import annotations
 
@@ -40,141 +40,131 @@ class ConfigError(ValueError):
 
 # -- configuration ---------------------------------------------------------
 
-_SECTIONS = {
-    "mesh": {"type", "nx", "ny", "file", "dirichlet"},
-    "physics": {"law", "alpha", "lambda2"},
-    "boundary": {"n_bottom", "n_top", "p_bottom", "p_top"},
-    "initial": {"profile", "n", "p"},
-    "doping": {"kind", "value"},
-    "recombination": {"kind", "scale", "tau_n", "tau_p", "tau_c", "c_n", "c_p"},
-    "time": {"dt", "t_end"},
-    "solver": {"fp_tol", "fp_max_iter", "check_m_matrices", "equilibrium_tol"},
-    "output": {"csv", "vtk", "manifest"},
+def _yes_no(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _choice(*values):
+    return {value: value for value in values}.__getitem__
+
+
+# Section -> key -> cast: the whole config format.  ``load_config`` casts every
+# value it reads, so a malformed one is refused whether or not the run uses it.
+# A cast refuses a value with ValueError (int, float) or KeyError (the rest).
+_SCHEMA = {
+    "mesh": {"type": _choice("cartesian", "file"), "nx": int, "ny": int,
+             "file": str, "dirichlet": _choice("contacts", "all")},
+    "physics": {"law": _choice("isothermal", "power"), "alpha": float,
+                "lambda2": float},
+    "boundary": dict.fromkeys(("n_bottom", "n_top", "p_bottom", "p_top"), float),
+    "initial": {"profile": _choice("interpolate", "constant"), "n": float,
+                "p": float},
+    "doping": {"kind": _choice("zero", "pn", "constant"), "value": float},
+    # RecombinationModel owns its kinds.
+    "recombination": {"kind": str, **dict.fromkeys(
+        ("scale", "tau_n", "tau_p", "tau_c", "c_n", "c_p"), float)},
+    "time": {"dt": float, "t_end": float},
+    "solver": {"fp_tol": float, "fp_max_iter": int, "check_m_matrices": _yes_no,
+               "equilibrium_tol": float},
+    "output": dict.fromkeys(("csv", "vtk", "manifest"), str),
 }
 
 
 def load_config(path) -> dict:
-    """Parse and validate an INI config into a plain nested dict."""
+    """Parse an INI config into a nested dict of values cast by ``_SCHEMA``."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path, encoding="utf-8") as f:
         try:
             parser.read_file(f)
+            # Reading a value interpolates it, which can fail too ('%' in a path).
+            sections = {s: parser.items(s) for s in parser.sections()}
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     cfg = {}
-    for section in parser.sections():
-        if section not in _SECTIONS:
+    for section, items in sections.items():
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        allowed = _SECTIONS[section]
+        casts = _SCHEMA[section]
         cfg[section] = {}
-        for key, value in parser.items(section):
-            if key not in allowed:
+        for key, raw in items:
+            if key not in casts:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            cfg[section][key] = value
+            try:
+                cfg[section][key] = casts[key](raw)
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
     return cfg
 
 
-def _get(cfg, section, key, default=None, cast=str):
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}' in section [{section}]")
-        return default
-    try:
-        if cast is bool:
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+def _get(cfg, section, key, default=None):
+    value = cfg.get(section, {}).get(key, default)
+    if value is None:
+        raise ConfigError(f"missing required key '{key}' in section [{section}]")
+    return value
 
 
 def build_mesh(cfg) -> Mesh:
-    kind = _get(cfg, "mesh", "type", "cartesian")
-    if kind == "cartesian":
-        nx = _get(cfg, "mesh", "nx", 32, int)
-        ny = _get(cfg, "mesh", "ny", nx, int)
-        which = _get(cfg, "mesh", "dirichlet", "contacts")
-        if which == "all":
-            pred = None
-        elif which == "contacts":
-            pred = contact_predicate
-        else:
-            raise ConfigError(f"unknown dirichlet selector {which!r}")
-        return build_cartesian(nx, ny, dirichlet_predicate=pred)
-    if kind == "file":
+    if _get(cfg, "mesh", "type", "cartesian") == "file":
         path = _get(cfg, "mesh", "file")
         if not os.path.exists(path):
             raise ConfigError(f"mesh file not found: {path}")
         return read_mesh_file(path)
-    raise ConfigError(f"unknown mesh type {kind!r}")
+    nx = _get(cfg, "mesh", "nx", 32)
+    pred = (contact_predicate
+            if _get(cfg, "mesh", "dirichlet", "contacts") == "contacts" else None)
+    return build_cartesian(nx, _get(cfg, "mesh", "ny", nx), dirichlet_predicate=pred)
 
 
 def build_problem(cfg, mesh: Mesh) -> Problem:
-    law_name = _get(cfg, "physics", "law", "isothermal")
-    if law_name == "isothermal":
-        law = PressureLaw.isothermal()
-    elif law_name == "power":
-        alpha = _get(cfg, "physics", "alpha", cast=float)
+    law = PressureLaw.isothermal()
+    if _get(cfg, "physics", "law", "isothermal") == "power":
+        alpha = _get(cfg, "physics", "alpha")
         try:
             law = PressureLaw.power(alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    else:
-        raise ConfigError(f"unknown pressure law {law_name!r}")
-    lambda2 = _get(cfg, "physics", "lambda2", 1.0, float)
-    n0, n1, p0, p1 = (_get(cfg, "boundary", key, cast=float)
+    lambda2 = _get(cfg, "physics", "lambda2", 1.0)
+    n0, n1, p0, p1 = (_get(cfg, "boundary", key)
                       for key in ("n_bottom", "n_top", "p_bottom", "p_top"))
 
     # The model's own defaults stand for every parameter the config leaves out.
-    params = {key: _get(cfg, "recombination", key, cast=float)
-              for key in cfg.get("recombination", {}) if key != "kind"}
+    params = dict(cfg.get("recombination", {}))
     try:
-        recomb = RecombinationModel(
-            _get(cfg, "recombination", "kind", "none"), **params)
+        recomb = RecombinationModel(params.pop("kind", "none"), **params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     # The diode's own data, then the config-only variants on top of it.
     dop_kind = _get(cfg, "doping", "kind", "zero")
-    if dop_kind not in ("zero", "pn", "constant"):
-        raise ConfigError(f"unknown doping kind {dop_kind!r}")
     inputs = diode_inputs(law, recomb, (n0, n1), (p0, p1),
                           doping="pn" if dop_kind == "pn" else "zero",
                           lambda2=lambda2)
     if dop_kind == "constant":
-        c = _get(cfg, "doping", "value", cast=float)
+        c = _get(cfg, "doping", "value")
         inputs.doping = lambda x, y: c
 
-    profile = _get(cfg, "initial", "profile", "interpolate")
-    if profile == "constant":
-        nc = _get(cfg, "initial", "n", cast=float)
-        pc = _get(cfg, "initial", "p", cast=float)
+    if _get(cfg, "initial", "profile", "interpolate") == "constant":
+        nc = _get(cfg, "initial", "n")
+        pc = _get(cfg, "initial", "p")
         inputs.n_initial = lambda x, y: nc
         inputs.p_initial = lambda x, y: pc
-    elif profile != "interpolate":
-        raise ConfigError(f"unknown initial profile {profile!r}")
     return inputs.build(mesh)
 
 
 def build_stepper_config(cfg) -> StepperConfig:
     # StepperConfig's own defaults stand for every setting the config leaves out.
-    cast = {"dt": float, "t_end": float, "fp_tol": float, "fp_max_iter": int,
-            "check_m_matrices": bool}
-    return StepperConfig(**{key: _get(cfg, section, key, cast=cast[key])
-                            for section in ("time", "solver")
-                            for key in cfg.get(section, {}) if key in cast})
+    settings = {**cfg.get("time", {}), **cfg.get("solver", {})}
+    settings.pop("equilibrium_tol", None)
+    return StepperConfig(**settings)
 
 
 def _solve_equilibrium(cfg, problem: Problem):
     """``solve_equilibrium``, whose own tolerance stands unless the config
     sets ``equilibrium_tol``."""
-    if "equilibrium_tol" not in cfg.get("solver", {}):
+    solver = cfg.get("solver", {})
+    if "equilibrium_tol" not in solver:
         return solve_equilibrium(problem)
-    return solve_equilibrium(problem, tol=_get(cfg, "solver", "equilibrium_tol", cast=float))
+    return solve_equilibrium(problem, tol=solver["equilibrium_tol"])
 
 
 # -- outputs ---------------------------------------------------------------
@@ -248,6 +238,10 @@ def _validate_steps(config: StepperConfig, problem: Problem) -> None:
 
 def run_scenario(config_path, csv_override=None, vtk_every=0) -> RunManifest:
     cfg = load_config(config_path)
+    output = cfg.get("output", {})
+    vtk_base = output.get("vtk")
+    if vtk_every > 0 and not vtk_base:
+        raise ConfigError(f"--vtk-every {vtk_every} needs an [output] vtk path")
     manifest = RunManifest.for_config(cfg)
     with _timed(manifest, "setup"):
         mesh = build_mesh(cfg)
@@ -257,10 +251,8 @@ def run_scenario(config_path, csv_override=None, vtk_every=0) -> RunManifest:
     with _timed(manifest, "equilibrium"):
         eq = _solve_equilibrium(cfg, problem)
 
-    vtk_base = cfg.get("output", {}).get("vtk")
-
     def snapshot(state):
-        if not vtk_base or vtk_every <= 0 or state.step % vtk_every != 0:
+        if vtk_every <= 0 or state.step % vtk_every != 0:
             return
         root, ext = os.path.splitext(vtk_base)
         path = f"{root}_{state.step:06d}{ext or '.vtk'}"
@@ -269,14 +261,14 @@ def run_scenario(config_path, csv_override=None, vtk_every=0) -> RunManifest:
 
     with _timed(manifest, "transient"):
         final, records = run(problem, step_cfg, eq, state_sink=snapshot)
-    csv_path = csv_override or cfg.get("output", {}).get("csv")
+    csv_path = csv_override or output.get("csv")
     if csv_path:
         diag.write_csv(records, csv_path)
         manifest.outputs.append(str(csv_path))
     if vtk_base and vtk_every <= 0:
         write_vtk(final, eq, mesh, vtk_base)
         manifest.outputs.append(str(vtk_base))
-    manifest_path = cfg.get("output", {}).get("manifest")
+    manifest_path = output.get("manifest")
     if manifest_path:
         manifest.write(manifest_path)
     return manifest
@@ -303,7 +295,7 @@ def run_equilibrium(config_path, vtk_path=None) -> RunManifest:
 
 
 def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=StepperConfig.dt,
-                    t_end=StepperConfig.t_end, fp_tol=StepperConfig.fp_tol) -> list:
+                    t_end=StepperConfig.t_end) -> list:
     """Run all ten PN-junction preset cases and write CSVs plus a summary."""
     os.makedirs(outdir, exist_ok=True)
     # Every preset has the diode's contacts, so they all share one mesh.
@@ -312,7 +304,7 @@ def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=StepperConfig.dt,
     else:
         mesh = build_cartesian(nx, nx if ny is None else ny,
                                dirichlet_predicate=contact_predicate)
-    config = StepperConfig(dt=dt, t_end=t_end, fp_tol=fp_tol)
+    config = StepperConfig(dt=dt, t_end=t_end)
     rows = []
     for case in PRESET_CASES:
         for doping in PRESET_DOPINGS:
@@ -324,7 +316,7 @@ def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=StepperConfig.dt,
             _, records = run(problem, config, eq)
             wall = time.perf_counter() - t0
             diag.write_csv(records, os.path.join(outdir, preset.name + ".csv"))
-            violations = diag.check_entropy_chain(records, fp_tol)
+            violations = diag.check_entropy_chain(records, config.fp_tol)
             try:
                 fit = diag.fit_decay_rate(records)
                 rate, r2 = fit.rate, fit.r_squared

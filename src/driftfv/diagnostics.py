@@ -21,8 +21,8 @@ point tolerance, and E decays exponentially to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -200,22 +200,21 @@ def fit_decay_rate(records, floor: Optional[float] = None) -> DecayFit:
     return DecayFit(-float(slope), r2, len(ts), float(ts[0]), float(ts[-1]), floor)
 
 
+# One column per DiagnosticsRecord field, in field order; the header names them.
 _CSV_HEADER = ("step,t,E,I,F,l2_N,l2_P,l2_Psi,"
                "min_N,max_N,min_P,max_P,fp_iters,slack")
+_FIELD_TYPES = get_type_hints(DiagnosticsRecord)
+_CSV_FIELDS = tuple((f.name, _FIELD_TYPES[f.name]) for f in fields(DiagnosticsRecord))
 
 
 def write_csv(records, path) -> None:
-    """Write one diagnostics row per time level (17 significant digits)."""
-    fmt = "%.17g"
+    """Write one diagnostics row per time level: int fields as integers,
+    float fields to 17 significant digits."""
+    row = ",".join("%d" if cast is int else "%.17g" for _, cast in _CSV_FIELDS) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(_CSV_HEADER + "\n")
         for r in records:
-            nums = (r.t, r.entropy, r.production, r.f_functional,
-                    r.l2_n, r.l2_p, r.l2_psi,
-                    r.min_n, r.max_n, r.min_p, r.max_p)
-            f.write("%d,%s,%d,%s\n" % (
-                r.step, ",".join(fmt % v for v in nums),
-                r.fp_iters, fmt % r.slack))
+            f.write(row % tuple(getattr(r, name) for name, _ in _CSV_FIELDS))
 
 
 def read_csv(path):
@@ -226,12 +225,7 @@ def read_csv(path):
         if header != _CSV_HEADER:
             raise ValueError(f"unexpected diagnostics header: {header!r}")
         for line in f:
-            parts = line.strip().split(",")
-            records.append(DiagnosticsRecord(
-                step=int(parts[0]), t=float(parts[1]), entropy=float(parts[2]),
-                production=float(parts[3]), f_functional=float(parts[4]),
-                l2_n=float(parts[5]), l2_p=float(parts[6]), l2_psi=float(parts[7]),
-                min_n=float(parts[8]), max_n=float(parts[9]),
-                min_p=float(parts[10]), max_p=float(parts[11]),
-                fp_iters=int(parts[12]), slack=float(parts[13])))
+            values = line.strip().split(",")
+            records.append(DiagnosticsRecord(*(
+                cast(v) for (_, cast), v in zip(_CSV_FIELDS, values, strict=True))))
     return records

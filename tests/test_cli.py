@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from driftfv import cli
-from driftfv.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, ConfigError,
-                         RunManifest, build_mesh, build_problem,
-                         build_stepper_config, load_config, main,
-                         reproduce_paper, write_vtk)
+from driftfv.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_INVARIANT,
+                         EXIT_SOLVER, ConfigError, RunManifest, build_mesh,
+                         build_problem, build_stepper_config, load_config,
+                         main, reproduce_paper, write_vtk)
 from driftfv.diagnostics import read_csv
 from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
 from driftfv.problem import (NO_RECOMBINATION, PRESET_CASES, PRESET_DOPINGS,
                              RecombinationModel, State, pn_junction_preset)
-from driftfv.transient import StepperConfig
+from driftfv.transient import BoundsTracker, StepperConfig
 
 GOOD_CONFIG = """
 [mesh]
@@ -112,6 +112,14 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: cannot parse {path}: 'utf-8' codec")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_bad_interpolation_exits_2(tmp_path, capsys):
+    cfg = GOOD_CONFIG + f"\n[output]\ncsv = {tmp_path}/out%d.csv\n"
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot parse ") and "'%d.csv'" in err
+    assert "Traceback" not in err
 
 
 def test_non_utf8_mesh_file_exits_2(tmp_path, capsys):
@@ -252,12 +260,51 @@ def test_stepper_defaults_are_stepper_configs_own(tmp_path):
     assert build_stepper_config(cfg) == StepperConfig(fp_max_iter=7, check_m_matrices=True)
 
 
-@pytest.mark.parametrize("value", ["x", "7.5"])
-def test_bad_fp_max_iter_exits_2(tmp_path, capsys, value):
-    cfg = GOOD_CONFIG + f"fp_max_iter = {value}\n"
+def _setting(section, key, value, *extra):
+    """GOOD_CONFIG with ``key = value`` and the ``extra`` lines in [section]."""
+    text = re.sub(rf"^{key} = .*\n", "", GOOD_CONFIG, flags=re.M)
+    if f"[{section}]" not in text:
+        text += f"\n[{section}]\n"
+    lines = "".join(f"{line}\n" for line in (f"{key} = {value}", *extra))
+    return text.replace(f"[{section}]\n", f"[{section}]\n{lines}")
+
+
+@pytest.mark.parametrize("section, key, value, extra", [
+    pytest.param(section, key, value, extra, id=f"{section}-{key}-{value}")
+    for section, key, value, extra in [
+        *[(section, key, "qq", ()) for section, casts in cli._SCHEMA.items()
+          for key, cast in casts.items() if cast is not str],
+        ("solver", "fp_max_iter", "7.5", ()),
+        # Values this run would never read are checked all the same.
+        ("physics", "alpha", "abc", ()),
+        ("doping", "value", "xyz", ("kind = pn",))]])
+def test_malformed_value_exits_2(tmp_path, capsys, section, key, value, extra):
+    cfg = _setting(section, key, value, *extra)
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"configuration error: bad value for [solver] fp_max_iter: '{value}'\n"
+    assert err == f"configuration error: bad value for [{section}] {key}: '{value}'\n"
+
+
+def test_picard_budget_exhausted_exits_4(tmp_path, capsys):
+    cfg = GOOD_CONFIG + "fp_max_iter = 1\n"
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith(
+        "solver failure: step 1: fixed point did not converge in 1 iterations")
+
+
+def test_density_bound_violation_exits_5(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(BoundsTracker, "upper", lambda self, n: 0.5 * self.M)
+    assert main(["run", _write(tmp_path, GOOD_CONFIG)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err.startswith(
+        "invariant violation: step 1: density bounds")
+
+
+def test_density_bound_excess_with_doping_warns(tmp_path, monkeypatch):
+    # With doping an excess over the bound envelope is reported, not fatal.
+    monkeypatch.setattr(BoundsTracker, "upper", lambda self, n: 0.5 * self.M)
+    cfg = GOOD_CONFIG.replace("[solver]", "[doping]\nkind = pn\n\n[solver]")
+    with pytest.warns(RuntimeWarning, match="density bounds"):
+        assert main(["run", _write(tmp_path, cfg)]) == 0
 
 
 def test_equilibrium_tolerance_is_the_solvers_own_unless_set(tmp_path, monkeypatch):
@@ -360,7 +407,9 @@ def test_manifest(tmp_path):
     assert manifest["run_id"]
     assert str(tmp_path / "m.csv") in manifest["outputs"]
     assert "transient" in manifest["timings"]
-    # Config echo reproduces the run id.
+    # The echo holds the typed config, and reproduces the run id.
+    assert manifest["config"]["solver"] == {"fp_tol": 1e-10}
+    assert manifest["config"]["mesh"]["nx"] == 4
     assert RunManifest.for_config(manifest["config"]).run_id == manifest["run_id"]
 
 
@@ -445,6 +494,16 @@ def test_vtk_every_in_the_config_exits_2(tmp_path, capsys):
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
     assert "unknown key 'vtk_every' in section [output]" in capsys.readouterr().err
     assert not any(p.suffix == ".vtk" for p in tmp_path.iterdir())
+
+
+def test_vtk_every_without_a_vtk_path_exits_2(tmp_path, monkeypatch, capsys):
+    def no_equilibrium(*args, **kwargs):
+        raise AssertionError("solve_equilibrium ran before --vtk-every was checked")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", no_equilibrium)
+    assert main(["run", _write(tmp_path, GOOD_CONFIG), "--vtk-every", "2"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "configuration error: --vtk-every 2 needs an [output] vtk path\n"
 
 
 def test_readme_config_example_runs(tmp_path):

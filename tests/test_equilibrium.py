@@ -8,7 +8,7 @@ from driftfv.equilibrium import solve_equilibrium
 from driftfv.flux import sg_flux
 from driftfv.mesh import build_cartesian
 from driftfv.problem import discretize_data, pn_junction_preset
-from driftfv.sparse import check_m_matrix
+from driftfv.sparse import SolverError, check_m_matrix
 
 
 def _symmetric_problem(law=PressureLaw.isothermal(), doping=0.0, nx=3, ny=3):
@@ -127,6 +127,14 @@ def test_residual_history_monotone_tail():
     assert eq.iterations >= 1
     assert eq.residual == eq.residual_history[-1]
     assert eq.residual_history[-1] < eq.residual_history[0]
+
+
+def test_newton_failure_reports_residual_history():
+    preset = pn_junction_preset("linear_r0", "pn")
+    mesh = build_cartesian(4, 4, dirichlet_predicate=preset.dirichlet_predicate)
+    with pytest.raises(SolverError, match=r"did not converge in 1 iterations; "
+                                          r"residual history: \['"):
+        solve_equilibrium(preset.build(mesh), tol=0.0, max_iter=1)
 
 
 def _equilibria(monkeypatch, reuse, n=16):
