@@ -72,7 +72,10 @@ _SCHEMA = {
 
 def load_config(path) -> dict:
     """Parse an INI config into a nested dict of values cast by ``_SCHEMA``."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No header can name the empty default section, so [DEFAULT] is an
+    # ordinary (unknown) section instead of keys merged into every other one.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       default_section="")
     with open(path, encoding="utf-8") as f:
         try:
             parser.read_file(f)

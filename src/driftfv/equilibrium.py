@@ -60,12 +60,9 @@ def solve_equilibrium(problem: Problem, tol: float = 1e-10,
         gp = cst.g_inverse(law, a_p - psi)
         return lam2 * (L @ psi) - b_dir - mk * (gp - gn + problem.doping)
 
-    # Initial guess: linear Poisson with densities frozen at the
-    # boundary-data averages.
-    n_bar = float(np.mean(problem.n_dirichlet))
-    p_bar = float(np.mean(problem.p_dirichlet))
-    psi = shared.laplacian_lu.solve(
-        (b_dir + mk * (p_bar - n_bar + problem.doping)) / lam2)
+    # Initial guess: the contacts' potential alone, extended harmonically
+    # (no space charge), so it stays within the Dirichlet data's range.
+    psi = shared.laplacian_lu.solve(b_dir / lam2)
 
     res = residual(psi)
     history = [float(np.max(np.abs(res)))]

@@ -7,10 +7,10 @@ u and a penalty mu m(K)/(lambda^2 dt) on the diagonal that keeps them
 M-matrices (``_density_systems``); takes one inexact solve of both blocks
 (``sparse.correct``: a correction on each block's held factor, or a full
 solve on a fresh one); and updates the potential from the linear Poisson
-system.  The iterate is relaxed only while damping is on (omega < 1).  A
-step is accepted once the increment is at most fp_tol and the scheme
-residual of the converged iterate (``scheme_residuals``) at most 10 fp_tol,
-and then checked against the density bounds m^n, M^n the Stepper tracks.
+system.  Each iterate is that solve's output as it stands.  A step is
+accepted once the increment is at most fp_tol and the scheme residual of the
+converged iterate (``scheme_residuals``) at most 10 fp_tol, and then checked
+against the density bounds m^n, M^n the Stepper tracks.
 ``check_m_matrices`` can verify every assembled block.
 """
 from __future__ import annotations
@@ -50,6 +50,10 @@ class StepperConfig:
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise HypothesisError(
                 f"end time must be finite and nonnegative, got {self.t_end!r}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise HypothesisError(
+                f"end time {self.t_end!r} over time step {self.dt!r} gives no "
+                f"finite step count")
         if self.t_end > 0.0 and self.n_steps == 0:
             raise HypothesisError(
                 f"end time {self.t_end!r} is shorter than the time step {self.dt!r}")
@@ -93,7 +97,6 @@ class StepReport:
     iterations: int
     increment: float
     residual: float
-    damping: float
     bound_excess: float = 0.0
 
 
@@ -103,7 +106,8 @@ class Stepper:
 
     # Picard iterations per step, by ``problem.experimental``, unless the config
     # sets them: the eight theory-backed presets pass acceptance criterion 03
-    # within 200; nonlinear_degenerate_zero at 32x32 takes 970 at step 40.
+    # within 200; at 32x32 the degenerate presets take 207 (zero, step 40)
+    # and 324 (pn, step 41), at 64x64 247 and 356.
     PICARD_BUDGET = {False: 200, True: 2000}
 
     def __init__(self, problem: Problem, config: StepperConfig):
@@ -232,31 +236,13 @@ class Stepper:
         upper_next = self.bounds.upper(step_index)
         mu = cfg.dt * max(upper_next, float(np.max(u, initial=0.0)))
 
-        omega = 1.0
-        best_inc = np.inf
-        calm_streak = 0
         psi = state.psi
         residual = np.inf
         increments = []
         for iterations in range(1, self.fp_max_iter + 1):
             u_new = self.linearized_density_step(u, psi, prev, mu)
-            if omega != 1.0:
-                u_new = omega * u_new + (1.0 - omega) * u
             inc = float(np.abs(u_new - u).max(initial=0.0))
             increments.append(inc)
-            # Damp only on significant growth (10x over the best increment so
-            # far): the increment of a convergent iteration need not be
-            # monotone, e.g. when the largest component moves between cells,
-            # and halving on every raw bump stalls the contraction for good.
-            if inc > 10.0 * best_inc:
-                omega = max(omega / 2.0, 0.125)
-                calm_streak = 0
-            else:
-                calm_streak += 1
-                if calm_streak >= 5 and omega < 1.0:
-                    omega = min(1.0, 2.0 * omega)
-                    calm_streak = 0
-            best_inc = min(best_inc, inc)
             u = u_new
             psi = self.solve_poisson(u[0], u[1])
             if inc <= cfg.fp_tol:
@@ -284,7 +270,7 @@ class Stepper:
 
         report = StepReport(
             iterations=iterations, increment=inc,
-            residual=residual, damping=omega, bound_excess=excess)
+            residual=residual, bound_excess=excess)
         new_state = State(u[0], u[1], psi, step=step_index,
                           time=state.time + cfg.dt)
         return new_state, report

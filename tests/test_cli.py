@@ -10,12 +10,12 @@ from driftfv.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_INVARIANT,
                          EXIT_SOLVER, ConfigError, RunManifest, build_mesh,
                          build_problem, build_stepper_config, load_config,
                          main, reproduce_paper, write_vtk)
-from driftfv.diagnostics import read_csv
+from driftfv.diagnostics import read_csv, write_csv
 from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import build_cartesian
 from driftfv.problem import (NO_RECOMBINATION, PRESET_CASES, PRESET_DOPINGS,
                              RecombinationModel, State, pn_junction_preset)
-from driftfv.transient import BoundsTracker, StepperConfig
+from driftfv.transient import BoundsTracker, StepperConfig, run
 
 GOOD_CONFIG = """
 [mesh]
@@ -74,6 +74,14 @@ def test_unreadable_config_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Is a directory" in err
     assert "missing required key" not in err
+
+
+def test_default_section_exits_2(tmp_path, capsys):
+    # configparser would merge [DEFAULT] into every section and blame its
+    # keys on another one.
+    cfg = "[DEFAULT]\nnx = 4\n" + GOOD_CONFIG
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: unknown config section [DEFAULT]\n"
 
 
 def test_missing_mesh_file_exits_2(tmp_path, capsys):
@@ -190,6 +198,24 @@ def test_zero_step_reproduce_exits_3(tmp_path, capsys):
     assert main(["reproduce", "--outdir", str(outdir), "--nx", "4",
                  "--t-end", "0"]) == EXIT_HYPOTHESIS
     assert "hypothesis violation: end time 0 gives no time step" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
+def test_overflowing_step_count_run_exits_3(tmp_path, capsys):
+    cfg = GOOD_CONFIG.replace("t_end = 0.05", "t_end = 1e308")
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_HYPOTHESIS
+    err = capsys.readouterr().err
+    assert err == ("hypothesis violation: end time 1e+308 over time step 0.01 "
+                   "gives no finite step count\n")
+
+
+@pytest.mark.parametrize("flag, value", [("--t-end", "1e308"), ("--dt", "1e-320")])
+def test_overflowing_step_count_reproduce_exits_3(tmp_path, capsys, flag, value):
+    outdir = tmp_path / "out"
+    assert main(["reproduce", "--outdir", str(outdir), "--nx", "4",
+                 flag, value]) == EXIT_HYPOTHESIS
+    err = capsys.readouterr().err
+    assert "gives no finite step count" in err and "Traceback" not in err
     assert not any(outdir.iterdir())
 
 
@@ -548,14 +574,28 @@ t_end = 0.35
 """
 
 
-def test_degenerate_run_takes_the_experimental_budget(tmp_path):
-    # No [solver] section: the Stepper sizes the Picard budget from the
-    # problem, as for ``driftfv reproduce``.  Step 34 needs more than the
-    # theory-backed budget of 200 iterations.
+def test_degenerate_run_stays_within_the_theory_budget(tmp_path):
+    # Every step fits the theory-backed budget: the worst, step 34, takes
+    # 150 Picard iterations.
     csv_path = tmp_path / "run.csv"
     assert main(["run", _write(tmp_path, DEGENERATE_CONFIG), "--csv", str(csv_path)]) == 0
-    outdir = tmp_path / "rep"
-    assert main(["reproduce", "--outdir", str(outdir), "--nx", "16",
-                 "--t-end", "0.35"]) == 0
-    assert csv_path.read_bytes() == (outdir / "nonlinear_degenerate_pn.csv").read_bytes()
+    assert max(rec.fp_iters for rec in read_csv(csv_path)) <= 200
+
+
+def test_degenerate_run_takes_the_experimental_budget(tmp_path):
+    # No [solver] section: the Stepper sizes the Picard budget from the
+    # problem, as for ``driftfv reproduce``.  At 32x32, step 41 needs more
+    # than the theory-backed budget of 200 iterations.
+    text = (DEGENERATE_CONFIG.replace("nx = 16", "nx = 32")
+            .replace("t_end = 0.35", "t_end = 0.42"))
+    csv_path = tmp_path / "run.csv"
+    assert main(["run", _write(tmp_path, text), "--csv", str(csv_path)]) == 0
+    # The preset as ``reproduce_paper`` runs it, on the same mesh and config.
+    preset = pn_junction_preset("nonlinear_degenerate", "pn")
+    mesh = build_cartesian(32, 32, dirichlet_predicate=preset.dirichlet_predicate)
+    problem = preset.build(mesh)
+    _, records = run(problem, StepperConfig(dt=0.01, t_end=0.42), solve_equilibrium(problem))
+    want = tmp_path / "preset.csv"
+    write_csv(records, want)
+    assert csv_path.read_bytes() == want.read_bytes()
     assert max(rec.fp_iters for rec in read_csv(csv_path)) > 200

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -127,6 +129,25 @@ def test_residual_history_monotone_tail():
     assert eq.iterations >= 1
     assert eq.residual == eq.residual_history[-1]
     assert eq.residual_history[-1] < eq.residual_history[0]
+
+
+@pytest.mark.parametrize("case", ["linear_r0", "nonlinear_nondegenerate",
+                                  "nonlinear_degenerate"])
+def test_newton_converges_fast_at_small_lambda2(case):
+    # Newton starts from the harmonic extension of the contacts' potential,
+    # which the maximum principle keeps within their range at any lambda^2.
+    for doping in ("zero", "pn"):
+        for lam2 in (1e-2, 1e-3, 1e-4):
+            preset = dataclasses.replace(pn_junction_preset(case, doping), lambda2=lam2)
+            mesh = build_cartesian(16, 16, dirichlet_predicate=preset.dirichlet_predicate)
+            prob = preset.build(mesh)
+            start = solve_equilibrium(prob, tol=1e300)
+            assert start.iterations == 0
+            assert np.all(start.psi >= prob.psi_dirichlet.min())
+            assert np.all(start.psi <= prob.psi_dirichlet.max())
+            eq = solve_equilibrium(prob)
+            assert eq.iterations <= 6
+            assert eq.residual <= 1e-10
 
 
 def test_newton_failure_reports_residual_history():
