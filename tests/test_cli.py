@@ -333,6 +333,22 @@ def test_density_bound_excess_with_doping_warns(tmp_path, monkeypatch):
         assert main(["run", _write(tmp_path, cfg)]) == 0
 
 
+@pytest.mark.parametrize("doping, t_end", [
+    pytest.param("kind = pn", "0.4", id="pn"),
+    pytest.param("kind = constant\nvalue = 5", "0.1", id="constant-5"),
+    # The power in the upper bound M 10^n overflows at step 309.
+    pytest.param("kind = constant\nvalue = 9", "3.2", id="constant-9")])
+def test_doped_run_at_small_lambda2_finishes(tmp_path, doping, t_end):
+    # dt ||C||/lambda^2 is 0.1, 0.5 and 0.9: the bound M^n grows fast, and a
+    # penalty built from it made the Picard loop stall (exit 4).
+    cfg = GOOD_CONFIG.replace("lambda2 = 1.0", "lambda2 = 0.1")
+    cfg = cfg.replace("t_end = 0.05", f"t_end = {t_end}")
+    cfg = cfg.replace("[solver]", f"[doping]\n{doping}\n\n[solver]")
+    csv_path = tmp_path / "out.csv"
+    assert main(["run", _write(tmp_path, cfg), "--csv", str(csv_path)]) == 0
+    assert len(read_csv(csv_path)) == round(float(t_end) / 1e-2) + 1
+
+
 def test_equilibrium_tolerance_is_the_solvers_own_unless_set(tmp_path, monkeypatch):
     tolerances = []
 

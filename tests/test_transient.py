@@ -71,6 +71,20 @@ def test_bounds_tracker():
     highs = [tracker.upper(n) for n in range(5)]
     assert all(np.diff(lows) < 0.0)
     assert all(np.diff(highs) > 0.0)
+    # Past the float range the upper bound is vacuous, as the lower one
+    # underflows to zero, and neither raises.
+    assert tracker.upper(10**6) == np.inf
+    assert tracker.lower(10**6) == 0.0
+
+
+def test_doped_decay_does_not_stall_on_the_penalty():
+    # The penalty is dt M for the whole run.  One built from the growing
+    # bound M^{n+1} slowed the iteration until the increment test stopped it
+    # early, and l2_N stalled at 5.5e-10.
+    prob = _preset_problem("linear_r0", "pn", nx=8)
+    _, records = run(prob, StepperConfig(t_end=8.0), solve_equilibrium(prob))
+    assert len(records) == 801
+    assert records[-1].l2_n < 1e-12
 
 
 def test_poisson_constant_data():
@@ -191,8 +205,7 @@ def test_linearized_step_nonnegative_outputs():
     for _ in range(10):
         u = rng.uniform(0.0, 3.0, (2, prob.mesh.n_cells))
         psi = stepper.solve_poisson(u[0], u[1])
-        mu = config.dt * max(3.0, prob.M)
-        n_hat, p_hat = stepper.linearized_density_step(u, psi, prev, mu)
+        n_hat, p_hat = stepper.linearized_density_step(u, psi, prev)
         assert np.all(n_hat >= 0.0)
         assert np.all(p_hat >= 0.0)
 
@@ -390,23 +403,23 @@ def test_stacked_density_systems_match_per_species_reference(case, doping):
     prev = np.stack(prob.initial_state())
     n_prev, p_prev = prev
     u = prev
-    mu = config.dt * max(prob.M, u.max())
+    mu = config.dt * prob.M  # the Stepper's penalty
     held = (la.HeldFactor(), la.HeldFactor())
     # The first iteration factors both systems; the later ones correct.
     for _ in range(4):
         n_it, p_it = u
         psi = stepper.solve_poisson(n_it, p_it)
         reference = _per_species_systems(stepper, n_it, p_it, psi, n_prev, p_prev, mu)
-        A, b = stepper._density_systems(u, psi, prev, mu)
+        A, b = stepper._density_systems(u, psi, prev)
         want = []
         for s, ((A_ref, b_ref), x_it) in enumerate(zip(reference, u)):
             assert np.array_equal(A.block(s).diagonal, A_ref.diagonal)
             assert np.array_equal(A.block(s).offdiagonal, A_ref.offdiagonal)
             assert np.array_equal(b[s], b_ref)
             want.append(la.correct(A_ref, b_ref[None], x_it[None], (held[s],))[0])
-        u = stepper.linearized_density_step(u, psi, prev, mu)
+        u = stepper.linearized_density_step(u, psi, prev)
         assert all(np.array_equal(g, w) for g, w in zip(u, want))
-        reference = _per_species_systems(stepper, *u, psi, n_prev, p_prev, 0.0)
+        reference = _per_species_systems(stepper, *u, psi, n_prev, p_prev, mu)
         residuals = stepper.scheme_residuals(u, psi, prev)
         for r, x, (A_ref, b_ref) in zip(residuals, u, reference):
             assert np.array_equal(r, A_ref @ x - b_ref)
@@ -468,7 +481,7 @@ def test_stacked_residuals_are_the_block_residuals(case, doping):
     prev = np.stack(prob.initial_state())
     u = prev * rng.uniform(0.5, 1.5, prev.shape)
     psi = stepper.solve_poisson(u[0], u[1])
-    A, b = stepper._density_systems(u, psi, prev, 0.0)
+    A, b = stepper._density_systems(u, psi, prev)
     residuals = stepper.scheme_residuals(u, psi, prev)
     assert len(residuals) == 2
     for s, r in enumerate(residuals):
@@ -487,10 +500,10 @@ def test_iterate_is_the_solve_output(monkeypatch):
     class Stop(Exception):
         pass
 
-    def step(self, u, psi, prev, mu):
+    def step(self, u, psi, prev):
         if len(seen) == 5:
             raise Stop
-        out = real(self, u, psi, prev, mu)
+        out = real(self, u, psi, prev)
         if len(seen) == 2:
             out = out + 100.0  # the increment grows ten-fold
         seen.append((u, out))
