@@ -283,6 +283,9 @@ def run_equilibrium(config_path, vtk_path=None) -> RunManifest:
     with _timed(manifest, "setup"):
         mesh = build_mesh(cfg)
         problem = build_problem(cfg, mesh)
+        # The [time] and [solver] ranges hold for every command; only a
+        # transient run needs a step.
+        build_stepper_config(cfg).validate(problem)
     with _timed(manifest, "equilibrium"):
         eq = _solve_equilibrium(cfg, problem)
     print(f"equilibrium: {eq.iterations} Newton iterations, "

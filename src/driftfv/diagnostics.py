@@ -157,11 +157,12 @@ def check_entropy_chain(records, fp_tol: float):
     """Per-step inequality E^{n} + dt I^{n} <= E^{n-1} up to fp slack.
 
     Returns the list of violating step indices (empty when the chain holds).
+    A NaN slack, or a NaN tolerance from a NaN E^0, is a violation.
     """
     if not records:
         return []
     eps = entropy_slack_tolerance(fp_tol, records[0].entropy)
-    return [r.step for r in records[1:] if r.slack < -eps]
+    return [r.step for r in records[1:] if not (r.slack >= -eps)]
 
 
 @dataclass

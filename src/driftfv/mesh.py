@@ -271,66 +271,69 @@ def build_cartesian(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0),
                 np.concatenate([v_p2.reshape(-1, 2), h_p2.reshape(-1, 2)]))
 
 
-def _circumcenter(a, b, c):
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if abs(d) < 1e-300:
-        raise MeshError("degenerate triangle")
-    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-          + (cx * cx + cy * cy) * (ay - by)) / d
-    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-          + (cx * cx + cy * cy) * (bx - ax)) / d
-    return np.array([ux, uy])
-
-
 def import_triangulation(nodes, triangles, boundary_labels) -> Mesh:
     """Mesh from a conforming triangulation with circumcenter cell centers.
 
-    ``boundary_labels`` maps each boundary side, as a sorted node-index pair,
-    to ``"dirichlet"`` or ``"neumann"``.  Configurations where a circumcenter
-    lies on or outside its triangle (so that some center distance vanishes or
-    orthogonality fails) are rejected.
+    ``triangles`` holds three node indices per triangle, each an integer in
+    [0, len(nodes)).  ``boundary_labels`` maps each boundary side, as a
+    node-index pair in either order, to ``"dirichlet"`` or ``"neumann"``.
+    The edges are the distinct sides, ordered by their sorted node pair
+    (u, v), u < v, which are also ``edge_p1`` and ``edge_p2``; K of an
+    interior edge is the lower-numbered of its two triangles.
+    Configurations where a circumcenter lies on or outside its triangle (so
+    that some center distance vanishes or orthogonality fails) are rejected.
     """
     # Checked before the circumcenters, whose arithmetic inf would poison.
     nodes = _require_finite("node coordinates", np.asarray(nodes, dtype=float))
-    triangles = [tuple(int(v) for v in t) for t in triangles]
+    tri = np.asarray(triangles, dtype=float)
+    if tri.ndim != 2 or tri.shape[1] != 3:
+        raise MeshError(f"triangles must be rows of three node indices, not {tri.shape}")
+    bad = ~((tri == np.floor(tri)) & (tri >= 0) & (tri < len(nodes))).all(axis=1)
+    if bad.any():
+        t = np.flatnonzero(bad)[0]
+        shown = ", ".join(f"{i:g}" for i in tri[t])
+        raise MeshError(f"triangle {t} has node indices ({shown}): "
+                        f"each must be an integer in [0, {len(nodes)})")
+    tri = tri.astype(np.int64)
     labels = {tuple(sorted(k)): v for k, v in boundary_labels.items()}
 
-    centers = np.array([_circumcenter(nodes[a], nodes[b], nodes[c])
-                        for a, b, c in triangles])
-    measures = np.array([
-        0.5 * abs((nodes[b][0] - nodes[a][0]) * (nodes[c][1] - nodes[a][1])
-                  - (nodes[c][0] - nodes[a][0]) * (nodes[b][1] - nodes[a][1]))
-        for a, b, c in triangles])
+    # Circumcenters and areas of all triangles at once, in the operation
+    # order of the per-triangle reference in the tests: bit for bit.
+    (ax, ay), (bx, by), (cx, cy) = (nodes[tri[:, i]].T for i in range(3))
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    if np.any(np.abs(d) < 1e-300):
+        raise MeshError("degenerate triangle")
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    centers = np.column_stack([(a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d,
+                               (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d])
+    measures = 0.5 * np.abs((bx - ax) * (cy - ay) - (cx - ax) * (by - ay))
 
-    side_owner = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            side_owner.setdefault(key, []).append(t)
+    # Sides (a, b), (b, c), (c, a) of each triangle in turn, as sorted node
+    # pairs; a stable sort groups equal pairs with their triangles ascending.
+    ends = np.roll(tri, -1, axis=1)
+    lo, hi = np.minimum(tri, ends).ravel(), np.maximum(tri, ends).ravel()
+    key = lo * len(nodes) + hi
+    order = np.argsort(key, kind="stable")
+    start = np.flatnonzero(np.diff(key[order], prepend=-1))
+    count = np.diff(start, append=len(order))
+    owner = order // 3
+    u, v = lo[order[start]], hi[order[start]]
 
-    kind, cells, p1, p2 = [], [], [], []
-    for (u, v), owners in sorted(side_owner.items()):
-        if len(owners) == 2:
-            kind.append(INTERIOR)
-            cells.append((owners[0], owners[1]))
-        elif len(owners) == 1:
-            lab = labels.get((u, v))
-            if lab is None:
-                raise MeshError(f"unlabeled boundary side {(u, v)}")
-            if lab not in ("dirichlet", "neumann"):
-                raise MeshError(f"unknown boundary label {lab!r} on side {(u, v)}")
-            kind.append(DIRICHLET if lab == "dirichlet" else NEUMANN)
-            cells.append((owners[0], -1))
-        else:
-            raise MeshError(f"non-conforming side {(u, v)} shared by {len(owners)} triangles")
-        p1.append(nodes[u])
-        p2.append(nodes[v])
+    kind = np.full(len(start), INTERIOR)
+    for e in np.flatnonzero(count != 2):
+        side = (int(u[e]), int(v[e]))
+        if count[e] > 2:
+            raise MeshError(f"non-conforming side {side} shared by {count[e]} triangles")
+        lab = labels.get(side)
+        if lab is None:
+            raise MeshError(f"unlabeled boundary side {side}")
+        if lab not in ("dirichlet", "neumann"):
+            raise MeshError(f"unknown boundary label {lab!r} on side {side}")
+        kind[e] = DIRICHLET if lab == "dirichlet" else NEUMANN
+    cells = np.column_stack([owner[start],
+                             np.where(count == 2, owner[start + count - 1], -1)])
 
-    mesh = Mesh(nodes, triangles, centers, measures,
-                np.array(kind), np.array(cells), np.array(p1), np.array(p2))
+    mesh = Mesh(nodes, tri, centers, measures, kind, cells, nodes[u], nodes[v])
     report = validate(mesh)
     if not report.ok:
         raise MeshError("triangulation is not admissible: "

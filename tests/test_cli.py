@@ -228,11 +228,34 @@ def test_reproduce_rejects_an_empty_mesh_axis(tmp_path, capsys, flag):
     assert not any(outdir.iterdir())
 
 
-@pytest.mark.parametrize("good, bad, message", [
+# Rows of the [time] and [solver] sections, whose ranges `equilibrium`
+# checks as `run` does, though it takes no step.
+_STEP_ROWS = [
     ("dt = 1e-2", "dt = nan", "time step"),
     ("dt = 1e-2", "dt = inf", "time step"),
+    ("dt = 1e-2", "dt = -1", "time step"),
     ("t_end = 0.05", "t_end = 0.005",
      "end time 0.005 is shorter than the time step 0.01"),
+    ("fp_tol = 1e-10", "fp_tol = nan", "fixed-point tolerance"),
+    ("fp_tol = 1e-10", "fp_tol = -1", "fixed-point tolerance"),
+    ("fp_tol = 1e-10", "fp_tol = 1e-10\nfp_max_iter = 0",
+     "fixed-point iteration limit"),
+    ("fp_tol = 1e-10", "fp_tol = 1e-10\nequilibrium_tol = nan",
+     "equilibrium tolerance"),
+    ("fp_tol = 1e-10", "fp_tol = 1e-10\nequilibrium_tol = -1",
+     "equilibrium tolerance")]
+
+
+def _exits_3(tmp_path, capsys, command, good, bad, message):
+    cfg = GOOD_CONFIG.replace(good, bad)
+    assert bad in cfg
+    assert main([command, _write(tmp_path, cfg)]) == EXIT_HYPOTHESIS
+    err = capsys.readouterr().err
+    assert f"hypothesis violation: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("good, bad, message", [
     ("lambda2 = 1.0", "lambda2 = 0", "lambda^2"),
     ("lambda2 = 1.0", "lambda2 = nan", "lambda^2"),
     ("lambda2 = 1.0", "lambda2 = -1", "lambda^2"),
@@ -241,21 +264,14 @@ def test_reproduce_rejects_an_empty_mesh_axis(tmp_path, capsys, flag):
     ("[solver]", "[doping]\nkind = constant\nvalue = nan\n\n[solver]", "doping"),
     # h(0) = log 0 makes the isothermal contact potential infinite.
     ("n_top = 1.0", "n_top = 0.0", "Dirichlet potential"),
-    ("fp_tol = 1e-10", "fp_tol = nan", "fixed-point tolerance"),
-    ("fp_tol = 1e-10", "fp_tol = -1", "fixed-point tolerance"),
-    ("fp_tol = 1e-10", "fp_tol = 1e-10\nfp_max_iter = 0",
-     "fixed-point iteration limit"),
-    ("fp_tol = 1e-10", "fp_tol = 1e-10\nequilibrium_tol = nan",
-     "equilibrium tolerance"),
-    ("fp_tol = 1e-10", "fp_tol = 1e-10\nequilibrium_tol = -1",
-     "equilibrium tolerance")])
+    *_STEP_ROWS])
 def test_nonfinite_or_nonpositive_input_exits_3(tmp_path, capsys, good, bad, message):
-    cfg = GOOD_CONFIG.replace(good, bad)
-    assert bad in cfg
-    assert main(["run", _write(tmp_path, cfg)]) == EXIT_HYPOTHESIS
-    err = capsys.readouterr().err
-    assert f"hypothesis violation: {message}" in err
-    assert "Traceback" not in err
+    _exits_3(tmp_path, capsys, "run", good, bad, message)
+
+
+@pytest.mark.parametrize("good, bad, message", _STEP_ROWS)
+def test_equilibrium_checks_time_and_solver_ranges(tmp_path, capsys, good, bad, message):
+    _exits_3(tmp_path, capsys, "equilibrium", good, bad, message)
 
 
 def test_time_step_at_the_doping_limit_exits_3(tmp_path, capsys):

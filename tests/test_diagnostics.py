@@ -154,6 +154,23 @@ def test_check_entropy_chain():
     assert entropy_slack_tolerance(1e-10, 1.0) == pytest.approx(2e-9)
 
 
+def test_check_entropy_chain_counts_a_nan_slack():
+    # E^n = inf on a level gives the slack inf - inf = nan, which no
+    # comparison of the form slack < -eps catches.
+    records = _records_from_entropy(np.linspace(0.0, 1.0, 6), np.exp(-np.arange(6.0)))
+    records[3].slack = np.nan
+    assert check_entropy_chain(records, 1e-10) == [3]
+
+
+def test_check_entropy_chain_counts_every_step_after_a_nan_start():
+    # A NaN E^0 makes the tolerance NaN: no step can be shown to hold, even
+    # with a finite, positive slack.
+    records = _records_from_entropy(np.linspace(0.0, 1.0, 5), np.exp(-np.arange(5.0)))
+    records[0].entropy = np.nan
+    assert all(r.slack > 0.0 for r in records[1:])
+    assert check_entropy_chain(records, 1e-10) == [1, 2, 3, 4]
+
+
 def test_csv_round_trip(tmp_path):
     preset = pn_junction_preset("linear_r0", "zero")
     mesh = build_cartesian(4, 4, dirichlet_predicate=preset.dirichlet_predicate)

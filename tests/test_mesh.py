@@ -3,6 +3,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 import driftfv.mesh
 
@@ -237,6 +238,10 @@ def test_mesh_file_round_trip(tmp_path):
     assert back.n_cells == mesh.n_cells
     assert np.allclose(np.sort(back.edge_tau), np.sort(mesh.edge_tau))
     assert back.n_dirichlet == mesh.n_dirichlet
+    # A Delaunay mesh with both boundary kinds comes back bit for bit.
+    mesh = import_triangulation(*_hex_delaunay(4))
+    write_mesh_file(mesh, path)
+    _assert_same_mesh(read_mesh_file(path), mesh)
 
 
 def test_degenerate_domain_rejected():
@@ -329,7 +334,12 @@ def test_cartesian_matches_loop_builder(nx, ny, domain, predicate):
     pred = {"default": None, "contacts": contact_predicate,
             "bottom": _bottom_only(domain)}[predicate]
     mesh = build_cartesian(nx, ny, domain=domain, dirichlet_predicate=pred)
-    want = _loop_cartesian(nx, ny, domain=domain, dirichlet_predicate=pred)
+    _assert_same_mesh(mesh, _loop_cartesian(nx, ny, domain=domain,
+                                            dirichlet_predicate=pred))
+    assert mesh.cell_nodes.shape == (nx * ny, 4)
+
+
+def _assert_same_mesh(mesh, want):
     for name in _MESH_ARRAYS:
         got, ref = getattr(mesh, name), getattr(want, name)
         assert got.dtype == ref.dtype, name
@@ -339,10 +349,142 @@ def test_cartesian_matches_loop_builder(nx, ny, domain, predicate):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
     got, ref = (np.nonzero(m.edge_kind == NEUMANN)[0] for m in (mesh, want))
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    assert mesh.cell_nodes.shape == (nx * ny, 4)
     assert (mesh.n_cells, mesh.n_edges, mesh.n_dirichlet) == (
         want.n_cells, want.n_edges, want.n_dirichlet)
     assert mesh.xi == want.xi
+
+
+def _loop_circumcenter(a, b, c):
+    ax, ay = a
+    bx, by = b
+    cx, cy = c
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    if abs(d) < 1e-300:
+        raise MeshError("degenerate triangle")
+    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
+          + (cx * cx + cy * cy) * (ay - by)) / d
+    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
+          + (cx * cx + cy * cy) * (bx - ax)) / d
+    return np.array([ux, uy])
+
+
+def _loop_triangulation(nodes, triangles, boundary_labels):
+    """Reference importer: one triangle at a time, then the sides gathered
+    in a dictionary and walked one at a time in sorted order."""
+    nodes = np.asarray(nodes, dtype=float)
+    triangles = [tuple(int(v) for v in t) for t in triangles]
+    labels = {tuple(sorted(k)): v for k, v in boundary_labels.items()}
+    centers = np.array([_loop_circumcenter(nodes[a], nodes[b], nodes[c])
+                        for a, b, c in triangles])
+    measures = np.array([
+        0.5 * abs((nodes[b][0] - nodes[a][0]) * (nodes[c][1] - nodes[a][1])
+                  - (nodes[c][0] - nodes[a][0]) * (nodes[b][1] - nodes[a][1]))
+        for a, b, c in triangles])
+    side_owner = {}
+    for t, (a, b, c) in enumerate(triangles):
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (u, v) if u < v else (v, u)
+            side_owner.setdefault(key, []).append(t)
+    kind, cells, p1, p2 = [], [], [], []
+    for (u, v), owners in sorted(side_owner.items()):
+        if len(owners) == 2:
+            kind.append(INTERIOR)
+            cells.append((owners[0], owners[1]))
+        elif len(owners) == 1:
+            lab = labels.get((u, v))
+            if lab is None:
+                raise MeshError(f"unlabeled boundary side {(u, v)}")
+            if lab not in ("dirichlet", "neumann"):
+                raise MeshError(f"unknown boundary label {lab!r} on side {(u, v)}")
+            kind.append(DIRICHLET if lab == "dirichlet" else NEUMANN)
+            cells.append((owners[0], -1))
+        else:
+            raise MeshError(f"non-conforming side {(u, v)} shared by {len(owners)} triangles")
+        p1.append(nodes[u])
+        p2.append(nodes[v])
+    return Mesh(nodes, triangles, centers, measures,
+                np.array(kind), np.array(cells), np.array(p1), np.array(p2))
+
+
+def _hex_delaunay(m):
+    """Delaunay triangulation of a hexagonal lattice m spacings wide, odd
+    rows shifted by half a spacing: Dirichlet on the bottom and top rows,
+    Neumann on the jagged left and right sides."""
+    h, rows = 1.0 / m, int(m / (np.sqrt(3.0) / 2.0))
+    j, i = np.divmod(np.arange((rows + 1) * (m + 1)), m + 1)
+    nodes = np.column_stack([(i + 0.5 * (j % 2)) * h, j * h * np.sqrt(3.0) / 2.0])
+    triangles = Delaunay(nodes).simplices
+    sides = np.sort(np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1), axis=-1)
+    pairs, counts = np.unique(sides.reshape(-1, 2), axis=0, return_counts=True)
+    y = nodes[:, 1]
+    labels = {(int(a), int(b)): "dirichlet" if y[a] == y[b] and y[a] in (0.0, y.max())
+              else "neumann" for a, b in pairs[counts == 1]}
+    return nodes, triangles, labels
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_triangulation_matches_loop_importer(m, shuffle):
+    nodes, triangles, labels = _hex_delaunay(m)
+    if shuffle:
+        # Triangles reordered, and each one's vertices rotated.
+        rng = np.random.default_rng(m)
+        triangles = np.array([np.roll(t, r) for t, r in zip(
+            triangles[rng.permutation(len(triangles))], rng.integers(0, 3, len(triangles)))])
+    mesh = import_triangulation(nodes, triangles, labels)
+    want = _loop_triangulation(nodes, triangles, labels)
+    assert 0 < want.n_dirichlet < want.n_edges - len(want.interior_edges)
+    _assert_same_mesh(mesh, want)
+
+
+def _fan():
+    """Rhombus 0-1-2-3 with two more triangles on side (1, 2), which three
+    triangles then share."""
+    nodes = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.9), (0.5, -0.9), (1.2, 0.8), (1.5, 0.1)]
+    triangles = [(0, 1, 2), (0, 3, 1), (1, 2, 4), (1, 2, 5)]
+    labels = {side: "dirichlet" for side in
+              ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (1, 5), (2, 5))}
+    return nodes, triangles, labels
+
+
+def _without(make, side):
+    nodes, triangles, labels = make()
+    del labels[side]
+    return nodes, triangles, labels
+
+
+def _relabeled(make, side, label):
+    nodes, triangles, labels = make()
+    labels[side] = label
+    return nodes, triangles, labels
+
+
+@pytest.mark.parametrize("case, message", [
+    (lambda: _without(_rhombus, (1, 3)), "unlabeled boundary side (1, 3)"),
+    (lambda: _relabeled(_rhombus, (0, 3), "robin"),
+     "unknown boundary label 'robin' on side (0, 3)"),
+    (_fan, "non-conforming side (1, 2) shared by 3 triangles"),
+    # The first bad side in sorted-pair order is reported.
+    (lambda: _without(_fan, (0, 2)), "unlabeled boundary side (0, 2)"),
+    (lambda: _without(_fan, (2, 5)), "non-conforming side (1, 2) shared by 3 triangles"),
+    (lambda: ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0, 1, 2)], {}),
+     "degenerate triangle")])
+def test_import_errors_match_loop_importer(case, message):
+    for importer in (import_triangulation, _loop_triangulation):
+        with pytest.raises(MeshError) as info:
+            importer(*case())
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("index", [-1, 7, 3.9])
+def test_import_rejects_bad_node_index(index):
+    # At 4 nodes: -1 would index the last node from the end, 7 no node,
+    # and 3.9 would be truncated to node 3.
+    nodes, triangles, labels = _rhombus()
+    with pytest.raises(MeshError) as info:
+        import_triangulation(nodes, [triangles[0], (0, index, 1)], labels)
+    assert str(info.value) == (f"triangle 1 has node indices (0, {index}, 1): "
+                               "each must be an integer in [0, 4)")
 
 
 def test_cartesian_asks_the_predicate_at_each_boundary_midpoint_once():
