@@ -41,6 +41,22 @@ def _require_finite(name, values):
     return values
 
 
+def _node_indices(rows, n_nodes, row, width=None):
+    """``rows`` as int64 rows of node indices, each an integer in
+    [0, n_nodes); ``row`` names one row in the error, ``width`` its length."""
+    idx = np.asarray(rows, dtype=float)
+    if idx.ndim != 2 or width not in (None, idx.shape[1]):
+        count = f"{width} " if width else ""
+        raise MeshError(f"{row}s must be rows of {count}node indices, not {idx.shape}")
+    bad = np.flatnonzero(~((idx == np.floor(idx)) & (idx >= 0) & (idx < n_nodes)))
+    if len(bad):
+        t = bad[0] // idx.shape[1]
+        shown = ", ".join(f"{i:g}" for i in idx[t])
+        raise MeshError(f"{row} {t} has node indices ({shown}): "
+                        f"each must be an integer in [0, {n_nodes})")
+    return idx.astype(np.int64)
+
+
 def _read_only(arr):
     """``arr``, made read-only: a mesh shares its index arrays with every caller."""
     arr.flags.writeable = False
@@ -50,18 +66,23 @@ def _read_only(arr):
 class Mesh:
     """Two-point-flux finite-volume mesh (2D): geometry in flat numpy arrays
     and the cell indices of its stencil.  The linear algebra on the mesh is
-    ``sparse.algebra``'s."""
+    ``sparse.algebra``'s.
+
+    Cells and edges are named by their node indices into ``points``:
+    ``edge_nodes`` holds the two end nodes of each edge, and ``edge_p1``,
+    ``edge_p2`` are their coordinates."""
 
     def __init__(self, points, cell_nodes, cell_centers, cell_measures,
-                 edge_kind, edge_cells, edge_p1, edge_p2):
+                 edge_kind, edge_cells, edge_nodes):
         self.points = np.asarray(points, dtype=float)
-        self.cell_nodes = np.asarray(cell_nodes, dtype=np.int64)
+        self.cell_nodes = _node_indices(cell_nodes, len(self.points), "cell")
         self.cell_centers = np.asarray(cell_centers, dtype=float)
         self.cell_measures = np.asarray(cell_measures, dtype=float)
         self.edge_kind = np.asarray(edge_kind, dtype=np.int8)
         self.edge_cells = np.asarray(edge_cells, dtype=np.int64)
-        self.edge_p1 = np.asarray(edge_p1, dtype=float)
-        self.edge_p2 = np.asarray(edge_p2, dtype=float)
+        # Each edge is its two end nodes; their coordinates are gathered once.
+        self.edge_nodes = _node_indices(edge_nodes, len(self.points), "edge", 2)
+        self.edge_p1, self.edge_p2 = self.points.take(self.edge_nodes.T, axis=0)
 
         for name, values in (("node coordinates", self.points),
                              ("cell centers", self.cell_centers),
@@ -201,8 +222,11 @@ def build_cartesian(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0),
 
     ``dirichlet_predicate(x, y)`` classifies boundary edges by their midpoint;
     default is all-Dirichlet.  It is called once per boundary edge, with
-    scalars.  Cells are numbered row-major by j; the edges are the vertical
-    ones, row by row, then the horizontal ones.
+    scalars.  Nodes and cells are numbered row-major by j; the edges are the
+    vertical ones, row by row, then the horizontal ones.  A vertical edge
+    runs from its lower node to its upper one, (node[j, i], node[j+1, i]),
+    and a horizontal edge from its left node to its right one,
+    (node[j, i], node[j, i+1]).
     """
     for n in (nx, ny):
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -249,8 +273,7 @@ def build_cartesian(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0),
     v_cells = np.full((ny, nx + 1, 2), -1)
     v_cells[:, :, 0] = cell[:, np.maximum(np.arange(nx + 1) - 1, 0)]
     v_cells[:, 1:nx, 1] = cell[:, 1:]
-    v_p1 = np.stack(np.broadcast_arrays(xs, ys[:-1, None]), axis=-1)
-    v_p2 = np.stack(np.broadcast_arrays(xs, ys[1:, None]), axis=-1)
+    v_nodes = np.stack([node[:-1], node[1:]], axis=-1)
 
     # Horizontal edges, (ny+1, nx): K the cell below (above it on the
     # bottom boundary), L the cell above.
@@ -261,14 +284,12 @@ def build_cartesian(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0),
     h_cells = np.full((ny + 1, nx, 2), -1)
     h_cells[:, :, 0] = cell[np.maximum(np.arange(ny + 1) - 1, 0)]
     h_cells[1:ny, :, 1] = cell[1:]
-    h_p1 = np.stack(np.broadcast_arrays(xs[:-1], ys[:, None]), axis=-1)
-    h_p2 = np.stack(np.broadcast_arrays(xs[1:], ys[:, None]), axis=-1)
+    h_nodes = np.stack([node[:, :-1], node[:, 1:]], axis=-1)
 
     return Mesh(points, cell_nodes, centers, measures,
                 np.concatenate([v_kind.ravel(), h_kind.ravel()]),
                 np.concatenate([v_cells.reshape(-1, 2), h_cells.reshape(-1, 2)]),
-                np.concatenate([v_p1.reshape(-1, 2), h_p1.reshape(-1, 2)]),
-                np.concatenate([v_p2.reshape(-1, 2), h_p2.reshape(-1, 2)]))
+                np.concatenate([v_nodes.reshape(-1, 2), h_nodes.reshape(-1, 2)]))
 
 
 def import_triangulation(nodes, triangles, boundary_labels) -> Mesh:
@@ -278,23 +299,14 @@ def import_triangulation(nodes, triangles, boundary_labels) -> Mesh:
     [0, len(nodes)).  ``boundary_labels`` maps each boundary side, as a
     node-index pair in either order, to ``"dirichlet"`` or ``"neumann"``.
     The edges are the distinct sides, ordered by their sorted node pair
-    (u, v), u < v, which are also ``edge_p1`` and ``edge_p2``; K of an
+    (u, v), u < v, which is also ``edge_nodes``; K of an
     interior edge is the lower-numbered of its two triangles.
     Configurations where a circumcenter lies on or outside its triangle (so
     that some center distance vanishes or orthogonality fails) are rejected.
     """
     # Checked before the circumcenters, whose arithmetic inf would poison.
     nodes = _require_finite("node coordinates", np.asarray(nodes, dtype=float))
-    tri = np.asarray(triangles, dtype=float)
-    if tri.ndim != 2 or tri.shape[1] != 3:
-        raise MeshError(f"triangles must be rows of three node indices, not {tri.shape}")
-    bad = ~((tri == np.floor(tri)) & (tri >= 0) & (tri < len(nodes))).all(axis=1)
-    if bad.any():
-        t = np.flatnonzero(bad)[0]
-        shown = ", ".join(f"{i:g}" for i in tri[t])
-        raise MeshError(f"triangle {t} has node indices ({shown}): "
-                        f"each must be an integer in [0, {len(nodes)})")
-    tri = tri.astype(np.int64)
+    tri = _node_indices(triangles, len(nodes), "triangle", 3)
     labels = {tuple(sorted(k)): v for k, v in boundary_labels.items()}
 
     # Circumcenters and areas of all triangles at once, in the operation
@@ -333,7 +345,7 @@ def import_triangulation(nodes, triangles, boundary_labels) -> Mesh:
     cells = np.column_stack([owner[start],
                              np.where(count == 2, owner[start + count - 1], -1)])
 
-    mesh = Mesh(nodes, tri, centers, measures, kind, cells, nodes[u], nodes[v])
+    mesh = Mesh(nodes, tri, centers, measures, kind, cells, np.column_stack([u, v]))
     report = validate(mesh)
     if not report.ok:
         raise MeshError("triangulation is not admissible: "
@@ -438,8 +450,6 @@ def read_mesh_file(path) -> Mesh:
     nodes = np.array(take(2 * n, float, "node coordinates")).reshape(n, 2)
     m = expect("triangles", 1)
     tris = np.array(take(3 * m, int, "triangle node indices")).reshape(m, 3)
-    if np.any((tris < 0) | (tris >= n)):
-        raise MeshError("mesh file: triangle node index out of range")
     k = expect("boundary", 0)
     labels = {}
     for _ in range(k):
@@ -449,19 +459,17 @@ def read_mesh_file(path) -> Mesh:
 
 
 def write_mesh_file(mesh: Mesh, path) -> None:
+    """Write a triangulation in the plain-text node/element format that
+    ``read_mesh_file`` reads: the nodes, the triangles, then each boundary
+    edge as its two node indices and its kind."""
     if mesh.cell_nodes.shape[1] != 3:
         raise MeshError("mesh file format only covers triangulations")
+    bnd = mesh.edge_kind != INTERIOR
+    sides = zip(mesh.edge_nodes[bnd].tolist(), mesh.edge_kind[bnd].tolist())
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"nodes {len(mesh.points)}\n")
-        for x, y in mesh.points:
-            f.write("%.17g %.17g\n" % (x, y))
+        f.write(("%.17g %.17g\n" * len(mesh.points)) % tuple(mesh.points.ravel().tolist()))
         f.write(f"triangles {mesh.n_cells}\n")
-        for nodes in mesh.cell_nodes:
-            f.write("%d %d %d\n" % tuple(nodes))
-        bnd = [(e, _KIND_NAMES[k]) for e, k in enumerate(mesh.edge_kind) if k != INTERIOR]
-        f.write(f"boundary {len(bnd)}\n")
-        node_of = {tuple(p): i for i, p in enumerate(map(tuple, mesh.points))}
-        for e, lab in bnd:
-            a = node_of[tuple(mesh.edge_p1[e])]
-            b = node_of[tuple(mesh.edge_p2[e])]
-            f.write(f"{a} {b} {lab}\n")
+        f.write(("%d %d %d\n" * mesh.n_cells) % tuple(mesh.cell_nodes.ravel().tolist()))
+        f.write(f"boundary {np.count_nonzero(bnd)}\n")
+        f.write("".join(f"{a} {b} {_KIND_NAMES[k]}\n" for (a, b), k in sides))

@@ -287,7 +287,9 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state: State,
     ``equilibrium_state`` provides the reference for the entropy functionals;
     ``sink``, when given, is called with each DiagnosticsRecord, and
     ``state_sink`` with each State (including the initial one).  Returns the
-    final state and the list of records.
+    final state and the list of records.  Raises ``InvariantError`` at the
+    first record whose entropy or production is not finite: no check of the
+    entropy chain can pass or fail on it.
     """
     from . import diagnostics as diag
 
@@ -298,6 +300,9 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state: State,
     records = []
 
     def emit(rec):
+        if not (math.isfinite(rec.entropy) and math.isfinite(rec.production)):
+            raise InvariantError(f"step {rec.step}: non-finite diagnostics, entropy "
+                                 f"{rec.entropy:g} and production {rec.production:g}")
         records.append(rec)
         if sink is not None:
             sink(rec)

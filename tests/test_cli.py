@@ -99,17 +99,24 @@ def test_power_law_alpha_not_above_one_exits_2(tmp_path, capsys, alpha):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("text", [
-    "nodes x\n",
-    "nodes 3\n0 0\n1 0\n",
-    "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 3\nboundary 0\n",
-    "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3\n0 1 dirichlet\n"])
+# Mesh file -> the start of its error.
+_MALFORMED_MESH_FILES = {
+    "nodes x\n": "mesh file: bad 'nodes' count",
+    "nodes 3\n0 0\n1 0\n": "mesh file: ends early, node coordinates missing",
+    # A node index out of range is import_triangulation's to report.
+    "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 3\nboundary 0\n":
+        "triangle 0 has node indices (0, 1, 3): each must be an integer in [0, 3)\n",
+    "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3\n0 1 dirichlet\n":
+        "mesh file: ends early, boundary side missing"}
+
+
+@pytest.mark.parametrize("text", _MALFORMED_MESH_FILES)
 def test_malformed_mesh_file_exits_2(tmp_path, capsys, text):
     mesh_path = _write(tmp_path, text, name="bad.mesh")
     cfg = GOOD_CONFIG.replace("type = cartesian", f"type = file\nfile = {mesh_path}")
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: mesh file")
+    assert err.startswith("configuration error: " + _MALFORMED_MESH_FILES[text])
     assert "Traceback" not in err
 
 
@@ -339,6 +346,17 @@ def test_density_bound_violation_exits_5(tmp_path, monkeypatch, capsys):
     assert main(["run", _write(tmp_path, GOOD_CONFIG)]) == EXIT_INVARIANT
     assert capsys.readouterr().err.startswith(
         "invariant violation: step 1: density bounds")
+
+
+def test_nonfinite_diagnostics_exit_5(tmp_path, capsys):
+    # At lambda2 = 1e-300 the potential's energy overflows: E is inf from
+    # the first record on, and no entropy check can hold or fail on it.
+    cfg = GOOD_CONFIG.replace("lambda2 = 1.0", "lambda2 = 1e-300")
+    with np.errstate(over="ignore"):
+        assert main(["run", _write(tmp_path, cfg)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "invariant violation: step 0: non-finite diagnostics, entropy inf "
+        "and production 0\n")
 
 
 def test_density_bound_excess_with_doping_warns(tmp_path, monkeypatch):

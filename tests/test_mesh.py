@@ -244,6 +244,23 @@ def test_mesh_file_round_trip(tmp_path):
     _assert_same_mesh(read_mesh_file(path), mesh)
 
 
+def _coincident_node():
+    """The rhombus with an unused copy of node 0 as a fifth node."""
+    nodes, triangles, labels = _rhombus()
+    return nodes + [nodes[0]], triangles, labels
+
+
+@pytest.mark.parametrize("make", [lambda: _hex_delaunay(4), lambda: _hex_delaunay(16),
+                                  _coincident_node], ids=["hex4", "hex16", "coincident"])
+def test_mesh_file_rewrites_byte_for_byte(tmp_path, make):
+    # A boundary side is written as its own node pair, so a node with
+    # another's coordinates cannot stand in for it.
+    first, second = tmp_path / "first.mesh", tmp_path / "second.mesh"
+    write_mesh_file(import_triangulation(*make()), first)
+    write_mesh_file(read_mesh_file(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_degenerate_domain_rejected():
     with pytest.raises(MeshError):
         build_cartesian(2, 2, domain=(0.0, 0.0, 0.0, 1.0))
@@ -281,20 +298,19 @@ def _loop_cartesian(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), dirichlet_predicate=Non
                                node_id(i + 1, j + 1), node_id(i, j + 1)))
             centers[cid(i, j)] = (x0 + (i + 0.5) * dx, y0 + (j + 0.5) * dy)
     measures = np.full(nx * ny, dx * dy)
-    kind, cells, p1, p2 = [], [], [], []
+    kind, cells, ends = [], [], []
 
     def add(kd, k, ell, a, b):
         kind.append(kd)
         cells.append((k, ell))
-        p1.append(a)
-        p2.append(b)
+        ends.append((a, b))
 
     def bkind(mx, my):
         return DIRICHLET if dirichlet_predicate(mx, my) else NEUMANN
 
     for j in range(ny):
         for i in range(nx + 1):
-            a, b = (xs[i], ys[j]), (xs[i], ys[j + 1])
+            a, b = node_id(i, j), node_id(i, j + 1)
             if i == 0:
                 add(bkind(xs[0], ys[j] + 0.5 * dy), cid(0, j), -1, a, b)
             elif i == nx:
@@ -303,7 +319,7 @@ def _loop_cartesian(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), dirichlet_predicate=Non
                 add(INTERIOR, cid(i - 1, j), cid(i, j), a, b)
     for j in range(ny + 1):
         for i in range(nx):
-            a, b = (xs[i], ys[j]), (xs[i + 1], ys[j])
+            a, b = node_id(i, j), node_id(i + 1, j)
             if j == 0:
                 add(bkind(xs[i] + 0.5 * dx, ys[0]), cid(i, 0), -1, a, b)
             elif j == ny:
@@ -311,13 +327,13 @@ def _loop_cartesian(nx, ny, domain=(0.0, 1.0, 0.0, 1.0), dirichlet_predicate=Non
             else:
                 add(INTERIOR, cid(i, j - 1), cid(i, j), a, b)
     return Mesh(points, cell_nodes, centers, measures,
-                np.array(kind), np.array(cells), np.array(p1), np.array(p2))
+                np.array(kind), np.array(cells), np.array(ends))
 
 
 _MESH_ARRAYS = ("points", "cell_nodes", "cell_centers", "cell_measures",
-                "edge_kind", "edge_cells", "edge_p1", "edge_p2", "edge_measures",
-                "edge_d", "edge_tau", "dirichlet_edges", "interior_edges",
-                "active_edges", "active_tau")
+                "edge_kind", "edge_cells", "edge_nodes", "edge_p1", "edge_p2",
+                "edge_measures", "edge_d", "edge_tau", "dirichlet_edges",
+                "interior_edges", "active_edges", "active_tau")
 
 
 def _bottom_only(domain):
@@ -385,7 +401,7 @@ def _loop_triangulation(nodes, triangles, boundary_labels):
         for u, v in ((a, b), (b, c), (c, a)):
             key = (u, v) if u < v else (v, u)
             side_owner.setdefault(key, []).append(t)
-    kind, cells, p1, p2 = [], [], [], []
+    kind, cells, ends = [], [], []
     for (u, v), owners in sorted(side_owner.items()):
         if len(owners) == 2:
             kind.append(INTERIOR)
@@ -400,10 +416,9 @@ def _loop_triangulation(nodes, triangles, boundary_labels):
             cells.append((owners[0], -1))
         else:
             raise MeshError(f"non-conforming side {(u, v)} shared by {len(owners)} triangles")
-        p1.append(nodes[u])
-        p2.append(nodes[v])
+        ends.append((u, v))
     return Mesh(nodes, triangles, centers, measures,
-                np.array(kind), np.array(cells), np.array(p1), np.array(p2))
+                np.array(kind), np.array(cells), np.array(ends))
 
 
 def _hex_delaunay(m):
@@ -527,7 +542,7 @@ def test_overflowing_domain_rejected():
 def _mesh_args(mesh):
     return {name: getattr(mesh, name).copy() for name in (
         "points", "cell_nodes", "cell_centers", "cell_measures", "edge_kind",
-        "edge_cells", "edge_p1", "edge_p2")}
+        "edge_cells", "edge_nodes")}
 
 
 @pytest.mark.parametrize("field, what", [("points", "node coordinates"),
@@ -541,17 +556,38 @@ def test_mesh_rejects_nonfinite_geometry(field, what):
 
 
 def test_mesh_rejects_nonfinite_edge_geometry():
+    # Finite end points 2e308 apart: the edge's length overflows to inf.
     ref = build_cartesian(2, 1)
-    # An interior edge's d joins the two centers, so only its tau is NaN.
-    args = _mesh_args(ref)
-    args["edge_p2"][ref.interior_edges[0]] = np.nan
-    with pytest.raises(MeshError, match="non-finite transmissibilities"):
+
+    def stretched(edge):
+        args = _mesh_args(ref)
+        a, b = ref.edge_nodes[edge]
+        args["points"][a, 1], args["points"][b, 1] = -1e308, 1e308
+        return args
+
+    # An interior edge's d joins the two centers, so only its tau is inf.
+    with np.errstate(over="ignore"), pytest.raises(
+            MeshError, match="non-finite transmissibilities"):
+        Mesh(**stretched(ref.interior_edges[0]))
+    # A boundary edge's d is measured to the edge's line: inf/inf.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            MeshError, match="non-finite center distances"):
+        Mesh(**stretched(ref.dirichlet_edges[0]))
+
+
+@pytest.mark.parametrize("index", [-1, 6, 3.9])
+@pytest.mark.parametrize("field, row", [("cell_nodes", "cell"), ("edge_nodes", "edge")])
+def test_mesh_rejects_bad_node_index(field, row, index):
+    # At 6 nodes: -1 would index the last node from the end, 6 no node,
+    # and 3.9 would be truncated to node 3.
+    args = _mesh_args(build_cartesian(2, 1))
+    args[field] = args[field].astype(float)
+    args[field][1, 1] = index
+    shown = ", ".join(f"{i:g}" for i in args[field][1])
+    with pytest.raises(MeshError) as info:
         Mesh(**args)
-    # A boundary edge's d is measured to the edge's line.
-    args = _mesh_args(ref)
-    args["edge_p1"][ref.dirichlet_edges[0]] = np.nan
-    with pytest.raises(MeshError, match="non-finite center distances"):
-        Mesh(**args)
+    assert str(info.value) == (f"{row} 1 has node indices ({shown}): "
+                               "each must be an integer in [0, 6)")
 
 
 def test_mesh_file_with_nan_node_rejected(tmp_path):
