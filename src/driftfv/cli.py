@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics as diag
 from .constitutive import PressureLaw
 from .equilibrium import solve_equilibrium
-from .mesh import Mesh, MeshError, build_cartesian, read_mesh_file
+from .mesh import Mesh, MeshError, _format_rows, build_cartesian, read_mesh_file
 from .problem import (PRESET_CASES, PRESET_DOPINGS, Problem, HypothesisError,
                       RecombinationModel, contact_predicate, diode_inputs,
                       pn_junction_preset)
@@ -36,6 +36,15 @@ EXIT_INVARIANT = 5
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration file."""
+
+
+# Error class -> the label ``main`` prints before its message, and the exit
+# code; the first class in this order that matches an error is taken.
+_EXITS = {**dict.fromkeys((ConfigError, MeshError, OSError),
+                          ("configuration error", EXIT_CONFIG)),
+          HypothesisError: ("hypothesis violation", EXIT_HYPOTHESIS),
+          SolverError: ("solver failure", EXIT_SOLVER),
+          InvariantError: ("invariant violation", EXIT_INVARIANT)}
 
 
 # -- configuration ---------------------------------------------------------
@@ -161,15 +170,6 @@ def build_stepper_config(cfg) -> StepperConfig:
     return StepperConfig(**settings)
 
 
-def _solve_equilibrium(cfg, problem: Problem):
-    """``solve_equilibrium``, whose own tolerance stands unless the config
-    sets ``equilibrium_tol``."""
-    solver = cfg.get("solver", {})
-    if "equilibrium_tol" not in solver:
-        return solve_equilibrium(problem)
-    return solve_equilibrium(problem, tol=solver["equilibrium_tol"])
-
-
 # -- outputs ---------------------------------------------------------------
 
 _VTK_CELL_TYPES = {3: 5, 4: 9}  # triangle, quad
@@ -181,14 +181,12 @@ def write_vtk(state, eq, mesh: Mesh, path) -> None:
         f.write("# vtk DataFile Version 3.0\n")
         f.write("drift-diffusion state\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {len(mesh.points)} double\n")
-        for x, y in mesh.points:
-            f.write(f"{x:.17g} {y:.17g} 0.0\n")
+        f.write(_format_rows("%.17g %.17g 0.0\n", mesh.points))
         size = mesh.cell_nodes.shape[1]
         if size not in _VTK_CELL_TYPES:
             raise MeshError(f"cannot export {size}-node cell to VTK")
         f.write(f"CELLS {mesh.n_cells} {(size + 1) * mesh.n_cells}\n")
-        for nodes in mesh.cell_nodes:
-            f.write(" ".join(map(str, (size, *nodes))) + "\n")
+        f.write(_format_rows(f"{size}" + " %d" * size + "\n", mesh.cell_nodes))
         f.write(f"CELL_TYPES {mesh.n_cells}\n")
         f.write(f"{_VTK_CELL_TYPES[size]}\n" * mesh.n_cells)
         f.write(f"CELL_DATA {mesh.n_cells}\n")
@@ -196,8 +194,7 @@ def write_vtk(state, eq, mesh: Mesh, path) -> None:
                   ("N_eq", eq.n), ("P_eq", eq.p), ("Psi_eq", eq.psi))
         for name, values in arrays:
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for v in values:
-                f.write(f"{v:.17g}\n")
+            f.write(_format_rows("%.17g\n", values))
 
 
 @dataclass
@@ -225,10 +222,10 @@ class RunManifest:
 # -- commands --------------------------------------------------------------
 
 @contextlib.contextmanager
-def _timed(manifest, phase):
+def _timed(timings: dict, key):
     t0 = time.perf_counter()
     yield
-    manifest.timings[phase] = time.perf_counter() - t0
+    timings[key] = time.perf_counter() - t0
 
 
 def _validate_steps(config: StepperConfig, problem: Problem) -> None:
@@ -239,65 +236,72 @@ def _validate_steps(config: StepperConfig, problem: Problem) -> None:
         raise HypothesisError(f"end time {config.t_end:g} gives no time step")
 
 
-def run_scenario(config_path, csv_override=None, vtk_every=0) -> RunManifest:
+def _set_up(config_path, needs_step, vtk_every=0):
+    """The set-up of ``run`` and ``equilibrium``: the config and its manifest;
+    timed as ``setup``, the mesh, the problem and the checked
+    ``StepperConfig``; timed as ``equilibrium``, the equilibrium.  Every check
+    comes before Newton, and only a transient run (``needs_step``) needs a
+    time step.  Returns ``(cfg, manifest, mesh, problem, step_cfg, eq)``."""
     cfg = load_config(config_path)
-    output = cfg.get("output", {})
-    vtk_base = output.get("vtk")
-    if vtk_every > 0 and not vtk_base:
+    if vtk_every > 0 and not cfg.get("output", {}).get("vtk"):
         raise ConfigError(f"--vtk-every {vtk_every} needs an [output] vtk path")
     manifest = RunManifest.for_config(cfg)
-    with _timed(manifest, "setup"):
+    with _timed(manifest.timings, "setup"):
         mesh = build_mesh(cfg)
         problem = build_problem(cfg, mesh)
         step_cfg = build_stepper_config(cfg)
-        _validate_steps(step_cfg, problem)
-    with _timed(manifest, "equilibrium"):
-        eq = _solve_equilibrium(cfg, problem)
-
-    def snapshot(state):
-        if vtk_every <= 0 or state.step % vtk_every != 0:
-            return
-        root, ext = os.path.splitext(vtk_base)
-        path = f"{root}_{state.step:06d}{ext or '.vtk'}"
-        write_vtk(state, eq, mesh, path)
-        manifest.outputs.append(path)
-
-    with _timed(manifest, "transient"):
-        final, records = run(problem, step_cfg, eq, state_sink=snapshot)
-    csv_path = csv_override or output.get("csv")
-    if csv_path:
-        diag.write_csv(records, csv_path)
-        manifest.outputs.append(str(csv_path))
-    if vtk_base and vtk_every <= 0:
-        write_vtk(final, eq, mesh, vtk_base)
-        manifest.outputs.append(str(vtk_base))
-    manifest_path = output.get("manifest")
-    if manifest_path:
-        manifest.write(manifest_path)
-    return manifest
+        # The [time] and [solver] ranges hold for every command.
+        (_validate_steps if needs_step else StepperConfig.validate)(step_cfg, problem)
+    # solve_equilibrium's own tolerance stands unless the config sets one.
+    solver = cfg.get("solver", {})
+    tol = {"tol": solver["equilibrium_tol"]} if "equilibrium_tol" in solver else {}
+    with _timed(manifest.timings, "equilibrium"):
+        eq = solve_equilibrium(problem, **tol)
+    return cfg, manifest, mesh, problem, step_cfg, eq
 
 
-def run_equilibrium(config_path, vtk_path=None) -> RunManifest:
-    cfg = load_config(config_path)
-    manifest = RunManifest.for_config(cfg)
-    with _timed(manifest, "setup"):
-        mesh = build_mesh(cfg)
-        problem = build_problem(cfg, mesh)
-        # The [time] and [solver] ranges hold for every command; only a
-        # transient run needs a step.
-        build_stepper_config(cfg).validate(problem)
-    with _timed(manifest, "equilibrium"):
-        eq = _solve_equilibrium(cfg, problem)
-    print(f"equilibrium: {eq.iterations} Newton iterations, "
-          f"residual {eq.residual:.3e}")
-    vtk_path = vtk_path or cfg.get("output", {}).get("vtk")
+def _finish(cfg, manifest, state, eq, mesh, vtk_path) -> RunManifest:
+    """Write ``state`` to ``vtk_path`` when one is given, then the manifest
+    when the config names one."""
     if vtk_path:
-        write_vtk(eq, eq, mesh, vtk_path)
+        write_vtk(state, eq, mesh, vtk_path)
         manifest.outputs.append(str(vtk_path))
     manifest_path = cfg.get("output", {}).get("manifest")
     if manifest_path:
         manifest.write(manifest_path)
     return manifest
+
+
+def run_scenario(config_path, csv_override=None, vtk_every=0) -> RunManifest:
+    cfg, manifest, mesh, problem, step_cfg, eq = _set_up(
+        config_path, needs_step=True, vtk_every=vtk_every)
+    output = cfg.get("output", {})
+
+    def snapshot(state):
+        if vtk_every <= 0 or state.step % vtk_every != 0:
+            return
+        root, ext = os.path.splitext(output["vtk"])
+        path = f"{root}_{state.step:06d}{ext or '.vtk'}"
+        write_vtk(state, eq, mesh, path)
+        manifest.outputs.append(path)
+
+    with _timed(manifest.timings, "transient"):
+        final, records = run(problem, step_cfg, eq, state_sink=snapshot)
+    csv_path = csv_override or output.get("csv")
+    if csv_path:
+        diag.write_csv(records, csv_path)
+        manifest.outputs.append(str(csv_path))
+    # With --vtk-every, the snapshots stand in for the final VTK.
+    return _finish(cfg, manifest, final, eq, mesh,
+                   None if vtk_every > 0 else output.get("vtk"))
+
+
+def run_equilibrium(config_path, vtk_path=None) -> RunManifest:
+    cfg, manifest, mesh, _, _, eq = _set_up(config_path, needs_step=False)
+    print(f"equilibrium: {eq.iterations} Newton iterations, "
+          f"residual {eq.residual:.3e}")
+    return _finish(cfg, manifest, eq, eq, mesh,
+                   vtk_path or cfg.get("output", {}).get("vtk"))
 
 
 def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=StepperConfig.dt,
@@ -311,16 +315,15 @@ def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=StepperConfig.dt,
         mesh = build_cartesian(nx, nx if ny is None else ny,
                                dirichlet_predicate=contact_predicate)
     config = StepperConfig(dt=dt, t_end=t_end)
-    rows = []
+    rows, timings = [], {}
     for case in PRESET_CASES:
         for doping in PRESET_DOPINGS:
             preset = pn_junction_preset(case, doping)
             problem = preset.build(mesh)
             _validate_steps(config, problem)
             eq = solve_equilibrium(problem)
-            t0 = time.perf_counter()
-            _, records = run(problem, config, eq)
-            wall = time.perf_counter() - t0
+            with _timed(timings, preset.name):
+                _, records = run(problem, config, eq)
             diag.write_csv(records, os.path.join(outdir, preset.name + ".csv"))
             violations = diag.check_entropy_chain(records, config.fp_tol)
             try:
@@ -330,7 +333,8 @@ def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=StepperConfig.dt,
                 rate, r2 = float("nan"), float("nan")
             rows.append({"case": preset.name, "rate": rate, "r_squared": r2,
                          "violations": len(violations),
-                         "experimental": problem.experimental, "seconds": wall})
+                         "experimental": problem.experimental,
+                         "seconds": timings[preset.name]})
             print(f"{preset.name:32s} rate={rate:8.4f} R2={r2:.4f} "
                   f"violations={len(violations)}"
                   + ("  [experimental]" if problem.experimental else ""))
@@ -397,18 +401,10 @@ def main(argv=None) -> int:
                             nx=args.nx, ny=args.ny, dt=args.dt, t_end=args.t_end)
         else:
             run_equilibrium(args.config, vtk_path=args.vtk)
-    except (ConfigError, MeshError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except HypothesisError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except InvariantError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    except tuple(_EXITS) as exc:
+        label, code = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -57,6 +57,32 @@ def _node_indices(rows, n_nodes, row, width=None):
     return idx.astype(np.int64)
 
 
+def _edge_cells(edge_cells, edge_kind, n_cells):
+    """``edge_cells`` as int64 (K, L) rows, one per edge: K an integer in
+    [0, n_cells); L another such integer on an interior edge, -1 on a
+    boundary edge."""
+    cells = np.asarray(edge_cells, dtype=float)
+    if cells.shape != (len(edge_kind), 2):
+        raise MeshError(f"edge cells must be one (K, L) row per edge, not {cells.shape}")
+    k, ell = cells.T
+    interior = edge_kind == INTERIOR
+    index = (cells == np.floor(cells)) & (cells >= 0) & (cells < n_cells)
+    ok = index[:, 0] & np.where(interior, index[:, 1] & (ell != k), ell == -1)
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        e = bad[0]
+        rule = ("K and L must be two different integers" if interior[e]
+                else "L must be -1 and K an integer")
+        raise MeshError(f"{_KIND_NAMES.get(edge_kind[e], 'boundary')} edge {e} has "
+                        f"cells ({k[e]:g}, {ell[e]:g}): {rule} in [0, {n_cells})")
+    return cells.astype(np.int64)
+
+
+def _format_rows(fmt, rows) -> str:
+    """``fmt`` once per row of ``rows``, filled in one formatting operation."""
+    return fmt * len(rows) % tuple(np.ravel(rows).tolist())
+
+
 def _read_only(arr):
     """``arr``, made read-only: a mesh shares its index arrays with every caller."""
     arr.flags.writeable = False
@@ -78,8 +104,9 @@ class Mesh:
         self.cell_nodes = _node_indices(cell_nodes, len(self.points), "cell")
         self.cell_centers = np.asarray(cell_centers, dtype=float)
         self.cell_measures = np.asarray(cell_measures, dtype=float)
+        self.n_cells = len(self.cell_measures)
         self.edge_kind = np.asarray(edge_kind, dtype=np.int8)
-        self.edge_cells = np.asarray(edge_cells, dtype=np.int64)
+        self.edge_cells = _edge_cells(edge_cells, self.edge_kind, self.n_cells)
         # Each edge is its two end nodes; their coordinates are gathered once.
         self.edge_nodes = _node_indices(edge_nodes, len(self.points), "edge", 2)
         self.edge_p1, self.edge_p2 = self.points.take(self.edge_nodes.T, axis=0)
@@ -95,13 +122,11 @@ class Mesh:
         if np.any(self.edge_measures <= 0.0):
             raise MeshError("nonpositive edge measure")
 
-        self.n_cells = len(self.cell_measures)
         self.n_edges = len(self.edge_kind)
 
         # d_sigma: center-to-center for interior edges, center-to-edge else.
         interior = self.edge_kind == INTERIOR
-        k = self.edge_cells[:, 0]
-        ell = self.edge_cells[:, 1]
+        k, ell = self.edge_cells.T
         d = np.empty(self.n_edges)
         xk = self.cell_centers[k]
         d[interior] = np.hypot(*(self.cell_centers[ell[interior]] - xk[interior]).T)
@@ -468,8 +493,8 @@ def write_mesh_file(mesh: Mesh, path) -> None:
     sides = zip(mesh.edge_nodes[bnd].tolist(), mesh.edge_kind[bnd].tolist())
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"nodes {len(mesh.points)}\n")
-        f.write(("%.17g %.17g\n" * len(mesh.points)) % tuple(mesh.points.ravel().tolist()))
+        f.write(_format_rows("%.17g %.17g\n", mesh.points))
         f.write(f"triangles {mesh.n_cells}\n")
-        f.write(("%d %d %d\n" * mesh.n_cells) % tuple(mesh.cell_nodes.ravel().tolist()))
+        f.write(_format_rows("%d %d %d\n", mesh.cell_nodes))
         f.write(f"boundary {np.count_nonzero(bnd)}\n")
         f.write("".join(f"{a} {b} {_KIND_NAMES[k]}\n" for (a, b), k in sides))

@@ -299,25 +299,24 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state: State,
 
     records = []
 
-    def emit(rec):
+    def emit(state, **record_args):
+        # An overflowing norm makes a non-finite record, refused just below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = diag.make_record(state, eq, problem, **record_args)
         if not (math.isfinite(rec.entropy) and math.isfinite(rec.production)):
             raise InvariantError(f"step {rec.step}: non-finite diagnostics, entropy "
                                  f"{rec.entropy:g} and production {rec.production:g}")
         records.append(rec)
         if sink is not None:
             sink(rec)
+        if state_sink is not None:
+            state_sink(state)
 
-    emit(diag.make_record(state, eq, problem, fp_iters=0, prev_record=None))
-    if state_sink is not None:
-        state_sink(state)
+    emit(state, fp_iters=0, prev_record=None)
     for _ in range(config.n_steps):
         try:
             state, report = stepper.advance(state)
         except (la.SolverError, InvariantError) as exc:
             raise type(exc)(f"step {state.step + 1}: {exc}") from exc
-        emit(diag.make_record(state, eq, problem,
-                              fp_iters=report.iterations, prev_record=records[-1],
-                              dt=config.dt))
-        if state_sink is not None:
-            state_sink(state)
+        emit(state, fp_iters=report.iterations, prev_record=records[-1], dt=config.dt)
     return state, records

@@ -12,7 +12,7 @@ from driftfv.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_INVARIANT,
                          main, reproduce_paper, write_vtk)
 from driftfv.diagnostics import read_csv, write_csv
 from driftfv.equilibrium import solve_equilibrium
-from driftfv.mesh import build_cartesian
+from driftfv.mesh import build_cartesian, import_triangulation
 from driftfv.problem import (NO_RECOMBINATION, PRESET_CASES, PRESET_DOPINGS,
                              RecombinationModel, State, pn_junction_preset)
 from driftfv.transient import BoundsTracker, StepperConfig, run
@@ -348,12 +348,13 @@ def test_density_bound_violation_exits_5(tmp_path, monkeypatch, capsys):
         "invariant violation: step 1: density bounds")
 
 
+@pytest.mark.filterwarnings("error")
 def test_nonfinite_diagnostics_exit_5(tmp_path, capsys):
     # At lambda2 = 1e-300 the potential's energy overflows: E is inf from
-    # the first record on, and no entropy check can hold or fail on it.
+    # the first record on, and no entropy check can hold or fail on it.  The
+    # overflow itself warns of nothing: the one invariant line is all.
     cfg = GOOD_CONFIG.replace("lambda2 = 1.0", "lambda2 = 1e-300")
-    with np.errstate(over="ignore"):
-        assert main(["run", _write(tmp_path, cfg)]) == EXIT_INVARIANT
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_INVARIANT
     assert capsys.readouterr().err == (
         "invariant violation: step 0: non-finite diagnostics, entropy inf "
         "and production 0\n")
@@ -519,6 +520,55 @@ def test_write_vtk_quad_connectivity(tmp_path):
     assert lines[j + 1] == "9" and lines[j + 2] == "9"
 
 
+_VTK_CELL_TYPES = {3: 5, 4: 9}
+
+
+def _loop_vtk(state, eq, mesh, path):
+    """Reference for ``write_vtk``: one ``write`` per line."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write("drift-diffusion state\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {len(mesh.points)} double\n")
+        for x, y in mesh.points:
+            f.write(f"{x:.17g} {y:.17g} 0.0\n")
+        size = mesh.cell_nodes.shape[1]
+        f.write(f"CELLS {mesh.n_cells} {(size + 1) * mesh.n_cells}\n")
+        for nodes in mesh.cell_nodes:
+            f.write(" ".join(map(str, (size, *nodes))) + "\n")
+        f.write(f"CELL_TYPES {mesh.n_cells}\n")
+        f.write(f"{_VTK_CELL_TYPES[size]}\n" * mesh.n_cells)
+        f.write(f"CELL_DATA {mesh.n_cells}\n")
+        arrays = (("N", state.n), ("P", state.p), ("Psi", state.psi),
+                  ("N_eq", eq.n), ("P_eq", eq.p), ("Psi_eq", eq.psi))
+        for name, values in arrays:
+            f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for v in values:
+                f.write(f"{v:.17g}\n")
+
+
+def _hexagon_fan():
+    """Six acute triangles around a center node, with irregular coordinates."""
+    angles = np.arange(6) * np.pi / 3.0 + 0.07
+    radii = np.array([1.0, 0.93, 1.05, 0.97, 1.02, 0.95])
+    nodes = [(0.04, -0.03)] + list(zip(radii * np.cos(angles), radii * np.sin(angles)))
+    triangles = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
+    labels = {(1 + i, 1 + (i + 1) % 6): "dirichlet" for i in range(6)}
+    return import_triangulation(nodes, triangles, labels)
+
+
+@pytest.mark.parametrize("mesh", [
+    pytest.param(build_cartesian(3, 2, domain=(0.0, 0.7, -0.3, 1.1)), id="quad"),
+    pytest.param(_hexagon_fan(), id="triangle")])
+def test_write_vtk_matches_the_loop_writer(tmp_path, mesh):
+    special = [-0.0, 1e-300, np.inf, np.nan, -np.inf, 0.1, 1 / 3]
+    values = np.resize(special, 6 * mesh.n_cells).reshape(6, mesh.n_cells)
+    state = State(*values[:3])
+    eq = State(*values[3:] * np.pi)
+    write_vtk(state, eq, mesh, tmp_path / "block.vtk")
+    _loop_vtk(state, eq, mesh, tmp_path / "loop.vtk")
+    assert (tmp_path / "block.vtk").read_bytes() == (tmp_path / "loop.vtk").read_bytes()
+
+
 def test_reproduce_tiny(tmp_path, capsys):
     rows = reproduce_paper(str(tmp_path), nx=4, dt=2e-2, t_end=0.1)
     assert len(rows) == 10
@@ -547,11 +597,18 @@ def test_reproduce_builds_the_mesh_once(tmp_path, monkeypatch, capsys):
     assert calls == [(4, 4)]
 
 
-def test_vtk_every_snapshots(tmp_path):
-    cfg = GOOD_CONFIG + f"\n[output]\nvtk = {tmp_path}/snap.vtk\n"
-    assert main(["run", _write(tmp_path, cfg), "--vtk-every", "2"]) == 0
-    snaps = sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".vtk")
-    assert snaps == ["snap_000000.vtk", "snap_000002.vtk", "snap_000004.vtk"]
+def test_vtk_every_snapshots(tmp_path, monkeypatch):
+    names = ["snap_000000.vtk", "snap_000002.vtk", "snap_000004.vtk"]
+    for sub, writer in (("block", write_vtk), ("loop", _loop_vtk)):
+        monkeypatch.setattr(cli, "write_vtk", writer)
+        out = tmp_path / sub
+        out.mkdir()
+        cfg = GOOD_CONFIG + f"\n[output]\nvtk = {out}/snap.vtk\n"
+        assert main(["run", _write(out, cfg), "--vtk-every", "2"]) == 0
+        assert sorted(p.name for p in out.iterdir() if p.suffix == ".vtk") == names
+    # The snapshots are those of the one-write-per-line reference, byte for byte.
+    for name in names:
+        assert (tmp_path / "block" / name).read_bytes() == (tmp_path / "loop" / name).read_bytes()
 
 
 def test_negative_vtk_every_exits_2(tmp_path, capsys):

@@ -590,6 +590,30 @@ def test_mesh_rejects_bad_node_index(field, row, index):
                                "each must be an integer in [0, 6)")
 
 
+_INTERIOR_RULE = "K and L must be two different integers"
+
+
+@pytest.mark.parametrize("edge, ell, message", [
+    # On the interior edge of the two cells: -1 would wrap to the last
+    # cell, 2 is no cell, and 0.5 would be truncated to K itself.
+    pytest.param(1, -1, f"interior edge 1 has cells (0, -1): {_INTERIOR_RULE}",
+                 id="interior-L=-1"),
+    pytest.param(1, 2, f"interior edge 1 has cells (0, 2): {_INTERIOR_RULE}",
+                 id="interior-L=2"),
+    pytest.param(1, 0.5, f"interior edge 1 has cells (0, 0.5): {_INTERIOR_RULE}",
+                 id="interior-L=0.5"),
+    pytest.param(0, 1, "dirichlet edge 0 has cells (0, 1): L must be -1 and K an integer",
+                 id="dirichlet-L=1")])
+def test_mesh_rejects_bad_edge_cells(edge, ell, message):
+    args = _mesh_args(build_cartesian(2, 1))
+    assert args["edge_kind"][1] == INTERIOR and args["edge_cells"][1].tolist() == [0, 1]
+    args["edge_cells"] = args["edge_cells"].astype(float)
+    args["edge_cells"][edge, 1] = ell
+    with pytest.raises(MeshError) as info:
+        Mesh(**args)
+    assert str(info.value) == f"{message} in [0, 2)"
+
+
 def test_mesh_file_with_nan_node_rejected(tmp_path):
     path = tmp_path / "nan.mesh"
     path.write_text("nodes 3\n0 0\nnan 1\n0 1\ntriangles 1\n0 1 2\n"
