@@ -1,8 +1,8 @@
 """Finite-volume drift-diffusion simulator with entropy diagnostics."""
 
 from .constitutive import PressureLaw, dr_mean, enthalpy, big_h, g_inverse
-from .diagnostics import (DiagnosticsRecord, check_entropy_chain, entropy,
-                          f_functional, fit_decay_rate, production, write_csv)
+from .diagnostics import (DiagnosticsRecord, check_entropy_chain, fit_decay_rate,
+                          write_csv)
 from .equilibrium import EquilibriumState, solve_equilibrium
 from .flux import bernoulli, sg_flux
 from .mesh import (Mesh, MeshError, build_cartesian, import_triangulation,

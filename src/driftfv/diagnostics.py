@@ -57,30 +57,6 @@ def _log_enthalpy(law, values):
     return cst.enthalpy(law, np.maximum(values, _LOG_CLAMP))
 
 
-def _entropy_density(law, s, s_eq):
-    return (cst.big_h(law, s) - cst.big_h(law, s_eq)
-            - _log_enthalpy(law, s_eq) * (s - s_eq))
-
-
-def _psi_seminorm(problem: Problem, state: State, eq: State) -> float:
-    """|Psi - Psi^eq|_1; both states carry the problem's Dirichlet data, so
-    Psi - Psi^eq is 0 there."""
-    return seminorm_h1(problem.mesh, state.psi - eq.psi, 0.0)
-
-
-def _entropy(problem: Problem, state: State, eq: State, dpsi: float) -> float:
-    law = problem.law
-    mk = problem.mesh.cell_measures
-    cells = (np.sum(mk * _entropy_density(law, state.n, eq.n))
-             + np.sum(mk * _entropy_density(law, state.p, eq.p)))
-    return float(cells + 0.5 * problem.lambda2 * dpsi ** 2)
-
-
-def entropy(problem: Problem, state: State, eq: State) -> float:
-    """Relative entropy E of the state with respect to the equilibrium."""
-    return _entropy(problem, state, eq, _psi_seminorm(problem, state, eq))
-
-
 def _edge_dissipation(problem: Problem, values, dpsi, sign: float):
     """Edge sum of one species from its cell values, then Dirichlet values,
     and D Psi per active edge; also returns h of ``values``."""
@@ -93,59 +69,73 @@ def _edge_dissipation(problem: Problem, values, dpsi, sign: float):
     return float(np.sum(mesh.active_tau * np.where(mins > 0.0, mins * w ** 2, 0.0))), h
 
 
-def production(problem: Problem, state: State, eq: State) -> float:
-    """Entropy dissipation I of the state."""
-    mesh = problem.mesh
-    first, other = mesh.active_cells
-    psi = np.concatenate([state.psi, problem.psi_dirichlet])
-    dpsi = psi[other] - psi[first]
-    i_n, h_n = _edge_dissipation(
-        problem, np.concatenate([state.n, problem.n_dirichlet]), dpsi, 1.0)
-    i_p, h_p = _edge_dissipation(
-        problem, np.concatenate([state.p, problem.p_dirichlet]), dpsi, -1.0)
-    total = i_n + i_p
-    if not problem.recombination.is_none:
-        law, n = problem.law, mesh.n_cells
-        r = problem.recombination.rate(state.n, state.p)
-        dh = (h_n[:n] + h_p[:n]
-              - _log_enthalpy(law, eq.n) - _log_enthalpy(law, eq.p))
-        total += float(np.sum(mesh.cell_measures * r * dh))
-    return total
+class Reference:
+    """The equilibrium a run's diagnostics measure against, with the terms
+    of E and I that depend on it alone, H and h of N^eq and P^eq, computed
+    once per run."""
+
+    def __init__(self, problem: Problem, eq: State):
+        self.problem, self.eq = problem, eq
+        self.big_h_n, self.big_h_p = (cst.big_h(problem.law, s) for s in (eq.n, eq.p))
+        self.h_n, self.h_p = (_log_enthalpy(problem.law, s) for s in (eq.n, eq.p))
+
+    def psi_energy(self, state: State) -> float:
+        """lambda^2/2 |Psi - Psi^eq|_1^2, the potential's part of E and of F.
+        Both states carry the problem's Dirichlet data, so Psi - Psi^eq is 0
+        there."""
+        dpsi = seminorm_h1(self.problem.mesh, state.psi - self.eq.psi, 0.0)
+        return 0.5 * self.problem.lambda2 * dpsi ** 2
+
+    def entropy(self, state: State, psi_energy: Optional[float] = None) -> float:
+        """Relative entropy E of the state; ``psi_energy`` is its
+        :meth:`psi_energy` when the caller has it already."""
+        law, mk, eq = self.problem.law, self.problem.mesh.cell_measures, self.eq
+        cells = (np.sum(mk * (cst.big_h(law, state.n) - self.big_h_n
+                              - self.h_n * (state.n - eq.n)))
+                 + np.sum(mk * (cst.big_h(law, state.p) - self.big_h_p
+                                - self.h_p * (state.p - eq.p))))
+        return float(cells + (self.psi_energy(state) if psi_energy is None else psi_energy))
+
+    def production(self, state: State) -> float:
+        """Entropy dissipation I of the state."""
+        problem, mesh = self.problem, self.problem.mesh
+        first, other = mesh.active_cells
+        psi = np.concatenate([state.psi, problem.psi_dirichlet])
+        dpsi = psi[other] - psi[first]
+        i_n, h_n = _edge_dissipation(
+            problem, np.concatenate([state.n, problem.n_dirichlet]), dpsi, 1.0)
+        i_p, h_p = _edge_dissipation(
+            problem, np.concatenate([state.p, problem.p_dirichlet]), dpsi, -1.0)
+        total = i_n + i_p
+        if not problem.recombination.is_none:
+            r = problem.recombination.rate(state.n, state.p)
+            dh = h_n[:mesh.n_cells] + h_p[:mesh.n_cells] - self.h_n - self.h_p
+            total += float(np.sum(mesh.cell_measures * r * dh))
+        return total
 
 
-def _quadratic_distance(problem: Problem, l2_n: float, l2_p: float,
-                        dpsi: float) -> float:
-    return l2_n ** 2 + l2_p ** 2 + 0.5 * problem.lambda2 * dpsi ** 2
-
-
-def f_functional(problem: Problem, state: State, eq: State) -> float:
-    """Quadratic distance F = ||N-N^eq||^2 + ||P-P^eq||^2 + lambda^2/2 |DPsi|^2."""
-    mesh = problem.mesh
-    return _quadratic_distance(problem, norm_l2(mesh, state.n - eq.n),
-                               norm_l2(mesh, state.p - eq.p),
-                               _psi_seminorm(problem, state, eq))
-
-
-def make_record(state: State, eq: State, problem: Problem, fp_iters: int,
+def make_record(reference: Reference, state: State, fp_iters: int,
                 prev_record: Optional[DiagnosticsRecord],
                 dt: float = 0.0) -> DiagnosticsRecord:
-    mesh = problem.mesh
-    dpsi = _psi_seminorm(problem, state, eq)
+    """The record of ``state``: E, I (0 at step 0), the quadratic distance
+    F = ||N-N^eq||^2 + ||P-P^eq||^2 + lambda^2/2 |Psi-Psi^eq|_1^2, the
+    L2 distances, the density extremes, and the slack of the entropy
+    inequality against ``prev_record`` (0 without one)."""
+    eq, mesh = reference.eq, reference.problem.mesh
+    half = reference.psi_energy(state)
     l2_n = norm_l2(mesh, state.n - eq.n)
     l2_p = norm_l2(mesh, state.p - eq.p)
-    e = _entropy(problem, state, eq, dpsi)
-    i = production(problem, state, eq) if state.step > 0 else 0.0
-    slack = 0.0
-    if prev_record is not None:
-        slack = prev_record.entropy - e - dt * i
+    e = reference.entropy(state, half)
+    i = reference.production(state) if state.step > 0 else 0.0
     return DiagnosticsRecord(
         step=state.step, t=state.time, entropy=e, production=i,
-        f_functional=_quadratic_distance(problem, l2_n, l2_p, dpsi),
+        f_functional=l2_n ** 2 + l2_p ** 2 + half,
         l2_n=l2_n, l2_p=l2_p,
         l2_psi=norm_l2(mesh, state.psi - eq.psi),
         min_n=float(np.min(state.n)), max_n=float(np.max(state.n)),
         min_p=float(np.min(state.p)), max_p=float(np.max(state.p)),
-        fp_iters=fp_iters, slack=slack)
+        fp_iters=fp_iters,
+        slack=0.0 if prev_record is None else prev_record.entropy - e - dt * i)
 
 
 def entropy_slack_tolerance(fp_tol: float, e0: float) -> float:

@@ -335,15 +335,18 @@ def import_triangulation(nodes, triangles, boundary_labels) -> Mesh:
     labels = {tuple(sorted(k)): v for k, v in boundary_labels.items()}
 
     # Circumcenters and areas of all triangles at once, in the operation
-    # order of the per-triangle reference in the tests: bit for bit.
+    # order of the per-triangle reference in the tests: bit for bit.  Huge
+    # coordinates overflow here without a warning; Mesh refuses the
+    # non-finite centers.
     (ax, ay), (bx, by), (cx, cy) = (nodes[tri[:, i]].T for i in range(3))
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if np.any(np.abs(d) < 1e-300):
-        raise MeshError("degenerate triangle")
-    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-    centers = np.column_stack([(a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d,
-                               (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d])
-    measures = 0.5 * np.abs((bx - ax) * (cy - ay) - (cx - ax) * (by - ay))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+        if np.any(np.abs(d) < 1e-300):
+            raise MeshError("degenerate triangle")
+        a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+        centers = np.column_stack([(a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d,
+                                   (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d])
+        measures = 0.5 * np.abs((bx - ax) * (cy - ay) - (cx - ax) * (by - ay))
 
     # Sides (a, b), (b, c), (c, a) of each triangle in turn, as sorted node
     # pairs; a stable sort groups equal pairs with their triangles ascending.
@@ -438,6 +441,19 @@ def validate(mesh: Mesh) -> ValidationReport:
 
 # -- plain-text mesh file format ------------------------------------------
 
+def _parse_tokens(tokens, dtype, what):
+    """``tokens`` as one array of ``dtype``.  A bad token gets the message of
+    its Python cast; an integer past int64 is kept, as a Python int, for the
+    node-index checks to refuse."""
+    try:
+        try:
+            return np.array(tokens, dtype=dtype)
+        except OverflowError:
+            return np.array([int(t) for t in tokens])
+    except ValueError as exc:
+        raise MeshError(f"mesh file: bad {what}: {exc}") from None
+
+
 def read_mesh_file(path) -> Mesh:
     """Read a triangulation from the plain-text node/element format.
 
@@ -452,34 +468,35 @@ def read_mesh_file(path) -> Mesh:
         raise MeshError(f"mesh file: not UTF-8 text: {exc}") from None
     pos = 0
 
-    def take(count, cast, what):
+    def take(count, what, dtype=None):
+        """The next ``count`` tokens; as one array of ``dtype`` when given."""
         nonlocal pos
         chunk = tokens[pos:pos + count]
         pos += count
         if len(chunk) < count:
             raise MeshError(f"mesh file: ends early, {what} missing")
-        try:
-            return [cast(t) for t in chunk]
-        except ValueError as exc:
-            raise MeshError(f"mesh file: bad {what}: {exc}") from None
+        return chunk if dtype is None else _parse_tokens(chunk, dtype, what)
 
     def expect(word, least):
-        if take(1, str, f"'{word}' header") != [word]:
+        if take(1, f"'{word}' header") != [word]:
             raise MeshError(f"mesh file: expected '{word}' header")
-        (count,) = take(1, int, f"'{word}' count")
+        count = int(take(1, f"'{word}' count", int)[0])
         if count < least:
             raise MeshError(f"mesh file: '{word}' count must be >= {least}")
         return count
 
     n = expect("nodes", 3)
-    nodes = np.array(take(2 * n, float, "node coordinates")).reshape(n, 2)
+    nodes = take(2 * n, "node coordinates", float).reshape(n, 2)
     m = expect("triangles", 1)
-    tris = np.array(take(3 * m, int, "triangle node indices")).reshape(m, 3)
+    tris = take(3 * m, "triangle node indices", int).reshape(m, 3)
     k = expect("boundary", 0)
-    labels = {}
-    for _ in range(k):
-        a, b = take(2, int, "boundary side")
-        labels[(a, b)] = take(1, str, "boundary label")[0]
+    rows = tokens[pos:pos + 3 * k]
+    # As if read line by line: a bad index comes before a missing line, and
+    # the message of a missing line names the first item it lacks.
+    sides = _parse_tokens([t for i, t in enumerate(rows) if i % 3 < 2], int,
+                          "boundary side")
+    take(3 * k, "boundary label" if len(rows) % 3 == 2 else "boundary side")
+    labels = dict(zip(map(tuple, sides.reshape(k, 2).tolist()), rows[2::3]))
     return import_triangulation(nodes, tris, labels)
 
 

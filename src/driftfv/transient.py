@@ -284,16 +284,19 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state: State,
         sink=None, state_sink=None):
     """Execute floor(t_end/dt) steps, emitting one diagnostics record per level.
 
-    ``equilibrium_state`` provides the reference for the entropy functionals;
-    ``sink``, when given, is called with each DiagnosticsRecord, and
-    ``state_sink`` with each State (including the initial one).  Returns the
-    final state and the list of records.  Raises ``InvariantError`` at the
-    first record whose entropy or production is not finite: no check of the
-    entropy chain can pass or fail on it.
+    ``equilibrium_state`` is the reference of the entropy functionals, built
+    into one ``diagnostics.Reference`` for the run; ``sink``, when given, is
+    called with each DiagnosticsRecord, and ``state_sink`` with each State
+    (including the initial one).  Returns the final state and the list of
+    records.  Raises ``InvariantError`` at the first record whose entropy or
+    production is not finite: no check of the entropy chain can pass or fail
+    on it.
     """
     from . import diagnostics as diag
 
-    eq = equilibrium_state
+    # Overflowing terms make a non-finite record, which emit refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = diag.Reference(problem, equilibrium_state)
     stepper = Stepper(problem, config)
     state = stepper.initial_state()
 
@@ -302,7 +305,7 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state: State,
     def emit(state, **record_args):
         # An overflowing norm makes a non-finite record, refused just below.
         with np.errstate(over="ignore", invalid="ignore"):
-            rec = diag.make_record(state, eq, problem, **record_args)
+            rec = diag.make_record(reference, state, **record_args)
         if not (math.isfinite(rec.entropy) and math.isfinite(rec.production)):
             raise InvariantError(f"step {rec.step}: non-finite diagnostics, entropy "
                                  f"{rec.entropy:g} and production {rec.production:g}")

@@ -106,6 +106,9 @@ _MALFORMED_MESH_FILES = {
     # A node index out of range is import_triangulation's to report.
     "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 3\nboundary 0\n":
         "triangle 0 has node indices (0, 1, 3): each must be an integer in [0, 3)\n",
+    # An index past int64 is read whole, and refused as out of range.
+    "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 100000000000000000000\nboundary 0\n":
+        "triangle 0 has node indices (0, 1, 1e+20): each must be an integer in [0, 3)\n",
     "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3\n0 1 dirichlet\n":
         "mesh file: ends early, boundary side missing"}
 
@@ -144,6 +147,18 @@ def test_non_utf8_mesh_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: mesh file: not UTF-8 text: 'utf-8' codec")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_mesh_file_exits_2_without_warnings(tmp_path, capsys):
+    # The coordinates are finite, but the circumcenters overflow: the mesh
+    # is refused with one line, and no numpy warning comes before it.
+    text = ("nodes 3\n0 0\n1e308 0\n0 1\ntriangles 1\n0 1 2\n"
+            "boundary 3\n0 1 dirichlet\n1 2 dirichlet\n0 2 dirichlet\n")
+    mesh_path = _write(tmp_path, text, name="huge.mesh")
+    cfg = GOOD_CONFIG.replace("type = cartesian", f"type = file\nfile = {mesh_path}")
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: non-finite cell centers\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -214,6 +229,19 @@ def test_overflowing_step_count_run_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("hypothesis violation: end time 1e+308 over time step 0.01 "
                    "gives no finite step count\n")
+
+
+def test_reproduce_checks_every_preset_before_solving(tmp_path, capsys):
+    # dt = 1 is allowed for the undoped linear_r0_zero, which runs first,
+    # but not for the doped linear_r0_pn: nothing runs, nothing is written.
+    outdir = tmp_path / "out"
+    assert main(["reproduce", "--outdir", str(outdir), "--nx", "4",
+                 "--dt", "1"]) == EXIT_HYPOTHESIS
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("hypothesis violation: time step 1 must be below "
+                   "lambda^2/||C||_inf = 1 with nonzero doping\n")
+    assert not any(outdir.iterdir())
 
 
 @pytest.mark.parametrize("flag, value", [("--t-end", "1e308"), ("--dt", "1e-320")])

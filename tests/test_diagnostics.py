@@ -3,14 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from driftfv import constitutive, diagnostics
 from driftfv.constitutive import PressureLaw, big_h, enthalpy
-from driftfv.diagnostics import (DiagnosticsRecord, check_entropy_chain,
-                                 entropy, entropy_slack_tolerance,
-                                 f_functional, fit_decay_rate, make_record,
-                                 production, read_csv, write_csv)
+from driftfv.diagnostics import (DiagnosticsRecord, Reference,
+                                 check_entropy_chain, entropy_slack_tolerance,
+                                 fit_decay_rate, make_record, read_csv,
+                                 write_csv)
 from driftfv.equilibrium import solve_equilibrium
 from driftfv.mesh import (INTERIOR, NEUMANN, build_cartesian,
-                          import_triangulation, seminorm_h1)
+                          import_triangulation, norm_l2, seminorm_h1)
 from driftfv.problem import (State, contact_predicate, discretize_data,
                              pn_junction_preset)
 from driftfv.transient import StepperConfig, run
@@ -32,8 +33,9 @@ def test_entropy_single_cell():
     prob = _single_cell_problem()
     eq = _state([1.0], [1.0], [0.0])
     state = _state([np.e], [1.0], [0.0])
-    assert entropy(prob, state, eq) == pytest.approx(1.0)
-    assert entropy(prob, eq, eq) == 0.0
+    reference = Reference(prob, eq)
+    assert reference.entropy(state) == pytest.approx(1.0)
+    assert reference.entropy(eq) == 0.0
 
 
 def test_entropy_positive_on_perturbations():
@@ -41,13 +43,14 @@ def test_entropy_positive_on_perturbations():
     mesh = build_cartesian(6, 6, dirichlet_predicate=preset.dirichlet_predicate)
     prob = preset.build(mesh)
     eq = solve_equilibrium(prob)
+    reference = Reference(prob, eq)
     rng = np.random.default_rng(2)
     for _ in range(20):
         state = State(
             eq.n * np.exp(rng.uniform(-0.5, 0.5, mesh.n_cells)),
             eq.p * np.exp(rng.uniform(-0.5, 0.5, mesh.n_cells)),
             eq.psi + rng.uniform(-0.5, 0.5, mesh.n_cells))
-        assert entropy(prob, state, eq) > 0.0
+        assert reference.entropy(state) > 0.0
 
 
 def test_production_two_cell():
@@ -66,7 +69,7 @@ def test_production_two_cell():
     # Dirichlet edges also contribute: suppress them by matching boundary data.
     prob = dataclasses.replace(
         prob, n_dirichlet=n[prob.mesh.edge_cells[prob.mesh.dirichlet_edges, 0]])
-    assert production(prob, state, eq) == pytest.approx(2.0)
+    assert Reference(prob, eq).production(state) == pytest.approx(2.0)
 
 
 def test_production_zero_at_equilibrium():
@@ -74,7 +77,7 @@ def test_production_zero_at_equilibrium():
     mesh = build_cartesian(6, 6, dirichlet_predicate=preset.dirichlet_predicate)
     prob = preset.build(mesh)
     eq = solve_equilibrium(prob)
-    assert production(prob, eq, eq) == pytest.approx(0.0, abs=1e-13)
+    assert Reference(prob, eq).production(eq) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_production_handles_zero_density():
@@ -82,7 +85,7 @@ def test_production_handles_zero_density():
     eq = _state([1.0], [1.0], [0.0])
     state = _state([0.0], [1.0], [0.0])
     prob = dataclasses.replace(prob, n_dirichlet=np.zeros(prob.mesh.n_dirichlet))
-    value = production(prob, state, eq)
+    value = Reference(prob, eq).production(state)
     assert np.isfinite(value)
 
 
@@ -90,8 +93,9 @@ def test_f_functional():
     prob = _single_cell_problem()
     eq = _state([1.0], [1.0], [0.0])
     state = _state([3.0], [1.0], [0.0])
-    assert f_functional(prob, state, eq) == pytest.approx(4.0)
-    assert f_functional(prob, eq, eq) == 0.0
+    reference = Reference(prob, eq)
+    assert make_record(reference, state, 0, None).f_functional == pytest.approx(4.0)
+    assert make_record(reference, eq, 0, None).f_functional == 0.0
 
 
 def _records_from_entropy(ts, es):
@@ -268,11 +272,107 @@ def test_diagnostics_match_per_edge_oracle(make_mesh, case):
                   prob.p_initial * np.exp(rng.uniform(-0.3, 0.3, mesh.n_cells)),
                   eq.psi + rng.uniform(-0.3, 0.3, mesh.n_cells), step=1, time=0.01)
     i_want, psi_want, dpsi_want, e_want, f_want = _per_edge_diagnostics(prob, state, eq)
-    record = make_record(state, eq, prob, 3, None)
-    assert production(prob, state, eq) == pytest.approx(i_want, rel=1e-13)
+    reference = Reference(prob, eq)
+    record = make_record(reference, state, 3, None)
+    assert reference.production(state) == pytest.approx(i_want, rel=1e-13)
     assert record.production == pytest.approx(i_want, rel=1e-13)
     assert seminorm_h1(mesh, state.psi, prob.psi_dirichlet) == pytest.approx(
         psi_want, rel=1e-13)
     assert seminorm_h1(mesh, state.psi - eq.psi, 0.0) == pytest.approx(dpsi_want, rel=1e-13)
     assert record.entropy == pytest.approx(e_want, rel=1e-13)
     assert record.f_functional == pytest.approx(f_want, rel=1e-13)
+
+
+def _head_diagnostics(problem, state, eq):
+    """(E, I, F) by the formulas the record used before it had a
+    ``Reference``: H and h of the equilibrium taken afresh on each call."""
+    law, mesh = problem.law, problem.mesh
+
+    def log_h(values):
+        return enthalpy(law, np.maximum(values, 1e-300))
+
+    def density(s, s_eq):
+        return big_h(law, s) - big_h(law, s_eq) - log_h(s_eq) * (s - s_eq)
+
+    def edge_sum(values, dpsi, sign):
+        h = log_h(values)
+        first, other = mesh.active_cells
+        w = (h[other] - h[first]) - sign * dpsi
+        mins = np.minimum(values[first], values[other])
+        return float(np.sum(mesh.active_tau * np.where(mins > 0.0, mins * w ** 2, 0.0))), h
+
+    seminorm = seminorm_h1(mesh, state.psi - eq.psi, 0.0)
+    mk = mesh.cell_measures
+    cells = np.sum(mk * density(state.n, eq.n)) + np.sum(mk * density(state.p, eq.p))
+    e = float(cells + 0.5 * problem.lambda2 * seminorm ** 2)
+
+    first, other = mesh.active_cells
+    psi = np.concatenate([state.psi, problem.psi_dirichlet])
+    dpsi = psi[other] - psi[first]
+    i_n, h_n = edge_sum(np.concatenate([state.n, problem.n_dirichlet]), dpsi, 1.0)
+    i_p, h_p = edge_sum(np.concatenate([state.p, problem.p_dirichlet]), dpsi, -1.0)
+    i = i_n + i_p
+    if not problem.recombination.is_none:
+        n = mesh.n_cells
+        r = problem.recombination.rate(state.n, state.p)
+        dh = h_n[:n] + h_p[:n] - log_h(eq.n) - log_h(eq.p)
+        i += float(np.sum(mk * r * dh))
+
+    f = (norm_l2(mesh, state.n - eq.n) ** 2 + norm_l2(mesh, state.p - eq.p) ** 2
+         + 0.5 * problem.lambda2 * seminorm ** 2)
+    return e, i, f
+
+
+# Isothermal and power laws; no recombination, SRH and Auger.
+@pytest.mark.parametrize("case", ["linear_r0", "linear_srh", "linear_auger",
+                                  "nonlinear_nondegenerate", "nonlinear_degenerate"])
+def test_record_matches_the_per_call_formulas_bit_for_bit(case):
+    preset = pn_junction_preset(case, "pn")
+    mesh = build_cartesian(6, 6, dirichlet_predicate=preset.dirichlet_predicate)
+    prob = preset.build(mesh)
+    eq = solve_equilibrium(prob)
+    reference = Reference(prob, eq)
+    rng = np.random.default_rng(5)
+    for step in range(1, 6):
+        # A density of 0 in some cells reaches the clamped logarithm.
+        state = State(prob.n_initial * rng.uniform(0.0, 2.0, mesh.n_cells) * (step != 3),
+                      prob.p_initial * rng.uniform(0.0, 2.0, mesh.n_cells),
+                      eq.psi + rng.uniform(-0.5, 0.5, mesh.n_cells), step=step)
+        record = make_record(reference, state, 1, None)
+        want = _head_diagnostics(prob, state, eq)
+        assert (record.entropy, record.production, record.f_functional) == want
+        assert reference.entropy(state) == want[0]
+        assert reference.production(state) == want[1]
+
+
+def test_a_run_takes_the_equilibrium_terms_once(monkeypatch):
+    # One Reference per run, and H of the equilibrium once in it: each
+    # record takes H of its own N and P only.  The run builds each record
+    # through the module's make_record, which the benchmark's tracer times.
+    preset = pn_junction_preset("linear_srh", "pn")
+    mesh = build_cartesian(4, 4, dirichlet_predicate=preset.dirichlet_predicate)
+    prob = preset.build(mesh)
+    eq = solve_equilibrium(prob)
+    built, big_h_calls, record_calls = [], [], []
+
+    class CountingReference(Reference):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    def counting_big_h(law, s):
+        big_h_calls.append(s)
+        return big_h(law, s)
+
+    def counting_make_record(*args, **kwargs):
+        record_calls.append(args[1].step)
+        return make_record(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "Reference", CountingReference)
+    monkeypatch.setattr(diagnostics, "make_record", counting_make_record)
+    monkeypatch.setattr(constitutive, "big_h", counting_big_h)
+    _, records = run(prob, StepperConfig(dt=1e-2, t_end=0.05), eq)
+    assert len(records) == 6
+    assert built == [(prob, eq)]
+    assert record_calls == [r.step for r in records] == list(range(6))
+    assert len(big_h_calls) == 2 + 2 * len(records)

@@ -112,14 +112,15 @@ def test_degenerate_equilibrium_reports():
 
 
 def test_entropy_of_equilibrium_is_zero():
-    from driftfv.diagnostics import entropy, production
+    from driftfv.diagnostics import Reference
     preset = pn_junction_preset("linear_srh", "pn")
     mesh = build_cartesian(8, 8, dirichlet_predicate=preset.dirichlet_predicate)
     prob = preset.build(mesh)
     eq = solve_equilibrium(prob)
     state = eq
-    assert entropy(prob, state, eq) == pytest.approx(0.0, abs=1e-14)
-    assert production(prob, state, eq) == pytest.approx(0.0, abs=1e-14)
+    reference = Reference(prob, eq)
+    assert reference.entropy(state) == pytest.approx(0.0, abs=1e-14)
+    assert reference.production(state) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_residual_history_monotone_tail():
