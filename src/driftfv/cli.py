@@ -2,7 +2,9 @@
 
 Configs are INI files; ``_SCHEMA`` is their format and README documents it.
 Exit codes: 0 success, 2 configuration error, 3 violated structural
-hypothesis, 4 solver failure, 5 violated discrete invariant.
+hypothesis, 4 solver failure, 5 violated discrete invariant.  ``main`` runs
+each command with numpy's floating-point warnings off, so that a refused input
+prints its one stderr line alone; every result a command writes is checked.
 """
 from __future__ import annotations
 
@@ -39,8 +41,9 @@ class ConfigError(ValueError):
 
 
 # Error class -> the label ``main`` prints before its message, and the exit
-# code; the first class in this order that matches an error is taken.
-_EXITS = {**dict.fromkeys((ConfigError, MeshError, OSError),
+# code; the first class in this order that matches an error is taken.  A
+# MemoryError is a mesh too large to allocate.
+_EXITS = {**dict.fromkeys((ConfigError, MeshError, OSError, MemoryError),
                           ("configuration error", EXIT_CONFIG)),
           HypothesisError: ("hypothesis violation", EXIT_HYPOTHESIS),
           SolverError: ("solver failure", EXIT_SOLVER),
@@ -307,7 +310,6 @@ def run_equilibrium(config_path, vtk_path=None) -> RunManifest:
 def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=StepperConfig.dt,
                     t_end=StepperConfig.t_end) -> list:
     """Run all ten PN-junction preset cases and write CSVs plus a summary."""
-    os.makedirs(outdir, exist_ok=True)
     # Every preset has the diode's contacts, so they all share one mesh.
     if mesh_file is not None:
         mesh = read_mesh_file(mesh_file)
@@ -321,6 +323,7 @@ def reproduce_paper(outdir, mesh_file=None, nx=32, ny=None, dt=StepperConfig.dt,
     problems = [preset.build(mesh) for preset in presets]
     for problem in problems:
         _validate_steps(config, problem)
+    os.makedirs(outdir, exist_ok=True)
     rows, timings = [], {}
     for preset, problem in zip(presets, problems):
         eq = solve_equilibrium(problem)
@@ -394,15 +397,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run" and args.vtk_every < 0:
         parser.error(f"argument --vtk-every: must be >= 0, got {args.vtk_every}")
+    # A refused input's numpy warnings would come before its one line.
     try:
-        if args.command == "run":
-            run_scenario(args.config, csv_override=args.csv,
-                         vtk_every=args.vtk_every)
-        elif args.command == "reproduce":
-            reproduce_paper(args.outdir, mesh_file=args.mesh,
-                            nx=args.nx, ny=args.ny, dt=args.dt, t_end=args.t_end)
-        else:
-            run_equilibrium(args.config, vtk_path=args.vtk)
+        with np.errstate(all="ignore"):
+            if args.command == "run":
+                run_scenario(args.config, csv_override=args.csv,
+                             vtk_every=args.vtk_every)
+            elif args.command == "reproduce":
+                reproduce_paper(args.outdir, mesh_file=args.mesh, nx=args.nx,
+                                ny=args.ny, dt=args.dt, t_end=args.t_end)
+            else:
+                run_equilibrium(args.config, vtk_path=args.vtk)
     except tuple(_EXITS) as exc:
         label, code = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
         print(f"{label}: {exc}", file=sys.stderr)

@@ -336,17 +336,15 @@ def import_triangulation(nodes, triangles, boundary_labels) -> Mesh:
 
     # Circumcenters and areas of all triangles at once, in the operation
     # order of the per-triangle reference in the tests: bit for bit.  Huge
-    # coordinates overflow here without a warning; Mesh refuses the
-    # non-finite centers.
+    # coordinates overflow here; Mesh refuses the non-finite centers.
     (ax, ay), (bx, by), (cx, cy) = (nodes[tri[:, i]].T for i in range(3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-        if np.any(np.abs(d) < 1e-300):
-            raise MeshError("degenerate triangle")
-        a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-        centers = np.column_stack([(a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d,
-                                   (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d])
-        measures = 0.5 * np.abs((bx - ax) * (cy - ay) - (cx - ax) * (by - ay))
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    if np.any(np.abs(d) < 1e-300):
+        raise MeshError("degenerate triangle")
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    centers = np.column_stack([(a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d,
+                               (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d])
+    measures = 0.5 * np.abs((bx - ax) * (cy - ay) - (cx - ax) * (by - ay))
 
     # Sides (a, b), (b, c), (c, a) of each triangle in turn, as sorted node
     # pairs; a stable sort groups equal pairs with their triangles ascending.

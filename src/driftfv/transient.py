@@ -294,18 +294,14 @@ def run(problem: Problem, config: StepperConfig, equilibrium_state: State,
     """
     from . import diagnostics as diag
 
-    # Overflowing terms make a non-finite record, which emit refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        reference = diag.Reference(problem, equilibrium_state)
+    reference = diag.Reference(problem, equilibrium_state)
     stepper = Stepper(problem, config)
     state = stepper.initial_state()
 
     records = []
 
     def emit(state, **record_args):
-        # An overflowing norm makes a non-finite record, refused just below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            rec = diag.make_record(reference, state, **record_args)
+        rec = diag.make_record(reference, state, **record_args)
         if not (math.isfinite(rec.entropy) and math.isfinite(rec.production)):
             raise InvariantError(f"step {rec.step}: non-finite diagnostics, entropy "
                                  f"{rec.entropy:g} and production {rec.production:g}")

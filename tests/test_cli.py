@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import math
+import os
 import pathlib
 import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftfv import cli
 from driftfv.cli import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_INVARIANT,
@@ -220,7 +228,7 @@ def test_zero_step_reproduce_exits_3(tmp_path, capsys):
     assert main(["reproduce", "--outdir", str(outdir), "--nx", "4",
                  "--t-end", "0"]) == EXIT_HYPOTHESIS
     assert "hypothesis violation: end time 0 gives no time step" in capsys.readouterr().err
-    assert not any(outdir.iterdir())
+    assert not outdir.exists()
 
 
 def test_overflowing_step_count_run_exits_3(tmp_path, capsys):
@@ -241,7 +249,7 @@ def test_reproduce_checks_every_preset_before_solving(tmp_path, capsys):
     assert out == ""
     assert err == ("hypothesis violation: time step 1 must be below "
                    "lambda^2/||C||_inf = 1 with nonzero doping\n")
-    assert not any(outdir.iterdir())
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--t-end", "1e308"), ("--dt", "1e-320")])
@@ -251,7 +259,7 @@ def test_overflowing_step_count_reproduce_exits_3(tmp_path, capsys, flag, value)
                  flag, value]) == EXIT_HYPOTHESIS
     err = capsys.readouterr().err
     assert "gives no finite step count" in err and "Traceback" not in err
-    assert not any(outdir.iterdir())
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("flag", ["--nx", "--ny"])
@@ -260,7 +268,7 @@ def test_reproduce_rejects_an_empty_mesh_axis(tmp_path, capsys, flag):
     assert main(["reproduce", "--outdir", str(outdir), flag, "0",
                  "--t-end", "0.01"]) == EXIT_CONFIG
     assert "configuration error: nx, ny must be >= 1" in capsys.readouterr().err
-    assert not any(outdir.iterdir())
+    assert not outdir.exists()
 
 
 # Rows of the [time] and [solver] sections, whose ranges `equilibrium`
@@ -734,3 +742,212 @@ def test_degenerate_run_takes_the_experimental_budget(tmp_path):
     write_csv(records, want)
     assert csv_path.read_bytes() == want.read_bytes()
     assert max(rec.fp_iters for rec in read_csv(csv_path)) > 200
+
+
+# -- the commands' contract: exit in {0, 2, 3, 4, 5} with one stderr line --
+
+def _run_main(argv):
+    """``main(argv)`` in-process: its exit code, its stderr and the warnings
+    it recorded."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), caught
+
+
+def _assert_contract(code, err, caught):
+    assert code in (0, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_SOLVER, EXIT_INVARIANT)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    # Stepper.advance reports an excess over the doped bound envelope.
+    assert [str(w.message) for w in caught
+            if not (w.category is RuntimeWarning and "density bounds" in str(w.message))] == []
+
+
+# Each config made a numpy RuntimeWarning come before the error line: the
+# site it came from -> the command, the edit of GOOD_CONFIG and the exit code.
+_LEAKING_CONFIGS = {
+    "enthalpy-power-overflow": ("run", "law = isothermal", "law = power\nalpha = 800",
+                                EXIT_HYPOTHESIS),
+    "enthalpy-log-of-negative": ("run", "n_bottom = 2.718281828459045", "n_bottom = -1e308",
+                                 EXIT_HYPOTHESIS),
+    "initial-profile": ("run", "p_top = 1.0", "p_top = inf", EXIT_HYPOTHESIS),
+    "poisson-dirichlet": ("run", "lambda2 = 1.0", "lambda2 = 1e308", EXIT_INVARIANT),
+    "poisson-right-hand-side": ("run", "lambda2 = 1.0", "lambda2 = 1e-320", EXIT_INVARIANT),
+    "mass-over-dt": ("run", "dt = 1e-2\nt_end = 0.05", "dt = 1e-320\nt_end = 1e-320",
+                     EXIT_SOLVER),
+    "auger-r0": ("run", "[solver]", "[recombination]\nkind = auger\nc_n = 1e308\n\n[solver]",
+                 EXIT_SOLVER),
+    "equilibrium-enthalpy": ("equilibrium", "law = isothermal", "law = power\nalpha = 1e308",
+                             EXIT_HYPOTHESIS)}
+
+
+@pytest.mark.parametrize("name", _LEAKING_CONFIGS)
+def test_overflowing_config_exits_with_one_line_and_no_warning(tmp_path, name):
+    command, old, new, want = _LEAKING_CONFIGS[name]
+    code, err, caught = _run_main([command, _write(tmp_path, GOOD_CONFIG.replace(old, new))])
+    assert code == want
+    assert err.count("\n") == 1 and caught == []
+
+
+# 10**15 + 1 nodes in a row need 7 PiB, which no address space holds: the
+# allocation fails at once, whatever the machine's overcommit setting.
+@pytest.mark.parametrize("command", ["run", "reproduce"])
+def test_mesh_too_large_to_allocate_exits_2(tmp_path, command):
+    outdir = tmp_path / "out"
+    if command == "run":
+        cfg = GOOD_CONFIG.replace("nx = 4\nny = 4", "nx = 1000000000000000\nny = 1")
+        argv = ["run", _write(tmp_path, cfg)]
+    else:
+        argv = ["reproduce", "--nx", "1000000000000000", "--ny", "1", "--outdir", str(outdir)]
+    code, err, caught = _run_main(argv)
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: Unable to allocate ")
+    assert err.count("\n") == 1 and caught == []
+    assert not outdir.exists()
+
+
+# Section -> key -> its ordinary values, for every key of cli._SCHEMA but
+# the output paths.
+_ORDINARY = {
+    "mesh": {"type": ["cartesian", "file"], "nx": [1, 2, 3, 4, 5, 6],
+             "ny": [1, 2, 3, 4, 5, 6], "dirichlet": ["contacts", "all"]},
+    "physics": {"law": ["isothermal", "power"], "alpha": [5 / 3, 2.0],
+                "lambda2": [1.0, 0.1]},
+    # h(N^D) + h(P^D) is the same on both contacts under either law, and
+    # N^D P^D = 1 as recombination needs.
+    "boundary": {"n_bottom": [math.e], "n_top": [1 / math.e], "p_bottom": [1 / math.e],
+                 "p_top": [math.e]},
+    "initial": {"profile": ["interpolate", "constant"], "n": [1.0, 2.0],
+                "p": [1.0, 0.5]},
+    "doping": {"kind": ["zero", "pn", "constant"], "value": [1.0, -2.0]},
+    "recombination": {"kind": ["none", "srh", "auger"],
+                      **dict.fromkeys(("scale", "tau_n", "tau_p", "tau_c", "c_n", "c_p"),
+                                      [1.0, 0.5])},
+    "time": {"dt": [0.01, 0.02], "t_end": [0.05, 0.1]},
+    "solver": {"fp_tol": [1e-10, 1e-6], "fp_max_iter": [50, 200],
+               "check_m_matrices": ["yes", "no"], "equilibrium_tol": [1e-10, 1e-6]}}
+
+# The values no key's ordinary list holds: extreme floats, counts that are
+# empty, negative or too large to allocate, a word, and None for a key left
+# out.
+_UNUSUAL = st.sampled_from([0.0, -0.0, 1e-320, -1e-320, 1e308, -1e308, math.nan,
+                            math.inf, -math.inf, 0, -1, 10**15, "abc", None])
+
+
+def _at_most_ten_steps(cfg):
+    """Cut a config's t_end to ten time steps: a finite count of more steps
+    may be one that never ends."""
+    time = cfg["time"]
+    try:
+        dt = float(time.get("dt", StepperConfig.dt))
+        t_end = float(time.get("t_end", StepperConfig.t_end))
+    except ValueError:
+        return cfg
+    if dt > 0.0 and 10.0 < t_end / dt < math.inf:
+        time["t_end"] = 10.0 * dt
+    return cfg
+
+
+@st.composite
+def _configs(draw):
+    """Every key at an ordinary value, all within the hypotheses, then one or
+    two keys set to an unusual one or left out."""
+    cfg = {section: {key: draw(st.sampled_from(values)) for key, values in keys.items()}
+           for section, keys in _ORDINARY.items()}
+    if cfg["physics"]["law"] == "power":
+        cfg["recombination"]["kind"] = "none"  # as the hypotheses ask
+    pairs = [(section, key) for section, keys in _ORDINARY.items() for key in keys]
+    for section, key in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2)):
+        cfg[section][key] = draw(_UNUSUAL)
+        if cfg[section][key] is None:
+            del cfg[section][key]
+    return _at_most_ten_steps(cfg)
+
+
+# The Delaunay triangulation of a small hexagonal lattice, Dirichlet on its
+# bottom and top rows.
+_HEX_MESH = """nodes 9
+0 0
+0.5 0
+1 0
+0.25 0.4330127018922193
+0.75 0.4330127018922193
+1.25 0.4330127018922193
+0 0.8660254037844386
+0.5 0.8660254037844386
+1 0.8660254037844386
+triangles 9
+4 2 5
+3 6 0
+8 4 5
+1 2 4
+3 1 4
+1 3 0
+7 3 4
+3 7 6
+8 7 4
+boundary 7
+0 1 dirichlet
+0 6 neumann
+1 2 dirichlet
+2 5 neumann
+5 8 neumann
+6 7 dirichlet
+7 8 dirichlet
+"""
+
+
+def _main_on_files(command, cfg_text, mesh_text=_HEX_MESH):
+    """``_run_main`` on a config, with ``mesh_text`` as the mesh file it may
+    name: ``{mesh}`` in ``cfg_text`` is that file's path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mesh_path = os.path.join(tmp, "case.mesh")
+        with open(mesh_path, "w", encoding="utf-8") as f:
+            f.write(mesh_text)
+        cfg_path = os.path.join(tmp, "case.cfg")
+        with open(cfg_path, "w", encoding="utf-8") as f:
+            f.write(cfg_text.replace("{mesh}", mesh_path))
+        return _run_main([command, cfg_path])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cfg=_configs(), command=st.sampled_from(["run", "equilibrium"]))
+def test_every_config_exits_with_its_code_and_one_line(cfg, command):
+    cfg["mesh"]["file"] = "{mesh}"
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in cfg.items())
+    _assert_contract(*_main_on_files(command, text))
+
+
+_MESH_TOKENS = ["-1", "0", "1", "8", "9", "0.5", "1e308", "-1e308", "1e-320", "nan",
+                "inf", "100000000000000000000", "x", "nodes", "triangles", "boundary",
+                "dirichlet", "neumann"]
+
+
+@st.composite
+def _corruptions(draw, tokens):
+    """A token list with one to three tokens replaced, deleted, inserted or
+    swapped."""
+    tokens = list(tokens)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        op = draw(st.sampled_from(["replace", "delete", "insert", "swap"]))
+        if op == "replace":
+            tokens[i] = draw(st.sampled_from(_MESH_TOKENS))
+        elif op == "delete":
+            del tokens[i]
+        elif op == "insert":
+            tokens.insert(i, draw(st.sampled_from(_MESH_TOKENS)))
+        else:
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return tokens
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(tokens=_corruptions(_HEX_MESH.split()))
+def test_every_mesh_file_exits_with_its_code_and_one_line(tokens):
+    cfg = GOOD_CONFIG.replace("type = cartesian", "type = file\nfile = {mesh}")
+    _assert_contract(*_main_on_files("run", cfg, " ".join(tokens) + "\n"))
